@@ -33,13 +33,15 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .gates import GateReport, schedule_for_eta, synthesize_gate, u1, u2, u3
+from .gates import GateReport, ScheduleConditionError, schedule_for_eta, synthesize_gate, u1, u2, u3
 from .hamiltonians import (
     SystemParams, h_charge_qubit, h_drive, h_eff, h_interaction, h_nv, h_T, h_total_lab,
 )
 from .hilbert import Operator, SpaceLayout, basis_state, commutator, matrix_exponential
 from .open_system import gate_fidelity_open, write_lindblad_csv
-from .propagation import PropagationSettings, evolve_propagator, write_trajectory_csv
+from .propagation import (
+    NonHermitianSampleError, PropagationSettings, evolve_propagator, write_trajectory_csv,
+)
 from .wei_norman import (
     CommensurabilityError,
     closed_form_A,
@@ -226,9 +228,8 @@ def _validate_checks(cfg: RunConfig, fock: int):
            f"defect {u.unitarity_defect():.2e}")
 
     # 9. doubling the Fock cutoff leaves the gate fidelity unchanged
-    probe = oracle_at_periods(params, comm, 1, fock,
-                              settings=_prop_settings(cfg, comm.t))
-    fixed = PropagationSettings(t0=0.0, t1=comm.t, steps=probe.steps_used,
+    #    on the grid the check-3 oracle converged to
+    fixed = PropagationSettings(t0=0.0, t1=comm.t, steps=oracle.steps_used,
                                 tolerance=cfg.propagation.tolerance, max_refinements=0)
     reports = []
     for n_fock in (fock, 2 * fock):
@@ -396,15 +397,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        if isinstance(exc, CommensurabilityError):
-            print(f"numerical error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (RuntimeError, ArithmeticError) as exc:
+    except (CommensurabilityError, NonHermitianSampleError, ScheduleConditionError,
+            RuntimeError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -43,9 +43,11 @@ from .wei_norman import (
     CommensurateTime,
     OracleResult,
     closed_form_A,
+    coefficients_oracle,
     commensurate_time,
     factorized_propagator,
     oracle_at_periods,
+    oracle_power,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -102,7 +104,6 @@ class GateReport:
     gate_time_ns: float
     relabeling: str
     discrepancy_notes: tuple[dict, ...]
-    diagnostics: str
     schedule: PulseSchedule
     oracle_residual: float
     fidelity_paper_eta: float
@@ -427,13 +428,6 @@ def compose_sequence(schedule: PulseSchedule, params: SystemParams, layout: Spac
             "detail": f"oracle residual {oracle.residual:.3e} above threshold",
         })
 
-    diagnostics = (
-        f"eta_used={schedule.eta:.9g}, eta_star={calibration.eta_star:.9g}, "
-        f"A_oracle={oracle.coeffs.A:.9g}, A_closed_form={a_closed:.3e}, "
-        f"|B|={abs(oracle.coeffs.B):.3e}, |C|={abs(oracle.coeffs.C):.3e}, "
-        f"residual={oracle.residual:.3e}, top_level_population={top_pop:.3e}, "
-        f"relabeling={relabeling}"
-    )
     return GateReport(
         synthesized=dressed,
         target=target,
@@ -445,7 +439,6 @@ def compose_sequence(schedule: PulseSchedule, params: SystemParams, layout: Spac
         gate_time_ns=schedule.tau1 + schedule.tau2 + schedule.t_int,
         relabeling=relabeling,
         discrepancy_notes=tuple(notes),
-        diagnostics=diagnostics,
         schedule=schedule,
         oracle_residual=oracle.residual,
         fidelity_paper_eta=calibration.fidelity_paper,
@@ -496,26 +489,16 @@ def synthesize_gate(params: SystemParams, layout: SpaceLayout, *,
                              tol=commensurability_tol)
     calibration = calibrate_eta(target, eta_paper_m=eta_paper_m)
 
-    base = oracle_at_periods(params, comm, 1, layout.fock_cutoff, settings=settings)
-    a_base = base.coeffs.A
-
+    window = coefficients_oracle(params, comm.t, layout.fock_cutoff, settings=settings)
     if eta is None:
-        periods = _pick_periods(a_base, calibration.eta_star, max_periods,
+        periods = _pick_periods(window.coeffs.A, calibration.eta_star, max_periods,
                                 grid_period=math.pi / 2.0)
-        oracle = (base if periods == 1 else
-                  oracle_at_periods(params, comm, periods, layout.fock_cutoff,
-                                    settings=settings))
-        eta_used = oracle.coeffs.A
-        strict = True
     else:
-        periods = _pick_periods(a_base, eta, max_periods, grid_period=TWO_PI)
-        oracle = (base if periods == 1 else
-                  oracle_at_periods(params, comm, periods, layout.fock_cutoff,
-                                    settings=settings))
-        eta_used = float(eta)
-        strict = False
+        periods = _pick_periods(window.coeffs.A, eta, max_periods, grid_period=TWO_PI)
+    oracle = oracle_power(window, periods)
+    eta_used = oracle.coeffs.A if eta is None else float(eta)
 
     schedule = schedule_for_eta(params, eta_used, comm, periods, m=eta_paper_m)
     return compose_sequence(schedule, params, layout, target=target, oracle=oracle,
                             settings=settings, calibration=calibration,
-                            condition_tol=condition_tol, strict=strict)
+                            condition_tol=condition_tol, strict=eta is None)

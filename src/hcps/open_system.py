@@ -10,10 +10,14 @@ contributes the remaining exp(-t/(2 T1)) of the total T2 law.
 The integrator is a symmetric (Strang) split: a half step of the dissipator
 (midpoint rule), a full unitary step exp(-i H(t_mid) dt) applied by
 conjugation, and another dissipator half step.  Every piece preserves the
-trace to rounding, the scheme is second order, and the same step-doubling
-convergence contract as :mod:`hcps.propagation` applies.  Density matrices
-never leave the d x d representation (no superoperators), which keeps the
-default Fock cutoff of 12 comfortable.
+trace to rounding and the scheme is second order.  One leg pass implements
+it for :func:`evolve_master` and for each pulse of :func:`gate_fidelity_open`;
+its step unitaries come from a constant-Hamiltonian provider, the generic
+midpoint generator of :mod:`hcps.propagation`, or the sector-block joint
+steps of :mod:`hcps.wei_norman`, and the step-doubling driver of
+:mod:`hcps.propagation` refines it.  Density matrices never leave the
+d x d representation (no superoperators), which keeps the default Fock
+cutoff of 12 comfortable.
 
 Dissipators are applied in the frame in which h_eff is written; frame
 corrections to the collapse operators under the strong drive are out of
@@ -26,14 +30,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .gates import PulseSchedule, dressed_basis
 from .hamiltonians import SystemParams, h_charge_qubit, h_nv
 from .hilbert import Operator, SLOT_CHARGE, SLOT_SPIN, SpaceLayout, StateVector, build_annihilation, build_spin_ops
-from .propagation import PropagationSettings, _check_hermitian, _step_unitary
+from .propagation import PropagationSettings, _check_hermitian, _step_unitary, midpoint_steps, step_doubling
 from .wei_norman import dressed_transform, joint_step_unitaries
 
 US_TO_NS = 1.0e3
@@ -185,36 +190,44 @@ def _dissipator(collapse: Sequence[tuple[np.ndarray, float]]):
     return rhs
 
 
-def _strang_pass(h_mat: Callable[[float], np.ndarray], rho0: np.ndarray,
-                 t0: float, t1: float, steps: int, dissipator,
-                 constant_h: bool) -> np.ndarray:
-    rho = rho0.copy()
-    dt = (t1 - t0) / steps
-    u_const = None
-    if constant_h:
-        h = np.asarray(h_mat(t0), dtype=np.complex128)
-        _check_hermitian(h, t0)
-        u_const = _step_unitary(h, dt)
-    for k in range(steps):
+def _leg_pass(step_unitaries: Iterable[np.ndarray], half: float, rhos: np.ndarray,
+              psis: np.ndarray, dissipator) -> tuple[np.ndarray, np.ndarray]:
+    """One Strang-split resolution of one leg; inputs stacked along the leading axis.
+
+    Each step is a dissipator half step of length half (midpoint rule), the
+    step unitary applied by conjugation, and another dissipator half step.
+    The closed reference states psis ride along on exactly those factors, so
+    the zero-rate limit reproduces the closed evolution identically rather
+    than merely to tolerance.  The dissipator RHS broadcasts over the stack.
+    """
+    for u in step_unitaries:
         if dissipator is not None:
-            half = 0.5 * dt
-            k1 = dissipator(rho)
-            k2 = dissipator(rho + 0.5 * half * k1)
-            rho = rho + half * k2
-        if u_const is not None:
-            u = u_const
-        else:
-            tm = t0 + (k + 0.5) * dt
-            h = np.asarray(h_mat(tm), dtype=np.complex128)
-            _check_hermitian(h, tm)
-            u = _step_unitary(h, dt)
-        rho = u @ rho @ u.conj().T
+            rhos = rhos + half * dissipator(rhos + 0.5 * half * dissipator(rhos))
+        rhos = u @ rhos @ u.conj().T
+        psis = psis @ u.T
         if dissipator is not None:
-            half = 0.5 * dt
-            k1 = dissipator(rho)
-            k2 = dissipator(rho + 0.5 * half * k1)
-            rho = rho + half * k2
-    return rho
+            rhos = rhos + half * dissipator(rhos + 0.5 * half * dissipator(rhos))
+    return rhos, psis
+
+
+def _constant_steps(h: np.ndarray, duration: float):
+    _check_hermitian(h, 0.0)
+
+    def provider(steps: int):
+        u = _step_unitary(h, duration / steps)
+        return itertools.repeat(u, steps)
+
+    return provider
+
+
+def _refine_leg(provider, duration: float, rhos: np.ndarray, psis: np.ndarray,
+                dissipator, settings: PropagationSettings
+                ) -> tuple[tuple[np.ndarray, np.ndarray], bool, int]:
+    """Step-doubled leg; convergence judged on the density matrices."""
+    return step_doubling(
+        lambda steps: _leg_pass(provider(steps), 0.5 * duration / steps, rhos, psis,
+                                dissipator),
+        lambda r: r[0], settings)
 
 
 def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
@@ -228,23 +241,19 @@ def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
     a performance hint that lets the unitary substep be built once.
     """
     layout = rho0.layout
+    t0, t1 = settings.t0, settings.t1
 
     def h_mat(t: float) -> np.ndarray:
         return h_fun(t).entries
 
+    if constant_hamiltonian:
+        provider = _constant_steps(np.asarray(h_mat(t0), dtype=np.complex128), t1 - t0)
+    else:
+        provider = partial(midpoint_steps, h_mat, t0, t1)
     dissipator = _dissipator([(op.entries, rate) for op, rate in collapse])
-    rho = _strang_pass(h_mat, np.array(rho0.entries), settings.t0, settings.t1,
-                       settings.steps, dissipator, constant_hamiltonian)
-    steps = settings.steps
-    converged = False
-    for _ in range(settings.max_refinements):
-        finer = _strang_pass(h_mat, np.array(rho0.entries), settings.t0, settings.t1,
-                             2 * steps, dissipator, constant_hamiltonian)
-        diff = float(np.abs(finer - rho).max())
-        rho, steps = finer, 2 * steps
-        if diff < settings.tolerance:
-            converged = True
-            break
+    no_states = np.zeros((0, layout.total_dim), dtype=np.complex128)
+    (rho, _), converged, steps = _refine_leg(provider, t1 - t0, np.array(rho0.entries),
+                                             no_states, dissipator, settings)
 
     rho = 0.5 * (rho + rho.conj().T)    # strip rounding-level asymmetry
     trace_defect = float(abs(rho.trace() - 1.0))
@@ -314,50 +323,6 @@ def _sequence_legs(params: SystemParams, schedule: PulseSchedule, layout: SpaceL
     ]
 
 
-def _leg_pass(step_unitaries, steps: int, duration: float, rhos: np.ndarray,
-              psis: np.ndarray, dissipator) -> tuple[np.ndarray, np.ndarray]:
-    """One resolution of one leg; inputs stacked along the leading axis.
-
-    step_unitaries(steps) yields the per-step midpoint unitaries; the closed
-    reference states ride along on exactly those factors, so the zero-rate
-    limit reproduces the closed evolution identically rather than merely to
-    tolerance.  The dissipator RHS broadcasts over the stack.
-    """
-    rhos = rhos.copy()
-    psis = psis.copy()
-    half = 0.5 * duration / steps
-    for u in step_unitaries(steps):
-        if dissipator is not None:
-            rhos = rhos + half * dissipator(rhos + 0.5 * half * dissipator(rhos))
-        rhos = u @ rhos @ u.conj().T
-        psis = psis @ u.T
-        if dissipator is not None:
-            rhos = rhos + half * dissipator(rhos + 0.5 * half * dissipator(rhos))
-    return rhos, psis
-
-
-def _constant_steps(h: np.ndarray, duration: float):
-    _check_hermitian(h, 0.0)
-
-    def provider(steps: int):
-        u = _step_unitary(h, duration / steps)
-        return itertools.repeat(u, steps)
-
-    return provider
-
-
-def _generic_steps(h_mat: Callable[[float], np.ndarray], duration: float):
-    def provider(steps: int):
-        dt = duration / steps
-        for k in range(steps):
-            tm = (k + 0.5) * dt
-            h = np.asarray(h_mat(tm), dtype=np.complex128)
-            _check_hermitian(h, tm)
-            yield _step_unitary(h, dt)
-
-    return provider
-
-
 def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
                        dec: DecoherenceParams, layout: SpaceLayout, *,
                        settings: PropagationSettings | None = None) -> OpenGateResult:
@@ -388,19 +353,9 @@ def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
         else:
             dissipator = _dissipator(collapse)
 
-        steps = settings.steps
-        rhos_c, psis_c = _leg_pass(provider, steps, duration, rhos, psis, dissipator)
-        converged = False
-        for _ in range(settings.max_refinements):
-            rhos_f, psis_f = _leg_pass(provider, 2 * steps, duration, rhos, psis,
-                                       dissipator)
-            diff = float(np.abs(rhos_f - rhos_c).max())
-            rhos_c, psis_c, steps = rhos_f, psis_f, 2 * steps
-            if diff < settings.tolerance:
-                converged = True
-                break
+        (rhos, psis), converged, _ = _refine_leg(provider, duration, rhos, psis,
+                                                 dissipator, settings)
         converged_all &= converged
-        rhos, psis = rhos_c, psis_c
         if trans is not None:
             rhos = trans @ rhos @ trans
             psis = psis @ trans

@@ -11,6 +11,13 @@ step-doubling until two successive resolutions agree to the requested
 max-norm tolerance.  No cleverness that could share a failure mode with the
 factorized propagator it is meant to audit.
 
+Two pieces are shared by every integrator in the package:
+:func:`midpoint_steps` yields the Hermiticity-checked midpoint factors of a
+uniform grid, and :func:`step_doubling` is the one refinement driver.  The
+sector oracle in :mod:`hcps.wei_norman` and the master-equation legs in
+:mod:`hcps.open_system` run on the same driver with their own fixed-grid
+passes.
+
 Each run is single-threaded and deterministic; independent runs may execute
 in parallel with no shared mutable state.
 """
@@ -18,13 +25,15 @@ in parallel with no shared mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .hilbert import Operator, StateVector
 
 SAMPLE_HERMITIAN_TOL = 1e-10
+
+T = TypeVar("T")
 
 
 class NonHermitianSampleError(ValueError):
@@ -89,18 +98,42 @@ def _step_unitary(h: np.ndarray, dt: float) -> np.ndarray:
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
-def propagate_matrix(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
-                     steps: int) -> np.ndarray:
-    """Fixed-grid midpoint-exponential propagator on raw matrices."""
-    dim = np.asarray(h_mat(t0)).shape[0]
-    u = np.eye(dim, dtype=np.complex128)
+def midpoint_steps(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
+                   steps: int) -> Iterator[np.ndarray]:
+    """Midpoint step unitaries exp(-i H(t_mid) dt) of a uniform grid on [t0, t1].
+
+    Every sample is checked for Hermiticity before it is exponentiated.
+    """
     dt = (t1 - t0) / steps
     for k in range(steps):
         tm = t0 + (k + 0.5) * dt
         h = np.asarray(h_mat(tm), dtype=np.complex128)
         _check_hermitian(h, tm)
-        u = _step_unitary(h, dt) @ u
-    return u
+        yield _step_unitary(h, dt)
+
+
+def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
+                  settings: PropagationSettings, *,
+                  steps: int | None = None) -> tuple[T, bool, int]:
+    """Run run(steps) on doubling grids until two resolutions agree.
+
+    Two successive results agree when their final arrays, final(result),
+    differ by less than settings.tolerance in entrywise max-norm; at most
+    settings.max_refinements doublings are tried.  Returns the finest result,
+    whether it converged, and its step count.  steps overrides the initial
+    grid settings.steps.
+    """
+    steps = settings.steps if steps is None else steps
+    result = run(steps)
+    converged = False
+    for _ in range(settings.max_refinements):
+        finer = run(2 * steps)
+        diff = float(np.abs(final(finer) - final(result)).max())
+        result, steps = finer, 2 * steps
+        if diff < settings.tolerance:
+            converged = True
+            break
+    return result, converged, steps
 
 
 def propagate_matrix_checkpoints(h_mat: Callable[[float], np.ndarray], t0: float,
@@ -121,12 +154,8 @@ def propagate_matrix_checkpoints(h_mat: Callable[[float], np.ndarray], t0: float
     prev = t0
     for tk in times:
         seg_steps = max(1, round(steps_total * (tk - prev) / span))
-        dt = (tk - prev) / seg_steps
-        for k in range(seg_steps):
-            tm = prev + (k + 0.5) * dt
-            h = np.asarray(h_mat(tm), dtype=np.complex128)
-            _check_hermitian(h, tm)
-            u = _step_unitary(h, dt) @ u
+        for step in midpoint_steps(h_mat, prev, tk, seg_steps):
+            u = step @ u
         snapshots.append(u.copy())
         prev = tk
     return snapshots
@@ -136,17 +165,10 @@ def adaptive_propagate_checkpoints(h_mat: Callable[[float], np.ndarray], t0: flo
                                    times: Sequence[float], settings: PropagationSettings
                                    ) -> tuple[list[np.ndarray], bool, int]:
     """Step-doubled checkpoint propagation; convergence judged on the final U."""
-    steps = max(settings.steps, len(list(times)))
-    snaps = propagate_matrix_checkpoints(h_mat, t0, times, steps)
-    converged = False
-    for _ in range(settings.max_refinements):
-        finer = propagate_matrix_checkpoints(h_mat, t0, times, 2 * steps)
-        diff = float(np.abs(finer[-1] - snaps[-1]).max())
-        snaps, steps = finer, 2 * steps
-        if diff < settings.tolerance:
-            converged = True
-            break
-    return snaps, converged, steps
+    times = list(times)
+    return step_doubling(lambda steps: propagate_matrix_checkpoints(h_mat, t0, times, steps),
+                         lambda snaps: snaps[-1], settings,
+                         steps=max(settings.steps, len(times)))
 
 
 def adaptive_propagate(h_mat: Callable[[float], np.ndarray], settings: PropagationSettings
@@ -193,48 +215,30 @@ def evolve_state(h_fun: Callable[[float], Operator], psi0: StateVector,
     """
     if abs(psi0.norm() - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {psi0.norm()} is not 1")
+    if trajectory_stride is not None and trajectory_stride < 1:
+        raise ValueError("trajectory_stride must be >= 1")
     layout = psi0.layout
 
     def h_mat(t: float) -> np.ndarray:
         return h_fun(t).entries
 
-    def run(steps: int) -> np.ndarray:
+    def run(steps: int) -> tuple[np.ndarray, list, list]:
         psi = psi0.amplitudes.copy()
         dt = (settings.t1 - settings.t0) / steps
-        for k in range(steps):
-            tm = settings.t0 + (k + 0.5) * dt
-            h = h_mat(tm)
-            _check_hermitian(h, tm)
-            psi = _step_unitary(h, dt) @ psi
-        return psi
+        rec_t, rec_psi = [settings.t0], [psi.copy()]
+        for k, u in enumerate(midpoint_steps(h_mat, settings.t0, settings.t1, steps)):
+            psi = u @ psi
+            if trajectory_stride is not None and (
+                    (k + 1) % trajectory_stride == 0 or k == steps - 1):
+                rec_t.append(settings.t0 + (k + 1) * dt)
+                rec_psi.append(psi.copy())
+        return psi, rec_t, rec_psi
 
-    steps = settings.steps
-    psi = run(steps)
-    converged = False
-    for _ in range(settings.max_refinements):
-        finer = run(2 * steps)
-        diff = float(np.abs(finer - psi).max())
-        psi, steps = finer, 2 * steps
-        if diff < settings.tolerance:
-            converged = True
-            break
-
+    (psi, rec_t, rec_psi), converged, steps = step_doubling(run, lambda r: r[0], settings)
     times = trajectory = None
     if trajectory_stride is not None:
-        if trajectory_stride < 1:
-            raise ValueError("trajectory_stride must be >= 1")
-        dt = (settings.t1 - settings.t0) / steps
-        psi_t = psi0.amplitudes.copy()
-        rec_t, rec_psi = [settings.t0], [psi_t.copy()]
-        for k in range(steps):
-            tm = settings.t0 + (k + 0.5) * dt
-            psi_t = _step_unitary(h_mat(tm), dt) @ psi_t
-            if (k + 1) % trajectory_stride == 0 or k == steps - 1:
-                rec_t.append(settings.t0 + (k + 1) * dt)
-                rec_psi.append(psi_t.copy())
         times = np.array(rec_t)
         trajectory = np.array(rec_psi)
-        psi = psi_t
 
     return StateResult(
         state=StateVector(layout, psi),

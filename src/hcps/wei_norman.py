@@ -27,6 +27,16 @@ Two coefficient routes are provided and deliberately kept independent:
   ||U_factorized - U_numeric||_max over a truncation-trusted window of
   input columns is reported alongside.
 
+The oracle route has one of each moving part.  One kernel builds the
+sector midpoint factors (the (a + a') eigensystem dressed by number-operator
+phases); it serves both the checkpointed sector propagation, refined by the
+step-doubling driver of :mod:`hcps.propagation`, and the open-system joint
+leg (:func:`joint_step_unitaries`).  One extraction turns sector snapshots
+into coefficients at every checkpoint: :func:`coefficients_oracle` reads its
+last checkpoint, :func:`oracle_grid` all of them.  Multiples of a
+disentangling period reuse one base-window propagation through
+:func:`oracle_power`, since h_eff is periodic and U(kT) = U(T)^k.
+
 Gate synthesis consumes only the oracle route; the closed-form route exists
 so the disagreement on A is measured and reported, not papered over.
 
@@ -44,7 +54,7 @@ import numpy as np
 
 from .hamiltonians import SystemParams
 from .hilbert import Operator, SpaceLayout, build_annihilation, build_spin_ops, expm_matrix, ladder_matrix
-from .propagation import PropagationSettings
+from .propagation import PropagationSettings, step_doubling
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,6 +100,8 @@ class OracleResult:
     fock_window (the truncation-trusted inputs); residual_full is the same
     over all columns and is a truncation diagnostic only, since the top of
     a truncated Fock ladder cannot agree between the two constructions.
+    sector_unitaries holds the four sector blocks numeric_unitary is
+    assembled from, keyed like SECTORS; :func:`oracle_power` raises them.
     """
 
     coeffs: WNCoefficients
@@ -100,6 +112,7 @@ class OracleResult:
     converged: bool
     steps_used: int
     numeric_unitary: np.ndarray = field(repr=False)
+    sector_unitaries: dict = field(repr=False)
 
 
 class CoefficientRow(NamedTuple):
@@ -205,43 +218,51 @@ def sector_amplitude(params: SystemParams, spin_sign: int, charge_sign: int
     return f
 
 
-def _sector_h_mat(params: SystemParams, spin_sign: int, charge_sign: int,
-                  n: int) -> Callable[[float], np.ndarray]:
-    a = ladder_matrix(n)
-    ad = a.conj().T
-    f = sector_amplitude(params, spin_sign, charge_sign)
-
-    def h(t: float) -> np.ndarray:
-        ft = f(t)
-        return ft * ad + np.conj(ft) * a
-
-    return h
-
-
 _CHUNK_ENTRIES = 2_000_000   # cap on steps*n*n per vectorized block
+
+
+def _sector_step_factors(n: int) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Builder of stacked midpoint factors exp(-i dt (f a' + conj(f) a)).
+
+    Writing f = |f| e^{i theta}, f a' + conj(f) a = |f| R'(theta) (a + a') R(theta)
+    with R = e^{-i theta n_hat}, so each factor is the one (a + a') eigensystem
+    dressed by number-operator phases:
+
+        exp(-i H dt) = R' V exp(-i |f| L dt) V' R
+
+    The returned function maps an array of drive amplitudes f to the stack
+    of those factors, one per amplitude.  The phase factor e^{i theta (j - k)}
+    takes only 2n - 1 distinct values per step, so it is exponentiated once
+    per value of j - k and gathered into the n x n pattern.
+    """
+    a = ladder_matrix(n)
+    lam, v = np.linalg.eigh(a + a.conj().T)
+    vh = v.conj().T
+    offsets = np.arange(1 - n, n)                       # every value of j - k
+    nums = np.arange(n)
+    pattern = nums[:, None] - nums[None, :] + (n - 1)   # index of j - k in offsets
+
+    def factors(f: np.ndarray, dt: float) -> np.ndarray:
+        f = np.asarray(f, dtype=np.complex128)
+        amp = np.abs(f)
+        theta = np.angle(f)
+        core = (v[None, :, :] * np.exp(-1j * dt * np.outer(amp, lam))[:, None, :]) @ vh
+        return core * np.take(np.exp(1j * theta[:, None] * offsets[None, :]), pattern, axis=1)
+
+    return factors
 
 
 def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
                       steps_total: int) -> list[np.ndarray]:
-    """Midpoint-exponential snapshots specialized to H(t) = f a' + conj(f) a.
+    """Fixed-grid midpoint snapshots of one sector, H(t) = f a' + conj(f) a.
 
-    Writing f = |f| e^{i theta}, H(t) = |f| R'(theta) (a + a') R(theta) with
-    R = e^{-i theta n_hat}, so each midpoint factor is the constant (a + a')
-    eigensystem dressed by number-operator phases:
-
-        exp(-i H dt) = R' V exp(-i |f| L dt) V' R
-
-    This is the identical piecewise-constant midpoint scheme as the generic
-    integrator, evaluated in vectorized chunks with one eigendecomposition
-    total, and pairwise-reduced in step order.
+    The identical piecewise-constant midpoint scheme as the generic
+    integrator, with factors from :func:`_sector_step_factors` built in
+    vectorized chunks and pairwise-reduced in step order.
     """
     times = list(times)
     span = times[-1]
-    a = ladder_matrix(n)
-    lam, v = np.linalg.eigh(a + a.conj().T)
-    vh = v.conj().T
-    nums = np.arange(n)
-    delta_idx = nums[:, None] - nums[None, :]
+    factors = _sector_step_factors(n)
 
     snapshots = []
     u = np.eye(n, dtype=np.complex128)
@@ -252,12 +273,7 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
         done = 0
         while done < seg_steps:
             count = min(seg_steps - done, max(1, _CHUNK_ENTRIES // (n * n)))
-            mids = prev + (done + np.arange(count) + 0.5) * dt
-            f = np.asarray(f_fun(mids), dtype=np.complex128)
-            amp = np.abs(f)
-            theta = np.angle(f)
-            core = (v[None, :, :] * np.exp(-1j * dt * np.outer(amp, lam))[:, None, :]) @ vh
-            mats = core * np.exp(1j * theta[:, None, None] * delta_idx[None, :, :])
+            mats = factors(f_fun(prev + (done + np.arange(count) + 0.5) * dt), dt)
             # ordered pairwise product of the chunk, then fold into u
             while mats.shape[0] > 1:
                 m = mats.shape[0] // 2
@@ -270,22 +286,6 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
     return snapshots
 
 
-def _adaptive_sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
-                               settings: PropagationSettings
-                               ) -> tuple[list[np.ndarray], bool, int]:
-    steps = max(settings.steps, len(list(times)))
-    snaps = _sector_snapshots(f_fun, times, n, steps)
-    converged = False
-    for _ in range(settings.max_refinements):
-        finer = _sector_snapshots(f_fun, times, n, 2 * steps)
-        diff = float(np.abs(finer[-1] - snaps[-1]).max())
-        snaps, steps = finer, 2 * steps
-        if diff < settings.tolerance:
-            converged = True
-            break
-    return snaps, converged, steps
-
-
 def dressed_transform(layout: SpaceLayout) -> np.ndarray:
     """Hadamard on each qubit slot; maps lab basis to the sector-block basis."""
     return np.kron(np.kron(_HADAMARD, _HADAMARD), np.eye(layout.fock_cutoff)).real
@@ -296,17 +296,13 @@ def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: fl
     """Midpoint step unitaries of h_eff, yielded in order, sector-block basis.
 
     Exactly the factors exp(-i h_eff(t_mid) dt) the generic integrator would
-    build, assembled from the constant (a + a') eigensystem per sector
-    instead of one eigendecomposition per step; consumers working in the lab
-    basis conjugate by :func:`dressed_transform` once per leg instead.
+    build, assembled per sector by :func:`_sector_step_factors` instead of
+    one eigendecomposition per step; consumers working in the lab basis
+    conjugate by :func:`dressed_transform` once per leg instead.
     """
     n = layout.fock_cutoff
     d = layout.total_dim
-    a = ladder_matrix(n)
-    lam, v = np.linalg.eigh(a + a.conj().T)
-    vh = v.conj().T
-    nums = np.arange(n)
-    delta_idx = nums[:, None] - nums[None, :]
+    factors = _sector_step_factors(n)
     dt = duration / steps
     amps = [sector_amplitude(params, ss, sc) for ss, sc in SECTORS]
 
@@ -316,12 +312,7 @@ def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: fl
         mids = (done + np.arange(count) + 0.5) * dt
         full = np.zeros((count, d, d), dtype=np.complex128)
         for i, f_fun in enumerate(amps):
-            f = np.asarray(f_fun(mids), dtype=np.complex128)
-            amp = np.abs(f)
-            theta = np.angle(f)
-            core = (v[None, :, :] * np.exp(-1j * dt * np.outer(amp, lam))[:, None, :]) @ vh
-            full[:, i * n:(i + 1) * n, i * n:(i + 1) * n] = \
-                core * np.exp(1j * theta[:, None, None] * delta_idx[None, :, :])
+            full[:, i * n:(i + 1) * n, i * n:(i + 1) * n] = factors(f_fun(mids), dt)
         yield from full
         done += count
 
@@ -337,39 +328,50 @@ def _checkpoint_count(params: SystemParams, t: float, requested: int | None) -> 
     return int(max(48, 8 * math.ceil(n_osc)))
 
 
-def _extract_alpha_phi(snapshots: Sequence[np.ndarray]) -> tuple[complex, float, float]:
-    """Displacement and unwrapped vacuum phase from a sector snapshot series.
+def _extract(snapshots: dict, times: Sequence[float]) -> list[WNCoefficients]:
+    """Coefficients at every checkpoint of a sector snapshot series.
 
-    For a driven oscillator the propagator is e^{i phi} D(alpha), so
-    <0|U|0> = e^{i phi} e^{-|alpha|^2 / 2} and <1|U|0> / <0|U|0> = alpha.
-    The phase is unwrapped along the snapshot grid starting from phi(0) = 0.
+    For a driven oscillator each sector propagator is e^{i phi} D(alpha), so
+    <0|U|0> = e^{i phi} e^{-|alpha|^2 / 2} and <1|U|0> / <0|U|0> = alpha.  The
+    phases are unwrapped along the checkpoint grid starting from phi(0) = 0.
     """
-    c0 = np.array([u[0, 0] for u in snapshots])
-    c1 = np.array([u[1, 0] for u in snapshots])
-    if np.abs(c0).min() < 1e-6:
-        raise RuntimeError("vacuum survival amplitude too small for phase extraction; "
-                           "displacement exceeds the extraction method's domain")
-    alphas = c1 / c0
-    phis = np.unwrap(np.concatenate(([0.0], np.angle(c0))))
-    return complex(alphas[-1]), float(phis[-1]), float(np.abs(c0[-1]))
+    alphas, phis = {}, {}
+    for key, snaps in snapshots.items():
+        c0 = np.array([u[0, 0] for u in snaps])
+        c1 = np.array([u[1, 0] for u in snaps])
+        if np.abs(c0).min() < 1e-6:
+            raise RuntimeError("vacuum survival amplitude too small for phase extraction; "
+                               "displacement exceeds the extraction method's domain")
+        alphas[key] = c1 / c0
+        phis[key] = np.unwrap(np.concatenate(([0.0], np.angle(c0))))[1:]
+    return [_coefficients_from_sectors({k: complex(a[i]) for k, a in alphas.items()},
+                                       {k: float(p[i]) for k, p in phis.items()},
+                                       float(tk))[0]
+            for i, tk in enumerate(times)]
+
+
+def _displacements(alpha: dict) -> tuple[complex, complex]:
+    """B and C from the four sector displacements.
+
+    alpha(sector) = -i*charge_sign*B' - i*spin_sign*C' (primes = conjugates);
+    the charge_sign-odd and spin_sign-odd combinations isolate B' and C'.
+    """
+    a_pp, a_pm = alpha[(1, 1)], alpha[(1, -1)]
+    a_mp, a_mm = alpha[(-1, 1)], alpha[(-1, -1)]
+    B_conj = -0.25j * (a_pm + a_mm - a_pp - a_mp)
+    C_conj = -0.25j * (a_mp + a_mm - a_pp - a_pm)
+    return np.conj(B_conj), np.conj(C_conj)
 
 
 def _coefficients_from_sectors(alpha: dict, phi: dict, t: float
                                ) -> tuple[WNCoefficients, float]:
     """Solve the four sector (alpha, phi) pairs for (A, B, C, D).
 
-    alpha(sector) = -i*charge_sign*B' - i*spin_sign*C' (primes = conjugates)
-    and the sector phase decomposes as phi = -Re D + (Im(B'C) - A) s_spin s_charge.
+    The sector phase decomposes as phi = -Re D + (Im(B'C) - A) s_spin s_charge.
     Returns the coefficients and the magnitude of the (unphysical) linear-in-sign
     phase component as a consistency diagnostic.
     """
-    a_pp, a_pm = alpha[(1, 1)], alpha[(1, -1)]
-    a_mp, a_mm = alpha[(-1, 1)], alpha[(-1, -1)]
-    # charge_sign-odd and spin_sign-odd combinations
-    B_conj = -0.25j * (a_pm + a_mm - a_pp - a_mp)
-    C_conj = -0.25j * (a_mp + a_mm - a_pp - a_pm)
-    B, C = np.conj(B_conj), np.conj(C_conj)
-
+    B, C = _displacements(alpha)
     p_pp, p_pm = phi[(1, 1)], phi[(1, -1)]
     p_mp, p_mm = phi[(-1, 1)], phi[(-1, -1)]
     phi_cross = 0.25 * (p_pp + p_mm - p_pm - p_mp)
@@ -389,14 +391,14 @@ def _assemble_lab_unitary(sector_mats: dict, layout: SpaceLayout) -> np.ndarray:
 
     The sector blocks live in the joint x-eigenbasis of both qubits; the
     full operator is that block-diagonal conjugated back to the lab basis by
-    a Hadamard on each qubit slot.
+    :func:`dressed_transform`.
     """
     n = layout.fock_cutoff
     d = layout.total_dim
     blk = np.zeros((d, d), dtype=np.complex128)
-    for i, (ss, sc) in enumerate(SECTORS):
-        blk[i * n:(i + 1) * n, i * n:(i + 1) * n] = sector_mats[(ss, sc)]
-    trans = np.kron(np.kron(_HADAMARD, _HADAMARD), np.eye(n))
+    for i, key in enumerate(SECTORS):
+        blk[i * n:(i + 1) * n, i * n:(i + 1) * n] = sector_mats[key]
+    trans = dressed_transform(layout)
     return trans @ blk @ trans
 
 
@@ -405,11 +407,30 @@ def _window_columns(layout: SpaceLayout, fock_window: int) -> np.ndarray:
     return np.array([q * n + k for q in range(4) for k in range(fock_window + 1)])
 
 
-def _residuals(factorized: np.ndarray, numeric: np.ndarray, layout: SpaceLayout,
-               fock_window: int) -> tuple[float, float]:
-    diff = np.abs(factorized - numeric)
+def _score(coeffs: WNCoefficients, sector_mats: dict, layout: SpaceLayout,
+           fock_window: int) -> tuple[np.ndarray, float, float]:
+    """Lab-basis numeric propagator and its windowed and full residuals."""
+    numeric = _assemble_lab_unitary(sector_mats, layout)
+    diff = np.abs(factorized_propagator(coeffs, layout).entries - numeric)
     cols = _window_columns(layout, fock_window)
-    return float(diff[:, cols].max()), float(diff.max())
+    return numeric, float(diff[:, cols].max()), float(diff.max())
+
+
+def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, fock_window: int,
+                   residual_threshold: float, converged: bool, steps: int) -> OracleResult:
+    layout = SpaceLayout(sector_mats[SECTORS[0]].shape[0])
+    numeric, residual, residual_full = _score(coeffs, sector_mats, layout, fock_window)
+    return OracleResult(
+        coeffs=coeffs,
+        residual=residual,
+        residual_full=residual_full,
+        flagged=residual > residual_threshold,
+        fock_window=fock_window,
+        converged=converged,
+        steps_used=steps,
+        numeric_unitary=numeric,
+        sector_unitaries=sector_mats,
+    )
 
 
 def _oracle_settings(params: SystemParams, t: float,
@@ -424,7 +445,7 @@ def _oracle_settings(params: SystemParams, t: float,
 def _propagate_sectors(params: SystemParams, times: Sequence[float], fock_cutoff: int,
                        settings: PropagationSettings
                        ) -> tuple[dict, bool, int]:
-    """Checkpointed propagation of all four sector blocks.
+    """Checkpointed, step-doubled propagation of all four sector blocks.
 
     The reported step count is the finest grid any sector needed.
     """
@@ -433,7 +454,9 @@ def _propagate_sectors(params: SystemParams, times: Sequence[float], fock_cutoff
     steps_max = 0
     for ss, sc in SECTORS:
         f = sector_amplitude(params, ss, sc)
-        snaps, converged, steps = _adaptive_sector_snapshots(f, times, fock_cutoff, settings)
+        snaps, converged, steps = step_doubling(
+            lambda steps, f=f: _sector_snapshots(f, times, fock_cutoff, steps),
+            lambda snaps: snaps[-1], settings, steps=max(settings.steps, len(times)))
         snapshots[(ss, sc)] = snaps
         converged_all &= converged
         steps_max = max(steps_max, steps)
@@ -452,31 +475,13 @@ def coefficients_oracle(params: SystemParams, t: float, fock_cutoff: int = 20, *
     """
     if t <= 0.0:
         raise ValueError("oracle extraction needs t > 0")
-    layout = SpaceLayout(fock_cutoff)
     window = _default_fock_window(fock_cutoff) if fock_window is None else fock_window
-    n_check = _checkpoint_count(params, t, checkpoints)
-    times = np.linspace(0.0, t, n_check + 1)[1:]
-    run_settings = _oracle_settings(params, t, settings)
-
-    snapshots, converged, steps = _propagate_sectors(params, times, fock_cutoff, run_settings)
-    alpha, phi = {}, {}
-    for key, snaps in snapshots.items():
-        alpha[key], phi[key], _ = _extract_alpha_phi(snaps)
-    coeffs, _linear_defect = _coefficients_from_sectors(alpha, phi, t)
-
-    numeric = _assemble_lab_unitary({k: v[-1] for k, v in snapshots.items()}, layout)
-    fact = factorized_propagator(coeffs, layout).entries
-    residual, residual_full = _residuals(fact, numeric, layout, window)
-    return OracleResult(
-        coeffs=coeffs,
-        residual=residual,
-        residual_full=residual_full,
-        flagged=residual > residual_threshold,
-        fock_window=window,
-        converged=converged,
-        steps_used=steps,
-        numeric_unitary=numeric,
-    )
+    times = np.linspace(0.0, t, _checkpoint_count(params, t, checkpoints) + 1)[1:]
+    snapshots, converged, steps = _propagate_sectors(
+        params, times, fock_cutoff, _oracle_settings(params, t, settings))
+    return _oracle_result(_extract(snapshots, times)[-1],
+                          {k: v[-1] for k, v in snapshots.items()},
+                          window, residual_threshold, converged, steps)
 
 
 def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int = 20, *,
@@ -491,36 +496,37 @@ def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int =
         raise ValueError("grid times must be positive")
     layout = SpaceLayout(fock_cutoff)
     window = _default_fock_window(fock_cutoff)
-    t_end = float(times[-1])
-    run_settings = _oracle_settings(params, t_end, settings)
-    snapshots, _converged, _steps = _propagate_sectors(params, times, fock_cutoff, run_settings)
-
-    # unwrap phases over the full grid per sector, then read off per point
-    alphas, phis = {}, {}
-    for key, snaps in snapshots.items():
-        c0 = np.array([u[0, 0] for u in snaps])
-        c1 = np.array([u[1, 0] for u in snaps])
-        if np.abs(c0).min() < 1e-6:
-            raise RuntimeError("vacuum survival amplitude too small for phase extraction")
-        alphas[key] = c1 / c0
-        phis[key] = np.unwrap(np.concatenate(([0.0], np.angle(c0))))[1:]
-
+    snapshots, _converged, _steps = _propagate_sectors(
+        params, times, fock_cutoff, _oracle_settings(params, float(times[-1]), settings))
     rows = []
-    for i, tk in enumerate(times):
-        coeffs, _ = _coefficients_from_sectors(
-            {k: complex(alphas[k][i]) for k in alphas},
-            {k: float(phis[k][i]) for k in phis},
-            float(tk))
-        numeric = _assemble_lab_unitary({k: v[i] for k, v in snapshots.items()}, layout)
-        fact = factorized_propagator(coeffs, layout).entries
-        residual, _full = _residuals(fact, numeric, layout, window)
-        rows.append(CoefficientRow(
-            t=float(tk),
-            coeffs=coeffs,
-            A_closed_form=closed_form_A(params, float(tk)),
-            residual=residual,
-        ))
+    for i, coeffs in enumerate(_extract(snapshots, times)):
+        _, residual, _ = _score(coeffs, {k: v[i] for k, v in snapshots.items()}, layout,
+                                window)
+        rows.append(CoefficientRow(t=coeffs.t, coeffs=coeffs,
+                                   A_closed_form=closed_form_A(params, coeffs.t),
+                                   residual=residual))
     return rows
+
+
+def oracle_power(base: OracleResult, periods: int, *,
+                 residual_threshold: float = 1e-5) -> OracleResult:
+    """The oracle after `periods` repetitions of a base disentangling window.
+
+    h_eff is periodic with the base commensurate time, so U(k t) = U(t)^k:
+    the sector blocks are raised to the k-th power, the displacement
+    coefficients are re-extracted from that power (they stay at the
+    numerical floor), and the accumulated phases scale linearly in k.
+    """
+    if periods < 1:
+        raise ValueError("periods must be >= 1")
+    powered = {k: np.linalg.matrix_power(u, periods) for k, u in base.sector_unitaries.items()}
+    B, C = _displacements({k: complex(u[1, 0] / u[0, 0]) for k, u in powered.items()})
+    b = base.coeffs
+    A = float(np.imag(np.conj(B) * C) + periods * (b.A - np.imag(np.conj(b.B) * b.C)))
+    D = complex(periods * b.D.real + 0.5j * (abs(B)**2 + abs(C)**2))
+    coeffs = WNCoefficients(A=A, B=complex(B), C=complex(C), D=D, t=b.t * periods)
+    return _oracle_result(coeffs, powered, base.fock_window, residual_threshold,
+                          base.converged, base.steps_used)
 
 
 def oracle_at_periods(params: SystemParams, base: CommensurateTime, periods: int,
@@ -530,52 +536,15 @@ def oracle_at_periods(params: SystemParams, base: CommensurateTime, periods: int
                       fock_window: int | None = None) -> OracleResult:
     """Oracle coefficients at an integer multiple of the base disentangling time.
 
-    h_eff is periodic with the base commensurate time, so U(k t) = U(t)^k and
-    the accumulated phases scale linearly in k; the displacement coefficients
-    are re-extracted from the matrix power (they stay at the numerical floor).
+    The base window is extracted once, then raised to the period count by
+    :func:`oracle_power`.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    layout = SpaceLayout(fock_cutoff)
-    window = _default_fock_window(fock_cutoff) if fock_window is None else fock_window
-    n_check = _checkpoint_count(params, base.t, None)
-    times = np.linspace(0.0, base.t, n_check + 1)[1:]
-    run_settings = _oracle_settings(params, base.t, settings)
-
-    snapshots, converged, steps = _propagate_sectors(params, times, fock_cutoff, run_settings)
-    alpha, phi = {}, {}
-    for key, snaps in snapshots.items():
-        alpha[key], phi[key], _ = _extract_alpha_phi(snaps)
-    base_coeffs, _ = _coefficients_from_sectors(alpha, phi, base.t)
-
-    powered = {k: np.linalg.matrix_power(v[-1], periods) for k, v in snapshots.items()}
-    alpha_k = {}
-    for key, u in powered.items():
-        c0, c1 = u[0, 0], u[1, 0]
-        alpha_k[key] = complex(c1 / c0)
-    a_pp, a_pm = alpha_k[(1, 1)], alpha_k[(1, -1)]
-    a_mp, a_mm = alpha_k[(-1, 1)], alpha_k[(-1, -1)]
-    B = np.conj(-0.25j * (a_pm + a_mm - a_pp - a_mp))
-    C = np.conj(-0.25j * (a_mp + a_mm - a_pp - a_pm))
-
-    t_total = base.t * periods
-    A = float(np.imag(np.conj(B) * C) + periods * (base_coeffs.A - np.imag(np.conj(base_coeffs.B) * base_coeffs.C)))
-    D = complex(periods * base_coeffs.D.real + 0.5j * (abs(B)**2 + abs(C)**2))
-    coeffs = WNCoefficients(A=A, B=complex(B), C=complex(C), D=D, t=t_total)
-
-    numeric = _assemble_lab_unitary(powered, layout)
-    fact = factorized_propagator(coeffs, layout).entries
-    residual, residual_full = _residuals(fact, numeric, layout, window)
-    return OracleResult(
-        coeffs=coeffs,
-        residual=residual,
-        residual_full=residual_full,
-        flagged=residual > residual_threshold,
-        fock_window=window,
-        converged=converged,
-        steps_used=steps,
-        numeric_unitary=numeric,
-    )
+    window = coefficients_oracle(params, base.t, fock_cutoff, settings=settings,
+                                 residual_threshold=residual_threshold,
+                                 fock_window=fock_window)
+    return oracle_power(window, periods, residual_threshold=residual_threshold)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hcps import cli
 from hcps.cli import main, report_to_json
 from hcps.config import (
     ConfigError,
@@ -15,6 +16,8 @@ from hcps.config import (
     paper_preset_dict,
     parse_config,
 )
+from hcps.gates import ScheduleConditionError
+from hcps.propagation import NonHermitianSampleError
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,6 +168,26 @@ def test_incommensurate_detuning_exits_numerical(tmp_path, capsys):
     code = main(["gate", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert "best approximation" in capsys.readouterr().err
+
+
+def test_non_hermitian_sample_exits_numerical(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NonHermitianSampleError("Hamiltonian sample at t=0.5 is not Hermitian")
+
+    monkeypatch.setattr(cli, "synthesize_gate", fail)
+    code = main(["gate", "--config", "paper_preset", "--out", str(tmp_path)])
+    assert code == 2
+    assert "numerical error" in capsys.readouterr().err
+
+
+def test_schedule_condition_violation_exits_numerical(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ScheduleConditionError("A(t_int) = eta violated by 1.000e-03")
+
+    monkeypatch.setattr(cli, "synthesize_gate", fail)
+    code = main(["gate", "--config", "paper_preset", "--out", str(tmp_path)])
+    assert code == 2
+    assert "numerical error" in capsys.readouterr().err
 
 
 def test_eta_override_flag(tmp_path):

@@ -263,6 +263,24 @@ def test_synthesized_gate_time_accounting(preset_gate_report):
     assert s.t_int == pytest.approx(s.n * TWO_PI)
 
 
+def test_synthesize_gate_propagates_base_window_once(preset_params, monkeypatch):
+    # the k-period oracle is the base window raised to the k-th power, so the
+    # four sector blocks are propagated exactly once per synthesized gate
+    import hcps.wei_norman as wn
+    calls = []
+    original = wn._propagate_sectors
+
+    def counting(*args, **kwargs):
+        calls.append(args[1][-1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wn, "_propagate_sectors", counting)
+    rep = synthesize_gate(preset_params, SpaceLayout(6), max_periods=48, settings=FAST)
+    comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
+    assert rep.schedule.t_int > 1.5 * comm.t      # several periods, not just one
+    assert calls == [pytest.approx(comm.t)]
+
+
 def test_forced_paper_eta_misses_cz(preset_params):
     rep = synthesize_gate(preset_params, SpaceLayout(8), eta=PI / 8,
                           max_periods=8, settings=FAST)

@@ -20,6 +20,7 @@ from hcps.propagation import (
     evolve_propagator,
     evolve_state,
     frame_rotate,
+    step_doubling,
     write_trajectory_csv,
 )
 from hcps.wei_norman import coefficients_closed_form, factorized_propagator
@@ -27,6 +28,38 @@ from hcps.wei_norman import coefficients_closed_form, factorized_propagator
 from test_hamiltonians import make_params
 
 TWO_PI = 2.0 * math.pi
+
+
+def test_step_doubling_driver():
+    # successive resolutions of run differ by exactly 1 / (2 steps)
+    calls = []
+
+    def run(steps):
+        calls.append(steps)
+        return np.array([1.0 / steps])
+
+    settings = PropagationSettings(0.0, 1.0, steps=4, tolerance=0.01, max_refinements=12)
+    result, converged, steps = step_doubling(run, lambda r: r, settings)
+    # diffs 1/8, 1/16, 1/32, 1/64 miss 0.01; 64 -> 128 (1/128) is the first pair within it
+    assert calls == [4, 8, 16, 32, 64, 128]
+    assert converged and steps == 128 and result[0] == 1.0 / 128
+
+    calls.clear()
+    _, converged, steps = step_doubling(run, lambda r: r,
+                                        settings.replace(max_refinements=0))
+    assert calls == [4] and not converged and steps == 4
+
+    calls.clear()
+    _, converged, steps = step_doubling(run, lambda r: r,
+                                        settings.replace(tolerance=1e-9, max_refinements=3))
+    assert calls == [4, 8, 16, 32] and not converged and steps == 32
+
+    # an explicit starting grid, and agreement judged on the final array only
+    calls.clear()
+    (noise, _), converged, steps = step_doubling(
+        lambda n: (np.array([float(n)]), run(n)), lambda r: r[1], settings, steps=16)
+    assert calls == [16, 32, 64, 128]
+    assert converged and steps == 128 and noise[0] == 128.0
 
 
 def test_zero_hamiltonian_gives_identity():
