@@ -117,7 +117,6 @@ class LindbladOptions:
 class SweepOptions:
     parameter: str = "g"
     factors: tuple[float, ...] = (0.5, 1.0, 2.0)
-    workers: int = 0                   # 0 means one per grid point, capped at 8
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,6 @@ def parse_config(doc: dict, where: str = "config") -> RunConfig:
         parameter=snode.get("parameter", "g"),
         factors=tuple(_number(x, f"{where}: sweep.factors")
                       for x in snode.get("factors", (0.5, 1.0, 2.0))),
-        workers=int(snode.get("workers", 0)),
     )
     if sweep.parameter not in _FREQ_FIELDS + _BARE_FIELDS:
         raise ConfigError(f"{where}: sweep.parameter {sweep.parameter!r} is not a system field")

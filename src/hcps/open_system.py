@@ -12,9 +12,10 @@ The integrator is a symmetric (Strang) split: a half step of the dissipator
 conjugation, and another dissipator half step.  Every piece preserves the
 trace to rounding and the scheme is second order.  One leg pass implements
 it for :func:`evolve_master` and for each pulse of :func:`gate_fidelity_open`;
-its step unitaries come from a constant-Hamiltonian provider, the generic
-midpoint generator of :mod:`hcps.propagation`, or the sector-block joint
-steps of :mod:`hcps.wei_norman`, and the step-doubling driver of
+its step unitaries come from the generic midpoint generator of
+:mod:`hcps.propagation` (evolve_master), a constant-Hamiltonian provider
+(the qubit pulses) or the sector-block joint steps of :mod:`hcps.wei_norman`
+(the interaction leg), and the step-doubling driver of
 :mod:`hcps.propagation` refines it.  Density matrices never leave the
 d x d representation (no superoperators), which keeps the default Fock
 cutoff of 12 comfortable.
@@ -232,13 +233,11 @@ def _refine_leg(provider, duration: float, rhos: np.ndarray, psis: np.ndarray,
 
 def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
                   collapse: Sequence[tuple[Operator, float]],
-                  settings: PropagationSettings, *,
-                  constant_hamiltonian: bool = False) -> MasterResult:
+                  settings: PropagationSettings) -> MasterResult:
     """Integrate d rho/dt = -i[H, rho] + sum_k rate_k D[L_k] rho.
 
     Step-doubled like the closed-system propagator; trace drift beyond 1e-6
-    clears the converged flag rather than raising.  constant_hamiltonian is
-    a performance hint that lets the unitary substep be built once.
+    clears the converged flag rather than raising.
     """
     layout = rho0.layout
     t0, t1 = settings.t0, settings.t1
@@ -246,10 +245,7 @@ def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
     def h_mat(t: float) -> np.ndarray:
         return h_fun(t).entries
 
-    if constant_hamiltonian:
-        provider = _constant_steps(np.asarray(h_mat(t0), dtype=np.complex128), t1 - t0)
-    else:
-        provider = partial(midpoint_steps, h_mat, t0, t1)
+    provider = partial(midpoint_steps, h_mat, t0, t1)
     dissipator = _dissipator([(op.entries, rate) for op, rate in collapse])
     no_states = np.zeros((0, layout.total_dim), dtype=np.complex128)
     (rho, _), converged, steps = _refine_leg(provider, t1 - t0, np.array(rho0.entries),

@@ -25,7 +25,7 @@ in parallel with no shared mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -136,46 +136,18 @@ def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
     return result, converged, steps
 
 
-def propagate_matrix_checkpoints(h_mat: Callable[[float], np.ndarray], t0: float,
-                                 times: Sequence[float], steps_total: int
-                                 ) -> list[np.ndarray]:
-    """Propagate through an increasing time grid, snapshotting U(t_k, t0).
-
-    steps_total is distributed over the segments proportionally to their
-    duration, at least one midpoint step per segment.
-    """
-    times = list(times)
-    if not times or any(b <= a for a, b in zip([t0] + times[:-1], times)):
-        raise ValueError("checkpoint times must be strictly increasing and above t0")
-    span = times[-1] - t0
-    dim = np.asarray(h_mat(t0)).shape[0]
-    u = np.eye(dim, dtype=np.complex128)
-    snapshots = []
-    prev = t0
-    for tk in times:
-        seg_steps = max(1, round(steps_total * (tk - prev) / span))
-        for step in midpoint_steps(h_mat, prev, tk, seg_steps):
-            u = step @ u
-        snapshots.append(u.copy())
-        prev = tk
-    return snapshots
-
-
-def adaptive_propagate_checkpoints(h_mat: Callable[[float], np.ndarray], t0: float,
-                                   times: Sequence[float], settings: PropagationSettings
-                                   ) -> tuple[list[np.ndarray], bool, int]:
-    """Step-doubled checkpoint propagation; convergence judged on the final U."""
-    times = list(times)
-    return step_doubling(lambda steps: propagate_matrix_checkpoints(h_mat, t0, times, steps),
-                         lambda snaps: snaps[-1], settings,
-                         steps=max(settings.steps, len(times)))
-
-
 def adaptive_propagate(h_mat: Callable[[float], np.ndarray], settings: PropagationSettings
                        ) -> tuple[np.ndarray, bool, int]:
-    snaps, converged, steps = adaptive_propagate_checkpoints(
-        h_mat, settings.t0, [settings.t1], settings)
-    return snaps[-1], converged, steps
+    """Step-doubled propagator U(t1, t0) of a matrix-valued Hamiltonian."""
+    dim = np.asarray(h_mat(settings.t0)).shape[0]
+
+    def run(steps: int) -> np.ndarray:
+        u = np.eye(dim, dtype=np.complex128)
+        for step in midpoint_steps(h_mat, settings.t0, settings.t1, steps):
+            u = step @ u
+        return u
+
+    return step_doubling(run, lambda u: u, settings)
 
 
 # ----------------------------------------------------------------------

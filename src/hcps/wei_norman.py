@@ -61,6 +61,8 @@ TWO_PI = 2.0 * math.pi
 # Joint eigensector order: (spin S_x eigenvalue, charge sigma_x eigenvalue)
 SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
+RESIDUAL_THRESHOLD = 1e-5   # windowed factorization residual above which a result is flagged
+
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
@@ -321,9 +323,7 @@ def _default_fock_window(fock_cutoff: int) -> int:
     return max(1, min(6, fock_cutoff // 4))
 
 
-def _checkpoint_count(params: SystemParams, t: float, requested: int | None) -> int:
-    if requested is not None:
-        return max(2, requested)
+def _checkpoint_count(params: SystemParams, t: float) -> int:
     n_osc = abs(t) * (abs(params.omega) + abs(params.Delta)) / TWO_PI
     return int(max(48, 8 * math.ceil(n_osc)))
 
@@ -416,15 +416,16 @@ def _score(coeffs: WNCoefficients, sector_mats: dict, layout: SpaceLayout,
     return numeric, float(diff[:, cols].max()), float(diff.max())
 
 
-def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, fock_window: int,
-                   residual_threshold: float, converged: bool, steps: int) -> OracleResult:
+def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
+                   steps: int) -> OracleResult:
     layout = SpaceLayout(sector_mats[SECTORS[0]].shape[0])
+    fock_window = _default_fock_window(layout.fock_cutoff)
     numeric, residual, residual_full = _score(coeffs, sector_mats, layout, fock_window)
     return OracleResult(
         coeffs=coeffs,
         residual=residual,
         residual_full=residual_full,
-        flagged=residual > residual_threshold,
+        flagged=residual > RESIDUAL_THRESHOLD,
         fock_window=fock_window,
         converged=converged,
         steps_used=steps,
@@ -464,24 +465,19 @@ def _propagate_sectors(params: SystemParams, times: Sequence[float], fock_cutoff
 
 
 def coefficients_oracle(params: SystemParams, t: float, fock_cutoff: int = 20, *,
-                        settings: PropagationSettings | None = None,
-                        checkpoints: int | None = None,
-                        residual_threshold: float = 1e-5,
-                        fock_window: int | None = None) -> OracleResult:
+                        settings: PropagationSettings | None = None) -> OracleResult:
     """Extract (A, B, C, D) at time t from the brute-force propagator.
 
-    A residual above residual_threshold flags the result but the
+    A residual above RESIDUAL_THRESHOLD flags the result but the
     coefficients are still returned.
     """
     if t <= 0.0:
         raise ValueError("oracle extraction needs t > 0")
-    window = _default_fock_window(fock_cutoff) if fock_window is None else fock_window
-    times = np.linspace(0.0, t, _checkpoint_count(params, t, checkpoints) + 1)[1:]
+    times = np.linspace(0.0, t, _checkpoint_count(params, t) + 1)[1:]
     snapshots, converged, steps = _propagate_sectors(
         params, times, fock_cutoff, _oracle_settings(params, t, settings))
     return _oracle_result(_extract(snapshots, times)[-1],
-                          {k: v[-1] for k, v in snapshots.items()},
-                          window, residual_threshold, converged, steps)
+                          {k: v[-1] for k, v in snapshots.items()}, converged, steps)
 
 
 def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int = 20, *,
@@ -508,8 +504,7 @@ def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int =
     return rows
 
 
-def oracle_power(base: OracleResult, periods: int, *,
-                 residual_threshold: float = 1e-5) -> OracleResult:
+def oracle_power(base: OracleResult, periods: int) -> OracleResult:
     """The oracle after `periods` repetitions of a base disentangling window.
 
     h_eff is periodic with the base commensurate time, so U(k t) = U(t)^k:
@@ -525,15 +520,12 @@ def oracle_power(base: OracleResult, periods: int, *,
     A = float(np.imag(np.conj(B) * C) + periods * (b.A - np.imag(np.conj(b.B) * b.C)))
     D = complex(periods * b.D.real + 0.5j * (abs(B)**2 + abs(C)**2))
     coeffs = WNCoefficients(A=A, B=complex(B), C=complex(C), D=D, t=b.t * periods)
-    return _oracle_result(coeffs, powered, base.fock_window, residual_threshold,
-                          base.converged, base.steps_used)
+    return _oracle_result(coeffs, powered, base.converged, base.steps_used)
 
 
 def oracle_at_periods(params: SystemParams, base: CommensurateTime, periods: int,
                       fock_cutoff: int = 20, *,
-                      settings: PropagationSettings | None = None,
-                      residual_threshold: float = 1e-5,
-                      fock_window: int | None = None) -> OracleResult:
+                      settings: PropagationSettings | None = None) -> OracleResult:
     """Oracle coefficients at an integer multiple of the base disentangling time.
 
     The base window is extracted once, then raised to the period count by
@@ -541,10 +533,8 @@ def oracle_at_periods(params: SystemParams, base: CommensurateTime, periods: int
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    window = coefficients_oracle(params, base.t, fock_cutoff, settings=settings,
-                                 residual_threshold=residual_threshold,
-                                 fock_window=fock_window)
-    return oracle_power(window, periods, residual_threshold=residual_threshold)
+    window = coefficients_oracle(params, base.t, fock_cutoff, settings=settings)
+    return oracle_power(window, periods)
 
 
 # ----------------------------------------------------------------------

@@ -238,8 +238,7 @@ def test_criterion_6_dephasing_decay():
     res = evolve_master(lambda _: 0.0 * identity(lay),
                         DensityMatrix(lay, np.outer(plus, plus.conj())),
                         collapse_ops(dec, lay),
-                        PropagationSettings(0.0, t, 64, 1e-10, max_refinements=10),
-                        constant_hamiltonian=True)
+                        PropagationSettings(0.0, t, 64, 1e-10, max_refinements=10))
     got = 2.0 * abs(res.rho.entries[0, lay.index(0, 1, 0)])
     want = math.exp(-t / (t_phi_us * 1e3))
     rel = abs(got - want) / want

@@ -190,6 +190,21 @@ def test_schedule_condition_violation_exits_numerical(tmp_path, monkeypatch, cap
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_truncated_cutoff_exits_numerical(tmp_path, capsys):
+    # at N = 4 the factorized vacuum block is not unitary: a numerical
+    # failure of the cutoff, not a configuration error
+    code = main(["gate", "--config", "paper_preset", "--out", str(tmp_path), "--fock", "4"])
+    assert code == 2
+    assert "numerical error" in capsys.readouterr().err
+
+
+def test_validate_fock_doubling_fails_at_inadequate_cutoff(tmp_path, capsys):
+    main(["validate", "--config", "paper_preset", "--out", str(tmp_path), "--fock", "8"])
+    lines = capsys.readouterr().out.splitlines()
+    check = [line for line in lines if "fock-cutoff doubling stable" in line]
+    assert len(check) == 1 and check[0].startswith("FAIL")
+
+
 def test_eta_override_flag(tmp_path):
     cfg = small_config(tmp_path)
     code = main(["gate", "--config", cfg, "--out", str(tmp_path),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcps.gates import (
     PulseSchedule,
@@ -192,6 +193,36 @@ def test_calibrated_eta_is_local_maximum():
 
     assert score(cal.eta_star) > score(cal.eta_star + 1e-3)
     assert score(cal.eta_star) > score(cal.eta_star - 1e-3)
+
+
+def test_calibrate_eta_cz_is_exactly_quarter_pi():
+    assert calibrate_eta(ideal_cp_target()).eta_star == pytest.approx(PI / 4, abs=1e-12)
+
+
+# ideal forms over one period (pi/2) of the ideal-form score; a grid point
+# lies within 4e-5 of any eta, which bounds the score lost to 1e-8
+SCAN_FORMS = np.stack([eq_phase_form(e) for e in np.linspace(0.0, PI / 2, 20001)])
+SCAN_RESOLUTION = 1e-8
+
+
+def _scan_best(target: np.ndarray) -> dict:
+    """Best ideal-form fidelity per corner choice over a fine eta grid."""
+    best = {}
+    for label, us in (("identity", SCAN_FORMS), ("swap_ge", relabel_corners(SCAN_FORMS))):
+        tr = np.einsum("ji,kji->k", target.conj(), us)
+        best[label] = float(((np.abs(tr) ** 2 + 4) / 20).max())
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=TWO_PI), min_size=4, max_size=4))
+def test_calibrate_eta_closed_form_matches_brute_force_scan(angles):
+    target = np.diag(np.exp(1j * np.array(angles)))
+    cal = calibrate_eta(target)
+    best = _scan_best(target)
+    assert cal.fidelity_star >= max(best.values()) - 1e-12
+    if abs(best["swap_ge"] - best["identity"]) > SCAN_RESOLUTION:
+        assert cal.relabeling == max(best, key=best.get)
 
 
 def test_eta_quarter_pi_gives_cz_up_to_relabeling():

@@ -116,8 +116,7 @@ def test_pure_dephasing_decay_law():
     t = 6.283185307179586
     res = evolve_master(lambda _: 0.0 * identity(lay), rho0,
                         collapse_ops(dec, lay),
-                        PropagationSettings(0.0, t, 64, 1e-10, max_refinements=10),
-                        constant_hamiltonian=True)
+                        PropagationSettings(0.0, t, 64, 1e-10, max_refinements=10))
     assert res.converged
     got = 2.0 * abs(res.rho.entries[0, lay.index(0, 1, 0)])
     want = math.exp(-t / (t_phi_us * 1e3))
@@ -132,8 +131,7 @@ def test_maximally_mixed_is_dephasing_fixed_point():
     rho0 = DensityMatrix(lay, np.eye(8) / 8.0)
     res = evolve_master(lambda _: 0.0 * identity(lay), rho0,
                         collapse_ops(dec, lay),
-                        PropagationSettings(0.0, 5.0, 64, 1e-9),
-                        constant_hamiltonian=True)
+                        PropagationSettings(0.0, 5.0, 64, 1e-9))
     assert np.abs(res.rho.entries - np.eye(8) / 8.0).max() < 1e-12
 
 
@@ -145,8 +143,7 @@ def test_relaxation_empties_excited_state():
     t = 5.0   # five T1 periods
     res = evolve_master(lambda _: 0.0 * identity(lay), rho0,
                         collapse_ops(dec, lay),
-                        PropagationSettings(0.0, t, 128, 1e-9),
-                        constant_hamiltonian=True)
+                        PropagationSettings(0.0, t, 128, 1e-9))
     pop_up = res.rho.entries[0, 0].real
     assert pop_up == pytest.approx(math.exp(-5.0), rel=1e-5)
     assert res.trace_defect < 1e-10

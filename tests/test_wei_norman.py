@@ -219,8 +219,7 @@ def test_residual_flag_fires_at_inadequate_cutoff(preset_params):
     # at a deliberately tiny cutoff the mid-loop excursion touches the
     # ceiling; the residual must catch that and still return coefficients
     comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
-    res = oracle_at_periods(preset_params, comm, 2, 8, settings=TIGHT,
-                            residual_threshold=1e-5)
+    res = oracle_at_periods(preset_params, comm, 2, 8, settings=TIGHT)
     assert res.flagged
     assert 1e-5 < res.residual < 1e-3
     assert res.coeffs.A == pytest.approx(
