@@ -93,9 +93,7 @@ def _run_gate(cfg: RunConfig, fock: int, eta: float | None) -> GateReport:
         eta=eta,
         max_n=cfg.gate.max_n,
         max_periods=cfg.gate.max_periods,
-        eta_paper_m=cfg.gate.eta_paper_m,
         settings=_prop_settings(cfg, 1.0),
-        condition_tol=cfg.gate.condition_tol,
         commensurability_tol=cfg.commensurability_tol,
     )
 
@@ -260,7 +258,7 @@ def cmd_coeffs(cfg: RunConfig, out_dir, fock: int) -> int:
     path = f"{out_dir}/coefficients.csv"
     write_coefficients_csv(path, rows)
     print(f"wrote {path} ({len(rows)} rows, t up to {t_max:.6f} ns)")
-    return EXIT_OK
+    return EXIT_OK if all(row.converged for row in rows) else EXIT_NUMERICAL
 
 
 # ----------------------------------------------------------------------
@@ -316,10 +314,8 @@ def cmd_lindblad(cfg: RunConfig, out_dir, fock: int) -> int:
     layout = SpaceLayout(fock_dm)
     comm = commensurate_time(params.omega, params.Delta, cfg.gate.max_n,
                              cfg.commensurability_tol)
-    periods = cfg.lindblad.periods
-    oracle = oracle_at_periods(params, comm, periods, fock_dm,
-                               settings=_prop_settings(cfg, comm.t))
-    schedule = schedule_for_eta(params, oracle.coeffs.A, comm, periods)
+    oracle = oracle_at_periods(params, comm, 1, fock_dm, settings=_prop_settings(cfg, comm.t))
+    schedule = schedule_for_eta(params, oracle.coeffs.A, comm, 1)
 
     rows = []
     converged = True

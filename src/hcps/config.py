@@ -18,6 +18,10 @@ Supported tags:
 
 Decoherence times are plain microseconds (their own key names say so);
 null means infinite (channel off).
+
+Each key has one reader and one default, the field default of its options
+dataclass; a key that no reader declares is an error naming it, so a
+misspelt setting cannot run silently at its default.
 """
 
 from __future__ import annotations
@@ -84,10 +88,50 @@ def _number(node, where: str) -> float:
     return float(node)
 
 
+def _integer(node, where: str) -> int:
+    if isinstance(node, bool) or not isinstance(node, int):
+        raise ConfigError(f"{where}: expected an integer, got {node!r}")
+    return node
+
+
+def _numbers(node, where: str) -> tuple[float, ...]:
+    if not isinstance(node, list):
+        raise ConfigError(f"{where}: expected a list of numbers, got {node!r}")
+    return tuple(_number(x, where) for x in node)
+
+
+def _text(node, where: str) -> str:
+    if not isinstance(node, str):
+        raise ConfigError(f"{where}: expected a string, got {node!r}")
+    return node
+
+
+def _eta(node, where: str) -> float | None:
+    return None if node == "auto" else _number(node, where)
+
+
 def _us_or_inf(node, where: str) -> float:
-    if node is None:
-        return math.inf
-    return _number(node, where)
+    return math.inf if node is None else _number(node, where)
+
+
+def _decoherence_preset(node, where: str) -> DecoherenceParams:
+    if not isinstance(node, str) or node not in DECOHERENCE_PRESETS:
+        raise ConfigError(
+            f"{where}: unknown decoherence preset {node!r}; "
+            f"available: {sorted(DECOHERENCE_PRESETS)}")
+    return DECOHERENCE_PRESETS[node]
+
+
+def _decoherence(preset: DecoherenceParams = DecoherenceParams(), **overrides
+                 ) -> DecoherenceParams:
+    """A preset, or the dataclass defaults, with the given fields overridden."""
+    return preset.replace(**overrides)
+
+
+def _at_least(options, **bounds):
+    for name, low in bounds.items():
+        if getattr(options, name) < low:
+            raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +140,9 @@ class GateOptions:
     eta: float | None = None          # None means auto-calibrate
     max_n: int = 8
     max_periods: int = 64
-    eta_paper_m: int = 0
-    condition_tol: float = 1e-6
+
+    def __post_init__(self):
+        _at_least(self, max_n=1, max_periods=1)
 
 
 @dataclass(frozen=True)
@@ -106,11 +151,17 @@ class PropagationDefaults:
     tolerance: float = 1e-8
     max_refinements: int = 12
 
+    def __post_init__(self):
+        _at_least(self, steps=1, max_refinements=0)
+
 
 @dataclass(frozen=True)
 class LindbladOptions:
     scale_factors: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, 4.0)
-    periods: int = 1
+
+    def __post_init__(self):
+        if not self.scale_factors:
+            raise ValueError("scale_factors must not be empty")
 
 
 @dataclass(frozen=True)
@@ -118,11 +169,20 @@ class SweepOptions:
     parameter: str = "g"
     factors: tuple[float, ...] = (0.5, 1.0, 2.0)
 
+    def __post_init__(self):
+        if not self.factors:
+            raise ValueError("factors must not be empty")
+        if self.parameter not in _SYSTEM_READERS:
+            raise ValueError(f"parameter {self.parameter!r} is not a system field")
+
 
 @dataclass(frozen=True)
 class CoeffsOptions:
     points: int = 50
     t_max_periods: float = 2.0
+
+    def __post_init__(self):
+        _at_least(self, points=1)
 
 
 @dataclass(frozen=True)
@@ -137,129 +197,90 @@ class RunConfig:
     sweep: SweepOptions = field(default_factory=SweepOptions)
     coeffs: CoeffsOptions = field(default_factory=CoeffsOptions)
 
-
-_FREQ_FIELDS = ("E_c", "E_J0", "D_gs", "gamma_B", "omega_r", "Omega_mw",
-                "omega", "g", "G", "eps", "omega_d")
-_BARE_FIELDS = ("n_g", "flux_ratio")
+    def __post_init__(self):
+        _at_least(self, fock_cutoff=2)
 
 
-def _parse_system(node: dict, where: str) -> SystemParams:
+# One reader per key.  Absent keys take the dataclass default; a key no
+# reader declares is rejected, except the free-text comments below.
+_COMMENT_KEYS = frozenset({"note", "notes"})
+
+_SYSTEM_READERS = {
+    **{name: frequency_to_rad_per_ns
+       for name in ("E_c", "E_J0", "D_gs", "gamma_B", "omega_r", "Omega_mw",
+                    "omega", "g", "G", "eps", "omega_d")},
+    "n_g": _number,
+    "flux_ratio": _number,
+}
+
+_SECTIONS = {
+    "decoherence": (_decoherence, {"preset": _decoherence_preset,
+                                   "T1_charge_us": _us_or_inf, "T2_charge_us": _us_or_inf,
+                                   "T2_spin_us": _us_or_inf, "T1_spin_us": _us_or_inf,
+                                   "kappa_res": _number}),
+    "gate": (GateOptions, {"target": _text, "eta": _eta, "max_n": _integer,
+                           "max_periods": _integer}),
+    "propagation": (PropagationDefaults, {"steps": _integer, "tolerance": _number,
+                                          "max_refinements": _integer}),
+    "lindblad": (LindbladOptions, {"scale_factors": _numbers}),
+    "sweep": (SweepOptions, {"parameter": _text, "factors": _numbers}),
+    "coeffs": (CoeffsOptions, {"points": _integer, "t_max_periods": _number}),
+}
+
+_TOP_READERS = {"fock_cutoff": _integer, "commensurability_tol": _number}
+
+
+def _read(node, readers: dict, where: str, section: str = "", objects=()) -> dict:
+    """The present keys of one config object, each through its own reader.
+
+    A key that neither a reader nor the object keys (sections parsed
+    separately) declare is an error naming it.
+    """
     if not isinstance(node, dict):
-        raise ConfigError(f"{where}: 'system' must be an object")
-    kwargs = {}
-    for name in _FREQ_FIELDS:
-        if name not in node:
+        raise ConfigError(f"{where}: {section or 'top level'} must be an object")
+    prefix = f"{section}." if section else ""
+    unknown = sorted(set(node) - set(readers) - set(objects) - _COMMENT_KEYS)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {prefix}{unknown[0]}; "
+                          f"allowed: {sorted({*readers, *objects})}")
+    return {key: read(node[key], f"{where}: {prefix}{key}")
+            for key, read in readers.items() if key in node}
+
+
+def _parse_system(node, where: str) -> SystemParams:
+    kwargs = _read(node, _SYSTEM_READERS, where, "system")
+    for name in _SYSTEM_READERS:
+        if name not in kwargs:
             raise ConfigError(f"{where}: system.{name} is required")
-        kwargs[name] = frequency_to_rad_per_ns(node[name], f"{where}: system.{name}")
-    for name in _BARE_FIELDS:
-        if name not in node:
-            raise ConfigError(f"{where}: system.{name} is required")
-        kwargs[name] = _number(node[name], f"{where}: system.{name}")
     try:
         return SystemParams(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_decoherence(node, where: str) -> DecoherenceParams | None:
-    if node is None:
-        return None
-    if isinstance(node, dict) and "preset" in node:
-        name = node["preset"]
-        if name not in DECOHERENCE_PRESETS:
-            raise ConfigError(
-                f"{where}: unknown decoherence preset {name!r}; "
-                f"available: {sorted(DECOHERENCE_PRESETS)}")
-        base = DECOHERENCE_PRESETS[name]
-        overrides = {k: v for k, v in node.items() if k not in ("preset", "note")}
-        if not overrides:
-            return base
-        node = {
-            "T1_charge_us": base.T1_charge_us, "T2_charge_us": base.T2_charge_us,
-            "T2_spin_us": base.T2_spin_us, "T1_spin_us": base.T1_spin_us,
-            "kappa_res": base.kappa_res, **overrides,
-        }
-    if not isinstance(node, dict):
-        raise ConfigError(f"{where}: 'decoherence' must be an object or null")
+def _parse_section(name: str, node, where: str):
+    if name == "decoherence" and node is None:
+        return None                       # null switches decoherence off
+    build, readers = _SECTIONS[name]
+    kwargs = _read(node, readers, where, name)
     try:
-        return DecoherenceParams(
-            T1_charge_us=_us_or_inf(node.get("T1_charge_us", 1.5), f"{where}: T1_charge_us"),
-            T2_charge_us=_us_or_inf(node.get("T2_charge_us", 2.05), f"{where}: T2_charge_us"),
-            T2_spin_us=_us_or_inf(node.get("T2_spin_us", 350.0), f"{where}: T2_spin_us"),
-            T1_spin_us=_us_or_inf(node.get("T1_spin_us"), f"{where}: T1_spin_us"),
-            kappa_res=_number(node.get("kappa_res", 0.0), f"{where}: kappa_res"),
-        )
+        return build(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{where}: {name}: {exc}") from exc
 
 
 def parse_config(doc: dict, where: str = "config") -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: top level must be an object")
+    kwargs = _read(doc, _TOP_READERS, where, objects=("system", *_SECTIONS))
     if "system" not in doc:
         raise ConfigError(f"{where}: 'system' section is required")
-    system = _parse_system(doc["system"], where)
-
-    fock = doc.get("fock_cutoff", 20)
-    if isinstance(fock, bool) or not isinstance(fock, int) or fock < 2:
-        raise ConfigError(f"{where}: fock_cutoff must be an integer >= 2")
-
-    gnode = doc.get("gate", {})
-    eta = gnode.get("eta", "auto")
-    if eta == "auto":
-        eta_val = None
-    else:
-        eta_val = _number(eta, f"{where}: gate.eta")
-    gate = GateOptions(
-        target=gnode.get("target", "cz"),
-        eta=eta_val,
-        max_n=int(gnode.get("max_n", 8)),
-        max_periods=int(gnode.get("max_periods", 64)),
-        eta_paper_m=int(gnode.get("eta_paper_m", 0)),
-        condition_tol=_number(gnode.get("condition_tol", 1e-6), f"{where}: gate.condition_tol"),
-    )
-
-    pnode = doc.get("propagation", {})
-    prop = PropagationDefaults(
-        steps=int(pnode.get("steps", 512)),
-        tolerance=_number(pnode.get("tolerance", 1e-8), f"{where}: propagation.tolerance"),
-        max_refinements=int(pnode.get("max_refinements", 12)),
-    )
-
-    lnode = doc.get("lindblad", {})
-    lindblad = LindbladOptions(
-        scale_factors=tuple(_number(x, f"{where}: lindblad.scale_factors")
-                            for x in lnode.get("scale_factors", (0.0, 0.5, 1.0, 2.0, 4.0))),
-        periods=int(lnode.get("periods", 1)),
-    )
-
-    snode = doc.get("sweep", {})
-    sweep = SweepOptions(
-        parameter=snode.get("parameter", "g"),
-        factors=tuple(_number(x, f"{where}: sweep.factors")
-                      for x in snode.get("factors", (0.5, 1.0, 2.0))),
-    )
-    if sweep.parameter not in _FREQ_FIELDS + _BARE_FIELDS:
-        raise ConfigError(f"{where}: sweep.parameter {sweep.parameter!r} is not a system field")
-
-    cnode = doc.get("coeffs", {})
-    coeffs = CoeffsOptions(
-        points=int(cnode.get("points", 50)),
-        t_max_periods=_number(cnode.get("t_max_periods", 2.0), f"{where}: coeffs.t_max_periods"),
-    )
-
-    return RunConfig(
-        system=system,
-        fock_cutoff=fock,
-        gate=gate,
-        propagation=prop,
-        commensurability_tol=_number(doc.get("commensurability_tol", 1e-9),
-                                     f"{where}: commensurability_tol"),
-        decoherence=_parse_decoherence(doc.get("decoherence"), where),
-        lindblad=lindblad,
-        sweep=sweep,
-        coeffs=coeffs,
-    )
+    kwargs["system"] = _parse_system(doc["system"], where)
+    for name in _SECTIONS:
+        if name in doc:
+            kwargs[name] = _parse_section(name, doc[name], where)
+    try:
+        return RunConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

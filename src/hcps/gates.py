@@ -16,9 +16,10 @@ eta is therefore the whole game:
 
 * e^{-4i eta} = -1, i.e. eta = pi/4 + k pi/2, gives the controlled-Z matrix
   diag(1, 1, 1, -1);
-* eta = pi/8 + m pi/2, the branch this construction is usually quoted
-  with, gives corner phase -i instead, a controlled-S-dagger pattern.
-  Both values are computed and reported so the conflict is visible.
+* the value this construction is usually quoted with, eta = pi/8
+  (ETA_PAPER), gives corner phase -i instead, a controlled-S-dagger
+  pattern.  Both values are computed and reported so the conflict is
+  visible.
 
 calibrate_eta adjudicates in closed form (the ideal form is diagonal, so its
 overlap with a diagonal target is maximized exactly); compose_sequence builds
@@ -53,7 +54,9 @@ from .wei_norman import (
 
 TWO_PI = 2.0 * math.pi
 
-ETA_PAPER_BASE = math.pi / 8.0   # quoted branch eta = pi/8 + m pi/2
+ETA_PAPER = math.pi / 8.0   # the quoted eta; every pi/8 + m pi/2 has the same corner phase
+
+CONDITION_TOL = 1e-6        # largest miss of a schedule phase condition
 
 UNITARY_INPUT_TOL = 1e-6
 
@@ -70,15 +73,13 @@ class TruncationError(ArithmeticError):
 class PulseSchedule:
     """Durations and phase bookkeeping for one gate run.
 
-    n and p witness commensurability of the interaction time t_int; m is the
-    branch index of the quoted eta = pi/8 + m pi/2 comparison value.
+    n and p witness commensurability of the interaction time t_int.
     """
 
     tau1: float
     tau2: float
     t_int: float
     eta: float
-    m: int = 0
     n: int = 1
     p: int = 1
 
@@ -112,8 +113,8 @@ class GateReport:
     schedule: PulseSchedule
     oracle_residual: float
     fidelity_paper_eta: float
-    top_level_population: float = 0.0
-    converged: bool = True
+    top_level_population: float
+    converged: bool
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +254,7 @@ def top_level_population(u_full: Operator) -> float:
 # eta calibration
 # ----------------------------------------------------------------------
 
-def calibrate_eta(target: np.ndarray, *, eta_paper_m: int = 0) -> EtaCalibration:
+def calibrate_eta(target: np.ndarray) -> EtaCalibration:
     """The eta whose ideal form best matches the target, in closed form.
 
     The ideal form is diagonal, so with the special phase on dressed corner
@@ -262,8 +263,8 @@ def calibrate_eta(target: np.ndarray, *, eta_paper_m: int = 0) -> EtaCalibration
     corner entry and b the sum of the conjugates of its other three diagonal
     entries.  Its modulus peaks at |a| + |b| when 4 eta = arg a - arg b, so
     eta* = ((arg a - arg b)/4) mod pi/2 on whichever corner gives the larger
-    |a| + |b| (swap_ge on a tie).  The quoted branch eta = pi/8 + m pi/2 is
-    evaluated side by side for comparison.
+    |a| + |b| (swap_ge on a tie).  The quoted eta = pi/8 is evaluated side
+    by side for comparison.
     """
     diag = np.conj(np.diag(np.asarray(target, dtype=np.complex128)))
     candidates = []
@@ -277,13 +278,12 @@ def calibrate_eta(target: np.ndarray, *, eta_paper_m: int = 0) -> EtaCalibration
     if relabeling == "swap_ge":
         u_star = relabel_corners(u_star)
 
-    eta_paper = ETA_PAPER_BASE + eta_paper_m * math.pi / 2.0
-    u_paper = eq_phase_form(eta_paper)
+    u_paper = eq_phase_form(ETA_PAPER)
     fid_paper = max(gate_fidelity(u_paper, target),
                     gate_fidelity(relabel_corners(u_paper), target))
     return EtaCalibration(eta_star=float(eta_star),
                           fidelity_star=gate_fidelity(u_star, target),
-                          relabeling=relabeling, eta_paper=eta_paper,
+                          relabeling=relabeling, eta_paper=ETA_PAPER,
                           fidelity_paper=fid_paper)
 
 
@@ -312,7 +312,7 @@ def duration_for_phase(coef: float, eta: float) -> float:
 
 
 def schedule_for_eta(params: SystemParams, eta: float, comm: CommensurateTime,
-                     periods: int = 1, m: int = 0) -> PulseSchedule:
+                     periods: int = 1) -> PulseSchedule:
     """Durations realizing the phase conditions for a given eta.
 
     The two qubit rotations get independent durations; the single shared
@@ -326,7 +326,6 @@ def schedule_for_eta(params: SystemParams, eta: float, comm: CommensurateTime,
         tau2=duration_for_phase(params.xi, eta),
         t_int=comm.t * periods,
         eta=eta,
-        m=m,
         n=comm.n * periods,
         p=comm.p * periods,
     )
@@ -348,24 +347,24 @@ def compose_sequence(schedule: PulseSchedule, params: SystemParams, layout: Spac
                      oracle: OracleResult,
                      target: np.ndarray | None = None,
                      calibration: EtaCalibration | None = None,
-                     condition_tol: float = 1e-6,
                      strict: bool = True) -> GateReport:
     """Compose U1 U2 U3, dress, and score against the controlled-phase target.
 
     U3 comes from the factorized propagator with the oracle's coefficients,
     which must be extracted at schedule.t_int; leakage is measured on the
-    brute-force propagator underlying the oracle.  With strict=True a
-    violated phase condition raises ScheduleConditionError naming the
-    equality and the miss; with strict=False it is demoted to a discrepancy
-    note and the gate is scored anyway (used to audit externally imposed eta
-    values).  A vacuum block that is not unitary to UNITARY_INPUT_TOL raises
-    TruncationError: the cutoff cannot hold the resonator excursion.
+    brute-force propagator underlying the oracle.  With strict=True a phase
+    condition violated by more than CONDITION_TOL raises
+    ScheduleConditionError naming the equality and the miss; with
+    strict=False it is demoted to a discrepancy note and the gate is scored
+    anyway (used to audit externally imposed eta values).  A vacuum block
+    that is not unitary to UNITARY_INPUT_TOL raises TruncationError: the
+    cutoff cannot hold the resonator excursion.
     """
     target = ideal_cp_target() if target is None else np.asarray(target, dtype=np.complex128)
 
     notes: list[dict] = []
     failures = [(name, miss) for name, miss in
-                _condition_report(params, schedule, oracle.coeffs.A) if miss > condition_tol]
+                _condition_report(params, schedule, oracle.coeffs.A) if miss > CONDITION_TOL]
     if failures:
         detail = "; ".join(f"{name} violated by {miss:.3e}" for name, miss in failures)
         if strict:
@@ -390,7 +389,7 @@ def compose_sequence(schedule: PulseSchedule, params: SystemParams, layout: Spac
             f"Fock cutoff {layout.fock_cutoff}")
     fidelity, distance, relabeling = _best_relabeling(dressed, target)
 
-    calibration = calibration or calibrate_eta(target, eta_paper_m=schedule.m)
+    calibration = calibration or calibrate_eta(target)
 
     a_closed = closed_form_A(params, schedule.t_int)
     if abs(a_closed) < 1e-9 and abs(oracle.coeffs.A) > 1e-6:
@@ -463,9 +462,7 @@ def synthesize_gate(params: SystemParams, layout: SpaceLayout, *,
                     eta: float | None = None,
                     max_n: int = 64,
                     max_periods: int = 64,
-                    eta_paper_m: int = 0,
                     settings: PropagationSettings | None = None,
-                    condition_tol: float = 1e-6,
                     commensurability_tol: float = 1e-9) -> GateReport:
     """End-to-end pipeline: disentangling time, oracle phase, composition.
 
@@ -480,7 +477,7 @@ def synthesize_gate(params: SystemParams, layout: SpaceLayout, *,
     target = TARGETS[target_name]()
     comm = commensurate_time(params.omega, params.Delta, max_n=max_n,
                              tol=commensurability_tol)
-    calibration = calibrate_eta(target, eta_paper_m=eta_paper_m)
+    calibration = calibrate_eta(target)
 
     window = coefficients_oracle(params, comm.t, layout.fock_cutoff, settings=settings)
     if eta is None:
@@ -491,7 +488,6 @@ def synthesize_gate(params: SystemParams, layout: SpaceLayout, *,
     oracle = oracle_power(window, periods)
     eta_used = oracle.coeffs.A if eta is None else float(eta)
 
-    schedule = schedule_for_eta(params, eta_used, comm, periods, m=eta_paper_m)
+    schedule = schedule_for_eta(params, eta_used, comm, periods)
     return compose_sequence(schedule, params, layout, target=target, oracle=oracle,
-                            calibration=calibration,
-                            condition_tol=condition_tol, strict=eta is None)
+                            calibration=calibration, strict=eta is None)

@@ -300,61 +300,48 @@ class OpenGateResult:
         return 1.0 - self.fidelity_avg
 
 
-def _sequence_legs(params: SystemParams, schedule: PulseSchedule, layout: SpaceLayout):
-    """(duration, step-unitary provider, basis transform) per pulse, in order.
+def _sequence_legs(params: SystemParams, schedule: PulseSchedule, layout: SpaceLayout,
+                   trans: np.ndarray):
+    """(duration, step-unitary provider) per pulse, in order, in the sector-block basis.
 
-    The joint leg runs in the sector-block (dressed) basis where its step
-    unitaries are cheap; the transform is applied to states and collapse
-    operators at the leg boundary.
+    The joint leg's step unitaries are cheap in the sector-block (dressed)
+    basis; the two qubit Hamiltonians are conjugated into it by trans once.
     """
-    trans = dressed_transform(layout)
     return [
-        (schedule.tau1, _constant_steps(h_charge_qubit(params, layout).entries,
-                                        schedule.tau1), None),
-        (schedule.tau2, _constant_steps(h_nv(params, layout).entries,
-                                        schedule.tau2), None),
+        (schedule.tau1, _constant_steps(trans @ h_charge_qubit(params, layout).entries @ trans,
+                                        schedule.tau1)),
+        (schedule.tau2, _constant_steps(trans @ h_nv(params, layout).entries @ trans,
+                                        schedule.tau2)),
         (schedule.t_int,
-         lambda steps: joint_step_unitaries(params, layout, schedule.t_int, steps),
-         trans),
+         lambda steps: joint_step_unitaries(params, layout, schedule.t_int, steps)),
     ]
 
 
 def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
                        dec: DecoherenceParams, layout: SpaceLayout, *,
-                       settings: PropagationSettings | None = None) -> OpenGateResult:
+                       settings: PropagationSettings) -> OpenGateResult:
     """Average fidelity of the dissipative gate run against its closed twin.
 
     Each standard input is evolved through the three-pulse sequence under
     the Lindblad equation and scored as <psi_closed| rho |psi_closed>, where
     psi_closed follows the identical sequence with every rate at zero on the
     same step grid; with an empty dissipator set the two computations
-    coincide exactly.
+    coincide exactly.  The whole sequence runs in the sector-block basis
+    (inputs and collapse operators are conjugated into it once); fidelities
+    and traces do not depend on the basis.
     """
-    if settings is None:
-        settings = PropagationSettings(t0=0.0, t1=1.0, steps=64, tolerance=1e-7,
-                                       max_refinements=10)
-    collapse = [(op.entries, rate) for op, rate in collapse_ops(dec, layout)]
-    legs = _sequence_legs(params, schedule, layout)
-
+    trans = dressed_transform(layout)     # real, symmetric and its own inverse
+    dissipator = _dissipator([(trans @ op.entries @ trans, rate)
+                              for op, rate in collapse_ops(dec, layout)])
     inputs = standard_input_states(layout)
-    rhos = np.stack([DensityMatrix.from_state(s).entries for s in inputs])
-    psis = np.stack([s.amplitudes for s in inputs])
+    rhos = trans @ np.stack([DensityMatrix.from_state(s).entries for s in inputs]) @ trans
+    psis = np.stack([s.amplitudes for s in inputs]) @ trans
 
     converged_all = True
-    for duration, provider, trans in legs:
-        if trans is not None:
-            rhos = trans @ rhos @ trans
-            psis = psis @ trans
-            dissipator = _dissipator([(trans @ l @ trans, r) for l, r in collapse])
-        else:
-            dissipator = _dissipator(collapse)
-
+    for duration, provider in _sequence_legs(params, schedule, layout, trans):
         (rhos, psis), converged, _ = _refine_leg(provider, duration, rhos, psis,
                                                  dissipator, settings)
         converged_all &= converged
-        if trans is not None:
-            rhos = trans @ rhos @ trans
-            psis = psis @ trans
 
     traces = np.einsum("kii->k", rhos)
     trace_defect = float(np.abs(traces - 1.0).max())

@@ -24,7 +24,7 @@ in parallel with no shared mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
@@ -80,8 +80,6 @@ class StateResult:
     state: StateVector
     converged: bool
     steps_used: int
-    times: np.ndarray | None = field(default=None, repr=False)
-    trajectory: np.ndarray | None = field(default=None, repr=False)
 
 
 # ----------------------------------------------------------------------
@@ -178,47 +176,23 @@ def evolve_propagator(h_fun: Callable[[float], Operator],
 
 
 def evolve_state(h_fun: Callable[[float], Operator], psi0: StateVector,
-                 settings: PropagationSettings,
-                 trajectory_stride: int | None = None) -> StateResult:
-    """Evolve a normalized state; optionally sample the trajectory.
-
-    With trajectory_stride = m, the state is recorded every m steps of the
-    accepted grid (plus the final point) for CSV export.
-    """
+                 settings: PropagationSettings) -> StateResult:
+    """Evolve a normalized state; non-convergence is reported, not raised."""
     if abs(psi0.norm() - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {psi0.norm()} is not 1")
-    if trajectory_stride is not None and trajectory_stride < 1:
-        raise ValueError("trajectory_stride must be >= 1")
-    layout = psi0.layout
 
     def h_mat(t: float) -> np.ndarray:
         return h_fun(t).entries
 
-    def run(steps: int) -> tuple[np.ndarray, list, list]:
+    def run(steps: int) -> np.ndarray:
         psi = psi0.amplitudes.copy()
-        dt = (settings.t1 - settings.t0) / steps
-        rec_t, rec_psi = [settings.t0], [psi.copy()]
-        for k, u in enumerate(midpoint_steps(h_mat, settings.t0, settings.t1, steps)):
+        for u in midpoint_steps(h_mat, settings.t0, settings.t1, steps):
             psi = u @ psi
-            if trajectory_stride is not None and (
-                    (k + 1) % trajectory_stride == 0 or k == steps - 1):
-                rec_t.append(settings.t0 + (k + 1) * dt)
-                rec_psi.append(psi.copy())
-        return psi, rec_t, rec_psi
+        return psi
 
-    (psi, rec_t, rec_psi), converged, steps = step_doubling(run, lambda r: r[0], settings)
-    times = trajectory = None
-    if trajectory_stride is not None:
-        times = np.array(rec_t)
-        trajectory = np.array(rec_psi)
-
-    return StateResult(
-        state=StateVector(layout, psi),
-        converged=converged,
-        steps_used=steps,
-        times=times,
-        trajectory=trajectory,
-    )
+    psi, converged, steps = step_doubling(run, lambda psi: psi, settings)
+    return StateResult(state=StateVector(psi0.layout, psi), converged=converged,
+                       steps_used=steps)
 
 
 def frame_rotate(u: Operator, generator: Operator, angle_fun: Callable[[float], float],

@@ -118,12 +118,17 @@ class OracleResult:
 
 
 class CoefficientRow(NamedTuple):
-    """One row of the coefficient table exported by the coeffs pipeline."""
+    """One row of the coefficient table exported by the coeffs pipeline.
+
+    converged is the step-doubling flag of the propagation the row was read
+    from; it is not written to the CSV.
+    """
 
     t: float
     coeffs: WNCoefficients
     A_closed_form: float
     residual: float
+    converged: bool
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +265,9 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
 
     The identical piecewise-constant midpoint scheme as the generic
     integrator, with factors from :func:`_sector_step_factors` built in
-    vectorized chunks and pairwise-reduced in step order.
+    vectorized chunks and pairwise-reduced in step order.  Checkpoint k
+    ends at step round(steps_total * t_k / span), so the segments sum to
+    steps_total (a segment is never shorter than one step).
     """
     times = list(times)
     span = times[-1]
@@ -269,8 +276,10 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
     snapshots = []
     u = np.eye(n, dtype=np.complex128)
     prev = 0.0
+    taken = 0
     for tk in times:
-        seg_steps = max(1, round(steps_total * (tk - prev) / span))
+        seg_steps = max(1, round(steps_total * tk / span) - taken)
+        taken += seg_steps
         dt = (tk - prev) / seg_steps
         done = 0
         while done < seg_steps:
@@ -492,7 +501,7 @@ def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int =
         raise ValueError("grid times must be positive")
     layout = SpaceLayout(fock_cutoff)
     window = _default_fock_window(fock_cutoff)
-    snapshots, _converged, _steps = _propagate_sectors(
+    snapshots, converged, _steps = _propagate_sectors(
         params, times, fock_cutoff, _oracle_settings(params, float(times[-1]), settings))
     rows = []
     for i, coeffs in enumerate(_extract(snapshots, times)):
@@ -500,7 +509,7 @@ def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int =
                                 window)
         rows.append(CoefficientRow(t=coeffs.t, coeffs=coeffs,
                                    A_closed_form=closed_form_A(params, coeffs.t),
-                                   residual=residual))
+                                   residual=residual, converged=converged))
     return rows
 
 

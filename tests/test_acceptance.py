@@ -252,7 +252,8 @@ def test_criterion_6_gate_fidelity_loss(params, cfg):
     oracle = oracle_at_periods(params, comm, 1, 8,
                                settings=PropagationSettings(0.0, comm.t, 2048, 1e-8))
     schedule = schedule_for_eta(params, oracle.coeffs.A, comm, 1)
-    res = gate_fidelity_open(params, schedule, cfg.decoherence, SpaceLayout(8))
+    res = gate_fidelity_open(params, schedule, cfg.decoherence, SpaceLayout(8),
+                             settings=PropagationSettings(0.0, 1.0, 64, 1e-7, max_refinements=10))
     assert res.converged
     assert 0.0 < res.fidelity_loss < 0.01
     report(f"6: PASS full-gate fidelity loss {res.fidelity_loss:.3e} < 1% over "

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,20 @@ def test_eta_auto_and_fixed():
     assert parse_config(doc).gate.eta == 0.5
 
 
+def _readme_config_example() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+def test_documented_configs_parse_strictly():
+    # the README example and the bundled preset (with its note/notes
+    # comments) must stay in step with the parser's declared keys
+    cfg = parse_config(_readme_config_example(), "README")
+    assert cfg.gate.max_n == 8 and cfg.lindblad.scale_factors == (0.0, 0.5, 1.0, 2.0, 4.0)
+    assert parse_config(paper_preset_dict()) == paper_preset()
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -106,7 +121,7 @@ def small_config(tmp_path, **over):
     doc["fock_cutoff"] = 6
     doc["gate"]["max_periods"] = 8
     doc["propagation"] = {"steps": 1024, "tolerance": 1e-7, "max_refinements": 8}
-    doc["lindblad"] = {"scale_factors": [0.0, 1.0], "periods": 1}
+    doc["lindblad"] = {"scale_factors": [0.0, 1.0]}
     doc["sweep"] = {"parameter": "g", "factors": [1.0, 2.0]}
     doc["coeffs"] = {"points": 12, "t_max_periods": 2.0}
     for key, val in over.items():
@@ -203,6 +218,40 @@ def test_validate_fock_doubling_fails_at_inadequate_cutoff(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     check = [line for line in lines if "fock-cutoff doubling stable" in line]
     assert len(check) == 1 and check[0].startswith("FAIL")
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("gate", "propagation", "tolerence", 1e-3),       # misspelt: not a silent no-op
+    ("gate", None, "fock_cuttoff", 20),
+    ("gate", "system", "omega_rr", {"value": 0.0, "unit": "rad_per_ns"}),
+    ("lindblad", "decoherence", "T3_us", 1.0),
+    ("gate", "gate", "eta_paper_m", 1),
+    ("gate", "gate", "condition_tol", 1e-6),
+    ("lindblad", "lindblad", "periods", 1),
+    ("gate", "gate", "max_n", 2.9),
+    ("gate", "gate", "max_n", True),
+    ("gate", "propagation", "steps", "512"),
+    ("coeffs", "coeffs", "points", 0),
+    ("gate", "gate", "max_periods", 0),
+    ("gate", "propagation", "steps", 0),
+    ("gate", "propagation", "max_refinements", -1),
+    ("sweep", "sweep", "factors", []),
+    ("lindblad", "lindblad", "scale_factors", []),
+])
+def test_bad_setting_is_config_error_naming_the_key(tmp_path, capsys, command, section,
+                                                    key, value):
+    doc = paper_preset_dict()
+    (doc if section is None else doc[section])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_coeffs_non_convergence_exits_numerical(tmp_path):
+    cfg = small_config(tmp_path, propagation={"steps": 64, "tolerance": 1e-8,
+                                              "max_refinements": 0})
+    assert main(["coeffs", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
 def test_eta_override_flag(tmp_path):

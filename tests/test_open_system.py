@@ -23,6 +23,8 @@ from test_hamiltonians import make_params
 
 TWO_PI = 2.0 * math.pi
 
+OPEN_SETTINGS = PropagationSettings(0.0, 1.0, 64, 1e-7, max_refinements=10)
+
 
 # ----------------------------------------------------------------------
 # parameters and rates
@@ -183,7 +185,7 @@ def test_standard_inputs_are_normalized():
 def test_open_fidelity_zero_rates_is_exact(preset_params, preset_schedule):
     lay = SpaceLayout(6)
     dec = DecoherenceParams().scaled(0.0)
-    res = gate_fidelity_open(preset_params, preset_schedule, dec, lay)
+    res = gate_fidelity_open(preset_params, preset_schedule, dec, lay, settings=OPEN_SETTINGS)
     assert res.fidelity_avg == pytest.approx(1.0, abs=1e-9)
 
 
@@ -192,7 +194,8 @@ def test_open_fidelity_decreases_with_rates(preset_params, preset_schedule):
     dec = DecoherenceParams()
     losses = []
     for factor in (1.0, 2.0, 4.0):
-        res = gate_fidelity_open(preset_params, preset_schedule, dec.scaled(factor), lay)
+        res = gate_fidelity_open(preset_params, preset_schedule, dec.scaled(factor), lay,
+                                 settings=OPEN_SETTINGS)
         assert res.converged
         losses.append(res.fidelity_loss)
     assert 0 < losses[0] < losses[1] < losses[2]

@@ -5,6 +5,7 @@ import pytest
 
 from hcps.gates import u3
 from hcps.hilbert import SpaceLayout, identity
+from hcps import wei_norman
 from hcps.propagation import PropagationSettings
 from hcps.wei_norman import (
     CSV_HEADER,
@@ -250,3 +251,31 @@ def test_coefficients_csv_round_trip(tmp_path, preset_params):
     b_mag = np.hypot(data[:, 2], data[:, 3])
     assert b_mag[3] < 3e-8 and b_mag[7] < 3e-8
     assert b_mag[1] > 1e-2
+
+
+@pytest.mark.parametrize("grid", ["base_window", "coeffs_grid"])
+def test_kernel_takes_exactly_steps_used(monkeypatch, preset_params, grid):
+    # the checkpoint segments must sum to the reported grid, not drift from
+    # it by per-segment rounding
+    fed = []
+    kernel = wei_norman._sector_step_factors
+
+    def counting(n):
+        factors = kernel(n)
+
+        def count(f, dt):
+            fed.append(np.size(f))
+            return factors(f, dt)
+
+        return count
+
+    monkeypatch.setattr(wei_norman, "_sector_step_factors", counting)
+    one_pass = PropagationSettings(t0=0.0, t1=1.0, steps=512, tolerance=1e-8,
+                                   max_refinements=0)
+    period = TWO_PI / preset_params.omega
+    if grid == "base_window":
+        assert coefficients_oracle(preset_params, period, 6, settings=one_pass).steps_used == 512
+    else:
+        oracle_grid(preset_params, np.linspace(2 * period / 50, 2 * period, 50), 6,
+                    settings=one_pass)
+    assert sum(fed) == 4 * 512       # four sectors, one pass each
