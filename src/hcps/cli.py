@@ -6,11 +6,13 @@
     hcps sweep     --config <path>   gate pipeline over a parameter grid, CSV
     hcps lindblad  --config <path>   open-system fidelity over a rate-scale grid, CSV
 
-Common flags: --out <dir> (default .), --fock N (override the cutoff),
---eta <val>|auto (override the gate phase).  The literal config name
-``paper_preset`` loads the bundled feasibility parameter set.
+Common flags: --out <dir> (default .), --fock N (override the cutoff);
+gate and sweep also take --eta <val>|auto (override the gate phase).  The
+flags override the loaded config once, and each command reads that config.
+The literal config name ``paper_preset`` loads the bundled feasibility
+parameter set.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 (non-convergence, a Fock cutoff too small for the gate, or no commensurate
 time; the message carries the best rational approximation found).
 
@@ -85,12 +87,11 @@ def _write_json(path, payload: dict):
         fh.write("\n")
 
 
-def _run_gate(cfg: RunConfig, fock: int, eta: float | None) -> GateReport:
-    layout = SpaceLayout(fock)
+def _run_gate(cfg: RunConfig) -> GateReport:
     return synthesize_gate(
-        cfg.system, layout,
+        cfg.system, SpaceLayout(cfg.fock_cutoff),
         target_name=cfg.gate.target,
-        eta=eta,
+        eta=cfg.gate.eta,
         max_n=cfg.gate.max_n,
         max_periods=cfg.gate.max_periods,
         settings=_prop_settings(cfg, 1.0),
@@ -102,9 +103,8 @@ def _run_gate(cfg: RunConfig, fock: int, eta: float | None) -> GateReport:
 # gate
 # ----------------------------------------------------------------------
 
-def cmd_gate(cfg: RunConfig, out_dir, fock: int, eta: float | None,
-             trajectory: bool = False) -> int:
-    report = _run_gate(cfg, fock, eta)
+def cmd_gate(cfg: RunConfig, out_dir, trajectory: bool = False) -> int:
+    report = _run_gate(cfg)
     _write_json(f"{out_dir}/gate_report.json", report_to_json(report))
 
     comm = commensurate_time(cfg.system.omega, cfg.system.Delta, cfg.gate.max_n,
@@ -126,7 +126,7 @@ def cmd_gate(cfg: RunConfig, out_dir, fock: int, eta: float | None,
     print(f"wrote {out_dir}/gate_report.json")
 
     if trajectory:
-        layout = SpaceLayout(fock)
+        layout = SpaceLayout(cfg.fock_cutoff)
         psi0 = basis_state(layout, 0, 0, 0)
         times, states = _heff_trajectory(cfg.system, layout, psi0.amplitudes,
                                          report.schedule.t_int)
@@ -159,8 +159,9 @@ def _heff_trajectory(params: SystemParams, layout: SpaceLayout, psi0: np.ndarray
 # validate
 # ----------------------------------------------------------------------
 
-def _validate_checks(cfg: RunConfig, fock: int):
+def _validate_checks(cfg: RunConfig):
     params = cfg.system
+    fock = cfg.fock_cutoff
     layout = SpaceLayout(fock)
     rng = np.random.default_rng(20260808)
 
@@ -185,7 +186,7 @@ def _validate_checks(cfg: RunConfig, fock: int):
            f"defect {res.unitarity_defect:.2e}, converged {res.converged}")
 
     # 3. sector-assembled oracle propagator agrees with the direct one
-    oracle = coefficients_oracle(params, comm.t, fock)
+    oracle = coefficients_oracle(params, comm.t, fock, settings=_prop_settings(cfg, comm.t))
     cross = float(np.abs(oracle.numeric_unitary - res.unitary.entries).max())
     yield ("sector assembly cross-check", cross < 50 * cross_tol,
            f"max diff {cross:.2e}")
@@ -194,7 +195,7 @@ def _validate_checks(cfg: RunConfig, fock: int):
     worst = 0.0
     ts = np.linspace(comm.t / 12, 1.5 * comm.t, 12)
     for variant, label in ((params.replace(G=0.0), "B"), (params.replace(g=0.0), "C")):
-        rows = oracle_grid(variant, ts, min(fock, 16))
+        rows = oracle_grid(variant, ts, min(fock, 16), settings=_prop_settings(cfg, ts[-1]))
         for row in rows:
             ref = coefficients_closed_form(variant, row.t)
             got = row.coeffs.B if label == "B" else row.coeffs.C
@@ -237,9 +238,9 @@ def _validate_checks(cfg: RunConfig, fock: int):
            f"trusted-window sector drift {drift:.2e} ({fock} -> {2 * fock})")
 
 
-def cmd_validate(cfg: RunConfig, out_dir, fock: int) -> int:
+def cmd_validate(cfg: RunConfig, out_dir) -> int:
     all_ok = True
-    for name, ok, metric in _validate_checks(cfg, fock):
+    for name, ok, metric in _validate_checks(cfg):
         all_ok &= ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {metric}")
     return EXIT_OK if all_ok else EXIT_NUMERICAL
@@ -249,12 +250,12 @@ def cmd_validate(cfg: RunConfig, out_dir, fock: int) -> int:
 # coeffs
 # ----------------------------------------------------------------------
 
-def cmd_coeffs(cfg: RunConfig, out_dir, fock: int) -> int:
+def cmd_coeffs(cfg: RunConfig, out_dir) -> int:
     params = cfg.system
     t_max = cfg.coeffs.t_max_periods * 2.0 * math.pi / params.omega
     pts = cfg.coeffs.points
     times = np.linspace(t_max / pts, t_max, pts)
-    rows = oracle_grid(params, times, fock, settings=_prop_settings(cfg, t_max))
+    rows = oracle_grid(params, times, cfg.fock_cutoff, settings=_prop_settings(cfg, t_max))
     path = f"{out_dir}/coefficients.csv"
     write_coefficients_csv(path, rows)
     print(f"wrote {path} ({len(rows)} rows, t up to {t_max:.6f} ns)")
@@ -269,18 +270,16 @@ SWEEP_CSV_HEADER = ("parameter,factor,value_rad_per_ns,fidelity_avg,phase_distan
                     "leakage,eta_used,gate_time_ns")
 
 
-def _sweep_point(cfg: RunConfig, fock: int, factor: float) -> tuple[float, GateReport]:
-    base = getattr(cfg.system, cfg.sweep.parameter)
-    value = base * factor
+def _sweep_point(cfg: RunConfig, factor: float) -> tuple[float, GateReport]:
+    value = getattr(cfg.system, cfg.sweep.parameter) * factor
     system = cfg.system.replace(**{cfg.sweep.parameter: value})
-    sub = replace(cfg, system=system)
-    return value, _run_gate(sub, fock, cfg.gate.eta)
+    return value, _run_gate(replace(cfg, system=system))
 
 
-def cmd_sweep(cfg: RunConfig, out_dir, fock: int) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     factors = cfg.sweep.factors
     with ThreadPoolExecutor(max_workers=min(8, len(factors))) as pool:
-        results = list(pool.map(lambda f: _sweep_point(cfg, fock, f), factors))
+        results = list(pool.map(lambda f: _sweep_point(cfg, f), factors))
 
     path = f"{out_dir}/sweep.csv"
     with open(path, "w", encoding="utf-8") as fh:
@@ -306,11 +305,11 @@ def cmd_sweep(cfg: RunConfig, out_dir, fock: int) -> int:
 # lindblad
 # ----------------------------------------------------------------------
 
-def cmd_lindblad(cfg: RunConfig, out_dir, fock: int) -> int:
+def cmd_lindblad(cfg: RunConfig, out_dir) -> int:
     if cfg.decoherence is None:
         raise ConfigError("lindblad pipeline needs a 'decoherence' section")
     params = cfg.system
-    fock_dm = min(fock, 12)    # density-matrix runs cap the cutoff for memory
+    fock_dm = min(cfg.fock_cutoff, 12)    # density-matrix runs cap the cutoff for memory
     layout = SpaceLayout(fock_dm)
     comm = commensurate_time(params.omega, params.Delta, cfg.gate.max_n,
                              cfg.commensurability_tol)
@@ -337,8 +336,16 @@ def cmd_lindblad(cfg: RunConfig, out_dir, fock: int) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's 2 is this CLI's numerical-failure code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hcps",
         description="Hybrid-system controlled-phase gate simulator")
     parser.add_argument("--version", action="version", version=f"hcps {__version__}")
@@ -355,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON run config, or 'paper_preset'")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--fock", type=int, default=None, help="override the Fock cutoff")
-        p.add_argument("--eta", default=None,
-                       help="override the gate phase: a number, or 'auto'")
+        if name in ("gate", "sweep"):
+            p.add_argument("--eta", default=None,
+                           help="override the gate phase: a number, or 'auto'")
         if name == "gate":
             p.add_argument("--trajectory", action="store_true",
                            help="also export the interaction-leg state trajectory CSV")
@@ -367,24 +375,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        fock = args.fock if args.fock is not None else cfg.fock_cutoff
-        if fock < 2:
-            raise ConfigError("--fock must be at least 2")
-        eta = cfg.gate.eta
-        if args.eta is not None:
+        if args.fock is not None:
+            cfg = replace(cfg, fock_cutoff=args.fock)
+        if getattr(args, "eta", None) is not None:
             eta = None if args.eta == "auto" else float(args.eta)
+            cfg = replace(cfg, gate=replace(cfg.gate, eta=eta))
 
         if args.command == "gate":
-            return cmd_gate(cfg, args.out, fock, eta, trajectory=args.trajectory)
-        if args.command == "validate":
-            return cmd_validate(cfg, args.out, fock)
-        if args.command == "coeffs":
-            return cmd_coeffs(cfg, args.out, fock)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, fock)
-        if args.command == "lindblad":
-            return cmd_lindblad(cfg, args.out, fock)
-        raise AssertionError(f"unhandled command {args.command}")
+            return cmd_gate(cfg, args.out, trajectory=args.trajectory)
+        return {"validate": cmd_validate, "coeffs": cmd_coeffs, "sweep": cmd_sweep,
+                "lindblad": cmd_lindblad}[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -46,10 +46,8 @@ UNIT_SCALES = {
 }
 
 DECOHERENCE_PRESETS = {
-    # charge-qubit-limited coherence (transmon-style T1/T2 pair)
-    "charge_transmon": DecoherenceParams(
-        T1_charge_us=1.5, T2_charge_us=2.05, T2_spin_us=350.0,
-        T1_spin_us=math.inf, kappa_res=0.0),
+    # charge-qubit-limited coherence (transmon-style T1/T2 pair): the defaults
+    "charge_transmon": DecoherenceParams(),
     # isotopically purified spin-qubit host, spin T2 in the ms range
     "spin_isotopic": DecoherenceParams(
         T1_charge_us=1.5, T2_charge_us=2.05, T2_spin_us=2000.0,
@@ -199,6 +197,8 @@ class RunConfig:
 
     def __post_init__(self):
         _at_least(self, fock_cutoff=2)
+        if not self.commensurability_tol > 0:
+            raise ValueError("commensurability_tol must be > 0")
 
 
 # One reader per key.  Absent keys take the dataclass default; a key no

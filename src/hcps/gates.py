@@ -47,6 +47,7 @@ from .wei_norman import (
     closed_form_A,
     coefficients_oracle,
     commensurate_time,
+    dressed_basis,
     factorized_propagator,
     oracle_at_periods,  # not called here; perfbench's tracer patches this module's binding
     oracle_power,
@@ -101,7 +102,6 @@ class GateReport:
     """Synthesized two-qubit block, its score against the target, diagnostics."""
 
     synthesized: np.ndarray = field(repr=False)
-    target: np.ndarray = field(repr=False)
     fidelity_avg: float
     phase_distance: float
     leakage: float
@@ -111,7 +111,6 @@ class GateReport:
     relabeling: str
     discrepancy_notes: tuple[dict, ...]
     schedule: PulseSchedule
-    oracle_residual: float
     fidelity_paper_eta: float
     top_level_population: float
     converged: bool
@@ -141,18 +140,8 @@ def u3(a_phase: float, layout: SpaceLayout) -> Operator:
 
 
 # ----------------------------------------------------------------------
-# dressed basis and targets
+# targets
 # ----------------------------------------------------------------------
-
-def dressed_basis() -> np.ndarray:
-    """Columns map dressed order (gg, ge, eg, ee) to lab (spin x charge) coords.
-
-    g = (|up> - |down>)/sqrt(2) is the -1 eigenstate of the x operator on
-    each qubit, e the +1 eigenstate; first letter is the spin qubit.
-    """
-    q = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
-    return np.kron(q, q)
-
 
 def eq_phase_form(eta: float) -> np.ndarray:
     """Ideal dressed-basis gate exp[i eta (sx + Sx - sx Sx)] = diag pattern."""
@@ -196,22 +185,23 @@ def _check_unitary(u: np.ndarray, name: str):
         raise ValueError(f"{name} is not unitary to {UNITARY_INPUT_TOL} (defect {defect:.3e})")
 
 
-def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
-    """Average gate fidelity (|Tr(V'U)|^2 + d) / (d(d+1)); phase invariant."""
+def _overlap(u: np.ndarray, v: np.ndarray) -> float:
+    """|Tr(V'U)| of two unitaries, each checked to UNITARY_INPUT_TOL."""
     _check_unitary(u, "first argument")
     _check_unitary(v, "second argument")
+    return abs(np.trace(v.conj().T @ u))
+
+
+def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
+    """Average gate fidelity (|Tr(V'U)|^2 + d) / (d(d+1)); phase invariant."""
     d = u.shape[0]
-    tr = np.trace(v.conj().T @ u)
-    return float((abs(tr) ** 2 + d) / (d * (d + 1)))
+    return float((_overlap(u, v) ** 2 + d) / (d * (d + 1)))
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Frobenius distance min over a global phase of the first argument."""
-    _check_unitary(u, "first argument")
-    _check_unitary(v, "second argument")
     d = u.shape[0]
-    tr = abs(np.trace(v.conj().T @ u))
-    return float(math.sqrt(max(0.0, 2.0 * d - 2.0 * tr)))
+    return float(math.sqrt(max(0.0, 2.0 * d - 2.0 * _overlap(u, v))))
 
 
 def _best_relabeling(u: np.ndarray, target: np.ndarray) -> tuple[float, float, str]:
@@ -422,7 +412,6 @@ def compose_sequence(schedule: PulseSchedule, params: SystemParams, layout: Spac
 
     return GateReport(
         synthesized=dressed,
-        target=target,
         fidelity_avg=fidelity,
         phase_distance=distance,
         leakage=leakage,
@@ -432,7 +421,6 @@ def compose_sequence(schedule: PulseSchedule, params: SystemParams, layout: Spac
         relabeling=relabeling,
         discrepancy_notes=tuple(notes),
         schedule=schedule,
-        oracle_residual=oracle.residual,
         fidelity_paper_eta=calibration.fidelity_paper,
         top_level_population=top_pop,
         converged=oracle.converged,

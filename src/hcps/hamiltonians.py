@@ -41,6 +41,7 @@ from .hilbert import (
     SpaceLayout,
     build_annihilation,
     build_spin_ops,
+    identity,
 )
 
 _PARAM_FIELDS = (
@@ -147,16 +148,12 @@ def _cached_ops(layout: SpaceLayout):
     ad = a.dagger()
     return {
         "Sx": spin.x, "Sp": spin.plus, "Sm": spin.minus,
-        "up_proj": 0.5 * (spin.z + _identity_like(spin.z)),
+        "up_proj": 0.5 * (spin.z + identity(layout)),
         "sx": charge.x, "sz": charge.z,
         "a": a, "ad": ad, "n": ad @ a,
         "ad_Sm": ad @ spin.minus, "a_Sp": a @ spin.plus,
         "a_plus_ad": a + ad,
     }
-
-
-def _identity_like(op: Operator) -> Operator:
-    return Operator(op.layout, np.eye(op.layout.total_dim))
 
 
 # ----------------------------------------------------------------------

@@ -203,16 +203,11 @@ def ladder_matrix(n: int) -> np.ndarray:
 
 def embed(block: np.ndarray, slot: int, layout: SpaceLayout) -> Operator:
     """Embed a single-slot matrix into the full space, identity elsewhere."""
-    dims = layout.dims
     if slot not in (SLOT_SPIN, SLOT_CHARGE, SLOT_RESONATOR):
         raise ValueError(f"invalid slot id {slot!r}")
-    block = np.asarray(block, dtype=np.complex128)
-    d = dims[slot]
-    if block.shape != (d, d):
-        raise ValueError(f"block shape {block.shape} does not match slot {slot} dimension {d}")
-    factors = [np.eye(dims[i], dtype=np.complex128) for i in range(3)]
+    factors = [np.eye(d, dtype=np.complex128) for d in layout.dims]
     factors[slot] = block
-    return Operator(layout, np.kron(np.kron(factors[0], factors[1]), factors[2]))
+    return tensor(*factors, layout)
 
 
 def tensor(spin_block: np.ndarray, charge_block: np.ndarray, res_block: np.ndarray,
@@ -275,10 +270,20 @@ def commutator(a: Operator, b: Operator) -> Operator:
 # matrix exponential
 # ----------------------------------------------------------------------
 
+def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale * h) of a Hermitian array by eigendecomposition.
+
+    The caller guarantees Hermiticity; nothing is checked.  With an
+    imaginary scale the result is unitary to rounding.
+    """
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(scale * w)) @ v.conj().T
+
+
 def expm_matrix(mat: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * mat) on a raw square array.
 
-    Hermitian inputs go through an eigendecomposition, which keeps
+    Hermitian inputs go through :func:`expm_hermitian`, which keeps
     exp(-i t H) numerically unitary; everything else falls back to the
     scaling-and-squaring Pade routine.  Relative accuracy is at the
     1e-13 level for ||scale * mat|| up to about 10.
@@ -290,8 +295,7 @@ def expm_matrix(mat: np.ndarray, scale: complex = 1.0) -> np.ndarray:
         raise ValueError("matrix exponential of non-finite input")
     scale = complex(scale)
     if np.abs(mat - mat.conj().T).max() < HERMITIAN_TOL:
-        w, v = np.linalg.eigh(mat)
-        return (v * np.exp(scale * w)) @ v.conj().T
+        return expm_hermitian(mat, scale)
     return scipy.linalg.expm(scale * mat)
 
 

@@ -10,13 +10,14 @@ contributes the remaining exp(-t/(2 T1)) of the total T2 law.
 The integrator is a symmetric (Strang) split: a half step of the dissipator
 (midpoint rule), a full unitary step exp(-i H(t_mid) dt) applied by
 conjugation, and another dissipator half step.  Every piece preserves the
-trace to rounding and the scheme is second order.  One leg pass implements
-it for :func:`evolve_master` and for each pulse of :func:`gate_fidelity_open`;
-its step unitaries come from the generic midpoint generator of
+trace to rounding and the scheme is second order.  One leg runner applies
+it to the single leg of :func:`evolve_master` and to each pulse of
+:func:`gate_fidelity_open`, and judges the trace drift of both; its step
+unitaries come from the generic midpoint generator of
 :mod:`hcps.propagation` (evolve_master), a constant-Hamiltonian provider
 (the qubit pulses) or the sector-block joint steps of :mod:`hcps.wei_norman`
 (the interaction leg), and the step-doubling driver of
-:mod:`hcps.propagation` refines it.  Density matrices never leave the
+:mod:`hcps.propagation` refines each leg.  Density matrices never leave the
 d x d representation (no superoperators), which keeps the default Fock
 cutoff of 12 comfortable.
 
@@ -36,11 +37,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .gates import PulseSchedule, dressed_basis
+from .gates import PulseSchedule
 from .hamiltonians import SystemParams, h_charge_qubit, h_nv
-from .hilbert import Operator, SLOT_CHARGE, SLOT_SPIN, SpaceLayout, StateVector, build_annihilation, build_spin_ops
-from .propagation import PropagationSettings, _check_hermitian, _step_unitary, midpoint_steps, step_doubling
-from .wei_norman import dressed_transform, joint_step_unitaries
+from .hilbert import (
+    Operator, SLOT_CHARGE, SLOT_SPIN, SpaceLayout, StateVector, build_annihilation,
+    build_spin_ops, expm_hermitian,
+)
+from .propagation import PropagationSettings, _check_hermitian, midpoint_steps, step_doubling
+from .wei_norman import dressed_basis, dressed_transform, joint_step_unitaries
 
 US_TO_NS = 1.0e3
 
@@ -137,9 +141,6 @@ class DensityMatrix:
     def trace_defect(self) -> float:
         return float(abs(self.entries.trace() - 1.0))
 
-    def expectation(self, op: Operator) -> complex:
-        return complex(np.trace(op.entries @ self.entries))
-
 
 @dataclass(frozen=True)
 class MasterResult:
@@ -215,20 +216,32 @@ def _constant_steps(h: np.ndarray, duration: float):
     _check_hermitian(h, 0.0)
 
     def provider(steps: int):
-        u = _step_unitary(h, duration / steps)
-        return itertools.repeat(u, steps)
+        return itertools.repeat(expm_hermitian(h, -1j * (duration / steps)), steps)
 
     return provider
 
 
-def _refine_leg(provider, duration: float, rhos: np.ndarray, psis: np.ndarray,
-                dissipator, settings: PropagationSettings
-                ) -> tuple[tuple[np.ndarray, np.ndarray], bool, int]:
-    """Step-doubled leg; convergence judged on the density matrices."""
-    return step_doubling(
-        lambda steps: _leg_pass(provider(steps), 0.5 * duration / steps, rhos, psis,
-                                dissipator),
-        lambda r: r[0], settings)
+def _run_legs(legs, rhos: np.ndarray, psis: np.ndarray, dissipator,
+              settings: PropagationSettings
+              ) -> tuple[np.ndarray, np.ndarray, bool, float, int]:
+    """Step-doubled Strang legs, (duration, step-unitary provider) pairs, in order.
+
+    Each leg converges on its density matrices.  Returns the final stacks,
+    whether every leg converged and the worst trace defect stayed within
+    TRACE_DRIFT_LIMIT, that defect, and the finest grid any leg needed.
+    """
+    converged = True
+    steps_max = 0
+    for duration, provider in legs:
+        (rhos, psis), leg_converged, steps = step_doubling(
+            lambda steps: _leg_pass(provider(steps), 0.5 * duration / steps, rhos, psis,
+                                    dissipator),
+            lambda r: r[0], settings)
+        converged &= leg_converged
+        steps_max = max(steps_max, steps)
+    traces = np.einsum("kii->k", rhos)
+    trace_defect = float(np.abs(traces - 1.0).max())
+    return rhos, psis, converged and trace_defect <= TRACE_DRIFT_LIMIT, trace_defect, steps_max
 
 
 def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
@@ -245,16 +258,13 @@ def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
     def h_mat(t: float) -> np.ndarray:
         return h_fun(t).entries
 
-    provider = partial(midpoint_steps, h_mat, t0, t1)
+    legs = [(t1 - t0, partial(midpoint_steps, h_mat, t0, t1))]
     dissipator = _dissipator([(op.entries, rate) for op, rate in collapse])
     no_states = np.zeros((0, layout.total_dim), dtype=np.complex128)
-    (rho, _), converged, steps = _refine_leg(provider, t1 - t0, np.array(rho0.entries),
-                                             no_states, dissipator, settings)
+    rhos, _, converged, trace_defect, steps = _run_legs(
+        legs, rho0.entries[None], no_states, dissipator, settings)
 
-    rho = 0.5 * (rho + rho.conj().T)    # strip rounding-level asymmetry
-    trace_defect = float(abs(rho.trace() - 1.0))
-    if trace_defect > TRACE_DRIFT_LIMIT:
-        converged = False
+    rho = 0.5 * (rhos[0] + rhos[0].conj().T)    # strip rounding-level asymmetry
     return MasterResult(
         rho=DensityMatrix(layout, rho),
         converged=converged,
@@ -337,22 +347,14 @@ def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
     rhos = trans @ np.stack([DensityMatrix.from_state(s).entries for s in inputs]) @ trans
     psis = np.stack([s.amplitudes for s in inputs]) @ trans
 
-    converged_all = True
-    for duration, provider in _sequence_legs(params, schedule, layout, trans):
-        (rhos, psis), converged, _ = _refine_leg(provider, duration, rhos, psis,
-                                                 dissipator, settings)
-        converged_all &= converged
-
-    traces = np.einsum("kii->k", rhos)
-    trace_defect = float(np.abs(traces - 1.0).max())
-    if trace_defect > TRACE_DRIFT_LIMIT:
-        converged_all = False
+    rhos, psis, converged, trace_defect, _ = _run_legs(
+        _sequence_legs(params, schedule, layout, trans), rhos, psis, dissipator, settings)
     fids = tuple(float(np.real(np.vdot(psi, rho @ psi))) for psi, rho in zip(psis, rhos))
     return OpenGateResult(
         fidelity_avg=float(np.mean(fids)),
         fidelity_per_input=fids,
         trace_defect=trace_defect,
-        converged=converged_all,
+        converged=converged,
     )
 
 

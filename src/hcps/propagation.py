@@ -13,8 +13,10 @@ factorized propagator it is meant to audit.
 
 Two pieces are shared by every integrator in the package:
 :func:`midpoint_steps` yields the Hermiticity-checked midpoint factors of a
-uniform grid, and :func:`step_doubling` is the one refinement driver.  The
-sector oracle in :mod:`hcps.wei_norman` and the master-equation legs in
+uniform grid (each one :func:`hcps.hilbert.expm_hermitian`), and
+:func:`step_doubling` is the one refinement driver.  Propagators and
+states run on one midpoint-product loop; the sector oracle in
+:mod:`hcps.wei_norman` and the master-equation legs in
 :mod:`hcps.open_system` run on the same driver with their own fixed-grid
 passes.
 
@@ -29,7 +31,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .hilbert import Operator, StateVector
+from .hilbert import Operator, StateVector, expm_hermitian
 
 SAMPLE_HERMITIAN_TOL = 1e-10
 
@@ -91,11 +93,6 @@ def _check_hermitian(h: np.ndarray, t: float):
         raise NonHermitianSampleError(f"Hamiltonian sample at t={t} is not Hermitian")
 
 
-def _step_unitary(h: np.ndarray, dt: float) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
-
-
 def midpoint_steps(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
                    steps: int) -> Iterator[np.ndarray]:
     """Midpoint step unitaries exp(-i H(t_mid) dt) of a uniform grid on [t0, t1].
@@ -107,7 +104,7 @@ def midpoint_steps(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
         tm = t0 + (k + 0.5) * dt
         h = np.asarray(h_mat(tm), dtype=np.complex128)
         _check_hermitian(h, tm)
-        yield _step_unitary(h, dt)
+        yield expm_hermitian(h, -1j * dt)
 
 
 def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
@@ -134,18 +131,23 @@ def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
     return result, converged, steps
 
 
+def _evolve(h_mat: Callable[[float], np.ndarray], start: np.ndarray,
+            settings: PropagationSettings) -> tuple[np.ndarray, bool, int]:
+    """Step-doubled midpoint product U(t1, t0) @ start, start a propagator or a state."""
+    def run(steps: int) -> np.ndarray:
+        out = start
+        for step in midpoint_steps(h_mat, settings.t0, settings.t1, steps):
+            out = step @ out
+        return out
+
+    return step_doubling(run, lambda out: out, settings)
+
+
 def adaptive_propagate(h_mat: Callable[[float], np.ndarray], settings: PropagationSettings
                        ) -> tuple[np.ndarray, bool, int]:
     """Step-doubled propagator U(t1, t0) of a matrix-valued Hamiltonian."""
     dim = np.asarray(h_mat(settings.t0)).shape[0]
-
-    def run(steps: int) -> np.ndarray:
-        u = np.eye(dim, dtype=np.complex128)
-        for step in midpoint_steps(h_mat, settings.t0, settings.t1, steps):
-            u = step @ u
-        return u
-
-    return step_doubling(run, lambda u: u, settings)
+    return _evolve(h_mat, np.eye(dim, dtype=np.complex128), settings)
 
 
 # ----------------------------------------------------------------------
@@ -159,13 +161,9 @@ def evolve_propagator(h_fun: Callable[[float], Operator],
     Non-convergence is reported through the converged flag, not raised; a
     non-Hermitian sample raises NonHermitianSampleError.
     """
-    probe = h_fun(settings.t0)
-    layout = probe.layout
-
-    def h_mat(t: float) -> np.ndarray:
-        return h_fun(t).entries
-
-    u, converged, steps = adaptive_propagate(h_mat, settings)
+    layout = h_fun(settings.t0).layout
+    u, converged, steps = _evolve(lambda t: h_fun(t).entries,
+                                  np.eye(layout.total_dim, dtype=np.complex128), settings)
     op = Operator(layout, u)
     return PropagatorResult(
         unitary=op,
@@ -181,16 +179,7 @@ def evolve_state(h_fun: Callable[[float], Operator], psi0: StateVector,
     if abs(psi0.norm() - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {psi0.norm()} is not 1")
 
-    def h_mat(t: float) -> np.ndarray:
-        return h_fun(t).entries
-
-    def run(steps: int) -> np.ndarray:
-        psi = psi0.amplitudes.copy()
-        for u in midpoint_steps(h_mat, settings.t0, settings.t1, steps):
-            psi = u @ psi
-        return psi
-
-    psi, converged, steps = step_doubling(run, lambda psi: psi, settings)
+    psi, converged, steps = _evolve(lambda t: h_fun(t).entries, psi0.amplitudes, settings)
     return StateResult(state=StateVector(psi0.layout, psi), converged=converged,
                        steps_used=steps)
 
@@ -204,8 +193,7 @@ def frame_rotate(u: Operator, generator: Operator, angle_fun: Callable[[float], 
     """
     if not generator.is_hermitian(SAMPLE_HERMITIAN_TOL):
         raise ValueError("frame generator must be Hermitian")
-    w, v = np.linalg.eigh(generator.entries)
-    rot = (v * np.exp(1j * float(angle_fun(t)) * w)) @ v.conj().T
+    rot = expm_hermitian(generator.entries, 1j * float(angle_fun(t)))
     return Operator(u.layout, rot @ u.entries)
 
 

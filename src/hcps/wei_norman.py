@@ -182,6 +182,8 @@ def commensurate_time(omega: float, Delta: float, max_n: int = 64,
         raise ValueError("Delta must be nonzero")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    if not tol > 0.0:
+        raise ValueError(f"commensurability tol must be > 0, got {tol}")
     best = None
     for n in range(1, max_n + 1):
         t = TWO_PI * n / omega
@@ -302,6 +304,16 @@ def dressed_transform(layout: SpaceLayout) -> np.ndarray:
     return np.kron(np.kron(_HADAMARD, _HADAMARD), np.eye(layout.fock_cutoff)).real
 
 
+def dressed_basis() -> np.ndarray:
+    """Columns map dressed order (gg, ge, eg, ee) to lab (spin x charge) coords.
+
+    g = (|up> - |down>)/sqrt(2) is the -1 eigenstate of the x operator on
+    each qubit, e the +1 eigenstate; first letter is the spin qubit.  SECTORS
+    runs from ee to gg, so these are dressed_transform's qubit columns reversed.
+    """
+    return np.kron(_HADAMARD, _HADAMARD)[:, ::-1].copy()
+
+
 def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: float,
                          steps: int):
     """Midpoint step unitaries of h_eff, yielded in order, sector-block basis.
@@ -319,7 +331,8 @@ def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: fl
 
     done = 0
     while done < steps:
-        count = min(steps - done, max(1, _CHUNK_ENTRIES // (d * d)))
+        # a dense chunk of d x d step unitaries is kept to about 4 MB
+        count = min(steps - done, max(1, _CHUNK_ENTRIES // (8 * d * d)))
         mids = (done + np.arange(count) + 0.5) * dt
         full = np.zeros((count, d, d), dtype=np.complex128)
         for i, f_fun in enumerate(amps):

@@ -265,7 +265,7 @@ def test_criterion_6_gate_fidelity_loss(params, cfg):
 # ----------------------------------------------------------------------
 
 def test_criterion_7_validate_passes(cfg):
-    results = list(_validate_checks(cfg, 20))
+    results = list(_validate_checks(cfg))
     for name, ok, metric in results:
         assert ok, (name, metric)
         report(f"7: PASS validate[{name}]: {metric}")

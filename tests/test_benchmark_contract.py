@@ -1,0 +1,70 @@
+"""The names the benchmark under perfbench/ reaches into the package by.
+
+The benchmark's tracer patches functions by (module, name) and counts
+sector propagations through two private names; its workloads call a few
+more names through the module objects.  Tier-1 does not collect
+perfbench/, so a rename there would otherwise fail only when the
+benchmark runs.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import hcps.cli  # noqa: F401  (imports every hcps module)
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+_T = _tracer()
+
+# (module, name) pairs the workloads and their checks call.
+WORKLOAD_NAMES = (
+    ("hcps.cli", "main"),
+    ("hcps.config", "load_config"),
+    ("hcps.gates", "dressed_basis"),
+    ("hcps.gates", "schedule_for_eta"),
+    ("hcps.gates", "u3"),
+    ("hcps.gates", "vacuum_block"),
+    ("hcps.hamiltonians", "SystemParams"),
+    ("hcps.hamiltonians", "h_eff"),
+    ("hcps.hilbert", "SpaceLayout"),
+    ("hcps.open_system", "gate_fidelity_open"),
+    ("hcps.propagation", "PropagationSettings"),
+    ("hcps.propagation", "evolve_propagator"),
+    ("hcps.wei_norman", "coefficients_oracle"),
+    ("hcps.wei_norman", "commensurate_time"),
+    ("hcps.wei_norman", "oracle_at_periods"),
+)
+
+TRACED = [(mod, name) for mod, name, _ in _T.TARGETS + _T.GENERATOR_TARGETS]
+COUNTED = [_T.PASS_TARGET, _T.KERNEL_TARGET]
+
+
+@pytest.mark.parametrize("module, name", TRACED + COUNTED + list(WORKLOAD_NAMES))
+def test_benchmark_name_resolves(module, name):
+    assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("module, name, owner", [
+    # the tracer patches every binding of the original; these call sites
+    # must hold the same object for their calls to be traced
+    ("hcps.gates", "oracle_at_periods", "hcps.wei_norman"),
+    ("hcps.cli", "oracle_at_periods", "hcps.wei_norman"),
+    ("hcps.open_system", "joint_step_unitaries", "hcps.wei_norman"),
+    ("hcps.gates", "dressed_basis", "hcps.wei_norman"),
+])
+def test_benchmark_binding_is_the_owner(module, name, owner):
+    mod, own = importlib.import_module(module), importlib.import_module(owner)
+    assert getattr(mod, name) is getattr(own, name)

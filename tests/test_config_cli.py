@@ -237,6 +237,8 @@ def test_validate_fock_doubling_fails_at_inadequate_cutoff(tmp_path, capsys):
     ("gate", "propagation", "max_refinements", -1),
     ("sweep", "sweep", "factors", []),
     ("lindblad", "lindblad", "scale_factors", []),
+    ("gate", None, "commensurability_tol", 0),
+    ("gate", None, "commensurability_tol", -1),
 ])
 def test_bad_setting_is_config_error_naming_the_key(tmp_path, capsys, command, section,
                                                     key, value):
@@ -246,6 +248,31 @@ def test_bad_setting_is_config_error_naming_the_key(tmp_path, capsys, command, s
     path.write_text(json.dumps(doc))
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate"],                                                   # --config missing
+    ["coeffs", "--config", "paper_preset", "--eta", "1"],       # --eta is for gate and sweep
+    ["gate", "--config", "paper_preset", "--fock", "two"],
+    ["nonsense", "--config", "paper_preset"],
+])
+def test_usage_error_exits_config(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gate", "--help"]])
+def test_help_exits_zero(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+
+
+def test_fock_override_below_two_is_config_error(capsys):
+    assert main(["gate", "--config", "paper_preset", "--fock", "1"]) == 1
+    assert "fock_cutoff" in capsys.readouterr().err
 
 
 def test_coeffs_non_convergence_exits_numerical(tmp_path):
@@ -273,6 +300,14 @@ def test_sweep_rows_in_grid_order(tmp_path, capsys):
     factors = [float(r.split(",")[1]) for r in lines[1:]]
     assert factors == [1.0, 2.0]
     assert "fidelity trend" in capsys.readouterr().out
+
+
+def test_sweep_eta_override_reaches_every_row(tmp_path):
+    cfg = small_config(tmp_path)
+    eta = math.pi / 8
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--eta", repr(eta)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[6]) for r in rows] == [eta, eta]
 
 
 def test_sweep_is_deterministic(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcps.hamiltonians import (
     SystemParams,
@@ -27,6 +28,8 @@ from hcps.hilbert import (
     identity,
 )
 from hcps.propagation import PropagationSettings, evolve_state
+
+from test_acceptance import _random_parameter_set
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,3 +271,15 @@ def test_h_eff_displaced_oscillator_returns_to_vacuum():
 def test_params_reject_non_finite():
     with pytest.raises(ValueError):
         make_params(g=float("nan"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(min_value=-100.0, max_value=100.0))
+def test_builders_hermitian_on_random_parameter_sets(seed, t):
+    # parameter sets drawn exactly as acceptance criterion 2 draws them
+    p = _random_parameter_set(np.random.default_rng(seed))
+    lay = SpaceLayout(5)
+    for build in (h_total_lab, h_interaction, h_drive, h_T, h_eff):
+        assert build(p, lay, t).hermiticity_defect() < 1e-12, build.__name__
+    for op in (h_charge_qubit(p, lay), h_nv(p, lay)):
+        assert op.hermiticity_defect() < 1e-12

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from hcps.hilbert import (
     Operator,
@@ -13,6 +15,7 @@ from hcps.hilbert import (
     build_spin_ops,
     commutator,
     embed,
+    expm_hermitian,
     identity,
     ladder_matrix,
     matrix_exponential,
@@ -168,3 +171,15 @@ def test_number_operator_spectrum():
     n_op = build_number(lay)
     vals = np.sort(np.linalg.eigvalsh(n_op.entries))
     np.testing.assert_allclose(vals, np.repeat([0, 1, 2, 3], 4), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(min_value=-2.0, max_value=2.0))
+def test_expm_hermitian_matches_scipy_and_is_unitary(n, seed, t):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = 0.5 * (m + m.conj().T)
+    u = expm_hermitian(h, -1j * t)
+    assert np.abs(u - scipy.linalg.expm(-1j * t * h)).max() < 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-13

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcps.gates import u3
-from hcps.hilbert import SpaceLayout, identity
+from hcps.hilbert import SpaceLayout, expm_hermitian, identity, ladder_matrix
 from hcps import wei_norman
 from hcps.propagation import PropagationSettings
 from hcps.wei_norman import (
@@ -279,3 +280,14 @@ def test_kernel_takes_exactly_steps_used(monkeypatch, preset_params, grid):
         oracle_grid(preset_params, np.linspace(2 * period / 50, 2 * period, 50), 6,
                     settings=one_pass)
     assert sum(fed) == 4 * 512       # four sectors, one pass each
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 20), re=st.floats(min_value=-2.0, max_value=2.0),
+       im=st.floats(min_value=-2.0, max_value=2.0), dt=st.floats(min_value=1e-3, max_value=1.0))
+def test_sector_step_factor_matches_eigendecomposition(n, re, im, dt):
+    f = complex(re, im)
+    a = ladder_matrix(n)
+    want = expm_hermitian(f * a.conj().T + np.conj(f) * a, -1j * dt)
+    got = wei_norman._sector_step_factors(n)(np.array([f]), dt)[0]
+    assert np.abs(got - want).max() < 1e-12
