@@ -17,9 +17,8 @@ Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure
 time; the message carries the best rational approximation found).
 
 Outputs are deterministic: identical configs produce byte-identical JSON
-and CSV files, including under parallel sweeps (results are assembled in
-grid order regardless of completion order).  Floats in CSVs are written
-with 17 significant digits.
+and CSV files; sweep evaluates its grid points one after another, in grid
+order.  Floats in CSVs are written with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -107,8 +105,7 @@ def cmd_gate(cfg: RunConfig, out_dir, trajectory: bool = False) -> int:
     report = _run_gate(cfg)
     _write_json(f"{out_dir}/gate_report.json", report_to_json(report))
 
-    comm = commensurate_time(cfg.system.omega, cfg.system.Delta, cfg.gate.max_n,
-                             cfg.commensurability_tol)
+    comm = report.base_window
     periods = round(report.schedule.t_int / comm.t)
     print(f"disentangling time = {comm.t:.6f} ns (n={comm.n}, p={comm.p}); "
           f"sequence accumulates {periods} of them")
@@ -278,8 +275,7 @@ def _sweep_point(cfg: RunConfig, factor: float) -> tuple[float, GateReport]:
 
 def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     factors = cfg.sweep.factors
-    with ThreadPoolExecutor(max_workers=min(8, len(factors))) as pool:
-        results = list(pool.map(lambda f: _sweep_point(cfg, f), factors))
+    results = [_sweep_point(cfg, f) for f in factors]
 
     path = f"{out_dir}/sweep.csv"
     with open(path, "w", encoding="utf-8") as fh:

@@ -160,6 +160,8 @@ class LindbladOptions:
     def __post_init__(self):
         if not self.scale_factors:
             raise ValueError("scale_factors must not be empty")
+        if min(self.scale_factors) < 0:
+            raise ValueError("scale_factors must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,8 @@ class CoeffsOptions:
 
     def __post_init__(self):
         _at_least(self, points=1)
+        if not self.t_max_periods > 0:
+            raise ValueError("t_max_periods must be > 0")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -114,6 +114,7 @@ class GateReport:
     fidelity_paper_eta: float
     top_level_population: float
     converged: bool
+    base_window: CommensurateTime | None = None   # the repeated window, from synthesize_gate
 
 
 # ----------------------------------------------------------------------
@@ -477,5 +478,6 @@ def synthesize_gate(params: SystemParams, layout: SpaceLayout, *,
     eta_used = oracle.coeffs.A if eta is None else float(eta)
 
     schedule = schedule_for_eta(params, eta_used, comm, periods)
-    return compose_sequence(schedule, params, layout, target=target, oracle=oracle,
-                            calibration=calibration, strict=eta is None)
+    report = compose_sequence(schedule, params, layout, target=target, oracle=oracle,
+                              calibration=calibration, strict=eta is None)
+    return replace(report, base_window=comm)

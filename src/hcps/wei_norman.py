@@ -31,7 +31,10 @@ The oracle route has one of each moving part.  One kernel builds the
 sector midpoint factors (the (a + a') eigensystem dressed by number-operator
 phases); it serves both the checkpointed sector propagation, refined by the
 step-doubling driver of :mod:`hcps.propagation`, and the open-system joint
-leg (:func:`joint_step_unitaries`).  One extraction turns sector snapshots
+leg (:func:`joint_step_unitaries`).  Only sectors (1, 1) and (1, -1) are
+propagated; sector (-s, -c) is driven by -f, so its propagator is the
+parity image P U(s, c) P, P = (-1)^n_hat, formed only where a full-space
+matrix is built.  One extraction turns the propagated sectors' snapshots
 into coefficients at every checkpoint: :func:`coefficients_oracle` reads its
 last checkpoint, :func:`oracle_grid` all of them.  Multiples of a
 disentangling period reuse one base-window propagation through
@@ -60,6 +63,7 @@ TWO_PI = 2.0 * math.pi
 
 # Joint eigensector order: (spin S_x eigenvalue, charge sigma_x eigenvalue)
 SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+PROPAGATED = SECTORS[:2]    # the last two are their sign flips, in reverse order
 
 RESIDUAL_THRESHOLD = 1e-5   # windowed factorization residual above which a result is flagged
 
@@ -102,8 +106,9 @@ class OracleResult:
     fock_window (the truncation-trusted inputs); residual_full is the same
     over all columns and is a truncation diagnostic only, since the top of
     a truncated Fock ladder cannot agree between the two constructions.
-    sector_unitaries holds the four sector blocks numeric_unitary is
-    assembled from, keyed like SECTORS; :func:`oracle_power` raises them.
+    sector_unitaries holds the two propagated sector blocks, keyed like
+    PROPAGATED; numeric_unitary is assembled from them and their parity
+    images, and :func:`oracle_power` raises them.
     """
 
     coeffs: WNCoefficients
@@ -299,6 +304,26 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
     return snapshots
 
 
+def _parity_image(u: np.ndarray) -> np.ndarray:
+    """P u P with P = (-1)^n_hat, over the last two axes of a stack.
+
+    Applied to a propagator of sector (s, c) it gives that of (-s, -c),
+    whose drive is -f: P a P = -a, so P H(f) P = H(-f) at every time.
+    """
+    n = u.shape[-1]
+    return u * (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+
+
+def _sector_block_diagonal(u_pp: np.ndarray, u_pm: np.ndarray) -> np.ndarray:
+    """Block diagonal over SECTORS from (stacks of) the PROPAGATED blocks
+    and their parity images, the blocks of (-1, 1) and (-1, -1)."""
+    n = u_pp.shape[-1]
+    full = np.zeros(u_pp.shape[:-2] + (4 * n, 4 * n), dtype=np.complex128)
+    for i, blk in enumerate((u_pp, u_pm, _parity_image(u_pm), _parity_image(u_pp))):
+        full[..., i * n:(i + 1) * n, i * n:(i + 1) * n] = blk
+    return full
+
+
 def dressed_transform(layout: SpaceLayout) -> np.ndarray:
     """Hadamard on each qubit slot; maps lab basis to the sector-block basis."""
     return np.kron(np.kron(_HADAMARD, _HADAMARD), np.eye(layout.fock_cutoff)).real
@@ -320,24 +345,21 @@ def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: fl
 
     Exactly the factors exp(-i h_eff(t_mid) dt) the generic integrator would
     build, assembled per sector by :func:`_sector_step_factors` instead of
-    one eigendecomposition per step; consumers working in the lab basis
-    conjugate by :func:`dressed_transform` once per leg instead.
+    one eigendecomposition per step (two sectors built, two their parity
+    images); consumers working in the lab basis conjugate by
+    :func:`dressed_transform` once per leg instead.
     """
-    n = layout.fock_cutoff
     d = layout.total_dim
-    factors = _sector_step_factors(n)
+    factors = _sector_step_factors(layout.fock_cutoff)
     dt = duration / steps
-    amps = [sector_amplitude(params, ss, sc) for ss, sc in SECTORS]
+    amps = [sector_amplitude(params, ss, sc) for ss, sc in PROPAGATED]
 
     done = 0
     while done < steps:
         # a dense chunk of d x d step unitaries is kept to about 4 MB
         count = min(steps - done, max(1, _CHUNK_ENTRIES // (8 * d * d)))
         mids = (done + np.arange(count) + 0.5) * dt
-        full = np.zeros((count, d, d), dtype=np.complex128)
-        for i, f_fun in enumerate(amps):
-            full[:, i * n:(i + 1) * n, i * n:(i + 1) * n] = factors(f_fun(mids), dt)
-        yield from full
+        yield from _sector_block_diagonal(*(factors(f_fun(mids), dt) for f_fun in amps))
         done += count
 
 
@@ -350,8 +372,22 @@ def _checkpoint_count(params: SystemParams, t: float) -> int:
     return int(max(48, 8 * math.ceil(n_osc)))
 
 
+def _solve_sectors(alpha: dict, phi_cross, phi_mean):
+    """(A, B, C, D), elementwise, from the propagated sectors' alpha and phases.
+
+    alpha(sector) = -i*charge_sign*B' - i*spin_sign*C' (primes = conjugates)
+    and the sector phase is -Re D + (Im(B'C) - A) s_spin s_charge, so the
+    charge-odd and charge-even parts of (1, 1) and (1, -1) fix all four; the
+    parity images carry the opposite displacements and the same phases.
+    """
+    a_pp, a_pm = alpha[(1, 1)], alpha[(1, -1)]
+    B, C = np.conj(0.5j * (a_pp - a_pm)), np.conj(0.5j * (a_pp + a_pm))
+    A = np.imag(np.conj(B) * C) - phi_cross
+    return A, B, C, -phi_mean + 0.5j * (np.abs(B)**2 + np.abs(C)**2)
+
+
 def _extract(snapshots: dict, times: Sequence[float]) -> list[WNCoefficients]:
-    """Coefficients at every checkpoint of a sector snapshot series.
+    """Coefficients at every checkpoint of the propagated sectors' snapshots.
 
     For a driven oscillator each sector propagator is e^{i phi} D(alpha), so
     <0|U|0> = e^{i phi} e^{-|alpha|^2 / 2} and <1|U|0> / <0|U|0> = alpha.  The
@@ -366,60 +402,20 @@ def _extract(snapshots: dict, times: Sequence[float]) -> list[WNCoefficients]:
                                "displacement exceeds the extraction method's domain")
         alphas[key] = c1 / c0
         phis[key] = np.unwrap(np.concatenate(([0.0], np.angle(c0))))[1:]
-    return [_coefficients_from_sectors({k: complex(a[i]) for k, a in alphas.items()},
-                                       {k: float(p[i]) for k, p in phis.items()},
-                                       float(tk))[0]
-            for i, tk in enumerate(times)]
-
-
-def _displacements(alpha: dict) -> tuple[complex, complex]:
-    """B and C from the four sector displacements.
-
-    alpha(sector) = -i*charge_sign*B' - i*spin_sign*C' (primes = conjugates);
-    the charge_sign-odd and spin_sign-odd combinations isolate B' and C'.
-    """
-    a_pp, a_pm = alpha[(1, 1)], alpha[(1, -1)]
-    a_mp, a_mm = alpha[(-1, 1)], alpha[(-1, -1)]
-    B_conj = -0.25j * (a_pm + a_mm - a_pp - a_mp)
-    C_conj = -0.25j * (a_mp + a_mm - a_pp - a_pm)
-    return np.conj(B_conj), np.conj(C_conj)
-
-
-def _coefficients_from_sectors(alpha: dict, phi: dict, t: float
-                               ) -> tuple[WNCoefficients, float]:
-    """Solve the four sector (alpha, phi) pairs for (A, B, C, D).
-
-    The sector phase decomposes as phi = -Re D + (Im(B'C) - A) s_spin s_charge.
-    Returns the coefficients and the magnitude of the (unphysical) linear-in-sign
-    phase component as a consistency diagnostic.
-    """
-    B, C = _displacements(alpha)
-    p_pp, p_pm = phi[(1, 1)], phi[(1, -1)]
-    p_mp, p_mm = phi[(-1, 1)], phi[(-1, -1)]
-    phi_cross = 0.25 * (p_pp + p_mm - p_pm - p_mp)
-    phi_mean = 0.25 * (p_pp + p_pm + p_mp + p_mm)
-    linear_defect = max(
-        abs(0.25 * (p_pp + p_pm - p_mp - p_mm)),   # spin-linear, should vanish
-        abs(0.25 * (p_pp + p_mp - p_pm - p_mm)),   # charge-linear, should vanish
-    )
-
-    A = float(np.imag(np.conj(B) * C) - phi_cross)
-    D = complex(-phi_mean + 0.5j * (abs(B)**2 + abs(C)**2))
-    return WNCoefficients(A=A, B=complex(B), C=complex(C), D=D, t=t), linear_defect
+    p_pp, p_pm = phis[(1, 1)], phis[(1, -1)]
+    A, B, C, D = _solve_sectors(alphas, 0.5 * (p_pp - p_pm), 0.5 * (p_pp + p_pm))
+    return [WNCoefficients(float(a), complex(b), complex(c), complex(d), float(tk))
+            for a, b, c, d, tk in zip(A, B, C, D, times)]
 
 
 def _assemble_lab_unitary(sector_mats: dict, layout: SpaceLayout) -> np.ndarray:
-    """Rebuild the full-space propagator from its four sector blocks.
+    """Rebuild the full-space propagator from the two propagated sector blocks.
 
-    The sector blocks live in the joint x-eigenbasis of both qubits; the
-    full operator is that block-diagonal conjugated back to the lab basis by
+    The sector block diagonal lives in the joint x-eigenbasis of both
+    qubits; the full operator is it conjugated back to the lab basis by
     :func:`dressed_transform`.
     """
-    n = layout.fock_cutoff
-    d = layout.total_dim
-    blk = np.zeros((d, d), dtype=np.complex128)
-    for i, key in enumerate(SECTORS):
-        blk[i * n:(i + 1) * n, i * n:(i + 1) * n] = sector_mats[key]
+    blk = _sector_block_diagonal(*(sector_mats[key] for key in PROPAGATED))
     trans = dressed_transform(layout)
     return trans @ blk @ trans
 
@@ -440,7 +436,7 @@ def _score(coeffs: WNCoefficients, sector_mats: dict, layout: SpaceLayout,
 
 def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
                    steps: int) -> OracleResult:
-    layout = SpaceLayout(sector_mats[SECTORS[0]].shape[0])
+    layout = SpaceLayout(sector_mats[PROPAGATED[0]].shape[0])
     fock_window = _default_fock_window(layout.fock_cutoff)
     numeric, residual, residual_full = _score(coeffs, sector_mats, layout, fock_window)
     return OracleResult(
@@ -468,14 +464,15 @@ def _oracle_settings(params: SystemParams, t: float,
 def _propagate_sectors(params: SystemParams, times: Sequence[float], fock_cutoff: int,
                        settings: PropagationSettings
                        ) -> tuple[dict, bool, int]:
-    """Checkpointed, step-doubled propagation of all four sector blocks.
+    """Checkpointed, step-doubled propagation of the PROPAGATED sector blocks.
 
-    The reported step count is the finest grid any sector needed.
+    The other two sectors are their parity images and are not propagated.
+    The reported step count is the finest grid either sector needed.
     """
     snapshots = {}
     converged_all = True
     steps_max = 0
-    for ss, sc in SECTORS:
+    for ss, sc in PROPAGATED:
         f = sector_amplitude(params, ss, sc)
         snaps, converged, steps = step_doubling(
             lambda steps, f=f: _sector_snapshots(f, times, fock_cutoff, steps),
@@ -537,11 +534,11 @@ def oracle_power(base: OracleResult, periods: int) -> OracleResult:
     if periods < 1:
         raise ValueError("periods must be >= 1")
     powered = {k: np.linalg.matrix_power(u, periods) for k, u in base.sector_unitaries.items()}
-    B, C = _displacements({k: complex(u[1, 0] / u[0, 0]) for k, u in powered.items()})
     b = base.coeffs
-    A = float(np.imag(np.conj(B) * C) + periods * (b.A - np.imag(np.conj(b.B) * b.C)))
-    D = complex(periods * b.D.real + 0.5j * (abs(B)**2 + abs(C)**2))
-    coeffs = WNCoefficients(A=A, B=complex(B), C=complex(C), D=D, t=b.t * periods)
+    A, B, C, D = _solve_sectors({k: u[1, 0] / u[0, 0] for k, u in powered.items()},
+                                periods * (np.imag(np.conj(b.B) * b.C) - b.A),
+                                -periods * b.D.real)
+    coeffs = WNCoefficients(float(A), complex(B), complex(C), complex(D), b.t * periods)
     return _oracle_result(coeffs, powered, base.converged, base.steps_used)
 
 

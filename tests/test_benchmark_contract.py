@@ -15,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import hcps.cli  # noqa: F401  (imports every hcps module)
+import hcps.wei_norman as wn
+from hcps.config import paper_preset
+from hcps.propagation import PropagationSettings
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -68,3 +71,20 @@ def test_benchmark_name_resolves(module, name):
 def test_benchmark_binding_is_the_owner(module, name, owner):
     mod, own = importlib.import_module(module), importlib.import_module(owner)
     assert getattr(mod, name) is getattr(own, name)
+
+
+def test_pass_tuple_reports_the_oracle_grid(monkeypatch):
+    # the tracer reads _propagate_sectors(...)[2] as the pass's grid steps
+    seen = []
+    original = wn._propagate_sectors
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.append(result[2])
+        return result
+
+    monkeypatch.setattr(wn, "_propagate_sectors", recording)
+    settings = PropagationSettings(t0=0.0, t1=1.0, steps=64, tolerance=1e-4, max_refinements=4)
+    res = wn.coefficients_oracle(paper_preset().system, 1.3, 4, settings=settings)
+    assert len(seen) == 1
+    assert type(seen[0]) is int and seen[0] == res.steps_used > 64

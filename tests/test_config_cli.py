@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hcps import cli
+from hcps import cli, gates, wei_norman
 from hcps.cli import main, report_to_json
 from hcps.config import (
     ConfigError,
@@ -145,6 +145,23 @@ def test_gate_command_writes_report(tmp_path, capsys):
     assert 0.0 <= report["fidelity_avg"] <= 1.0
 
 
+def test_gate_command_chooses_the_base_window_once(tmp_path, monkeypatch, capsys):
+    # the printed disentangling time is the one synthesis chose, carried in
+    # the report, not a second choice made by the command
+    calls = []
+    original = wei_norman.commensurate_time
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (wei_norman, gates, cli):
+        monkeypatch.setattr(module, "commensurate_time", counting)
+    assert main(["gate", "--config", small_config(tmp_path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert "disentangling time = 6.283185 ns (n=1, p=1)" in capsys.readouterr().out
+
+
 def test_gate_command_is_deterministic(tmp_path):
     cfg = small_config(tmp_path)
     (tmp_path / "a").mkdir()
@@ -237,6 +254,9 @@ def test_validate_fock_doubling_fails_at_inadequate_cutoff(tmp_path, capsys):
     ("gate", "propagation", "max_refinements", -1),
     ("sweep", "sweep", "factors", []),
     ("lindblad", "lindblad", "scale_factors", []),
+    ("lindblad", "lindblad", "scale_factors", [1.0, -1.0]),
+    ("coeffs", "coeffs", "t_max_periods", 0),
+    ("coeffs", "coeffs", "t_max_periods", -1.0),
     ("gate", None, "commensurability_tol", 0),
     ("gate", None, "commensurability_tol", -1),
 ])

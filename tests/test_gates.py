@@ -296,7 +296,7 @@ def test_synthesized_gate_time_accounting(preset_gate_report):
 
 def test_synthesize_gate_propagates_base_window_once(preset_params, monkeypatch):
     # the k-period oracle is the base window raised to the k-th power, so the
-    # four sector blocks are propagated exactly once per synthesized gate
+    # two propagated sector blocks are propagated exactly once per gate
     import hcps.wei_norman as wn
     calls = []
     original = wn._propagate_sectors

@@ -279,7 +279,7 @@ def test_kernel_takes_exactly_steps_used(monkeypatch, preset_params, grid):
     else:
         oracle_grid(preset_params, np.linspace(2 * period / 50, 2 * period, 50), 6,
                     settings=one_pass)
-    assert sum(fed) == 4 * 512       # four sectors, one pass each
+    assert sum(fed) == 2 * 512       # two propagated sectors, one pass each
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,3 +291,46 @@ def test_sector_step_factor_matches_eigendecomposition(n, re, im, dt):
     want = expm_hermitian(f * a.conj().T + np.conj(f) * a, -1j * dt)
     got = wei_norman._sector_step_factors(n)(np.array([f]), dt)[0]
     assert np.abs(got - want).max() < 1e-12
+
+
+# ----------------------------------------------------------------------
+# sector parity: (-s, -c) is the image P U(s, c) P of (s, c)
+# ----------------------------------------------------------------------
+# At a disentangling time every sector block is a pure phase on the vacuum
+# column, so a wrong image would hide there; these run at generic times.
+
+@settings(max_examples=12, deadline=None)
+@given(g=st.floats(0.02, 0.4), G=st.floats(0.02, 0.4), omega=st.floats(0.5, 2.0),
+       omega_r=st.floats(-1.0, 1.0), t=st.floats(0.5, 4.0))
+def test_parity_image_matches_direct_propagation(g, G, omega, omega_r, t):
+    params = make_params(g=g, G=G, omega=omega, omega_r=omega_r)
+    times = [t / 3, t]
+    for key, image in ((1, 1), (-1, -1)), ((1, -1), (-1, 1)):
+        got = wei_norman._sector_snapshots(wei_norman.sector_amplitude(params, *key),
+                                           times, 7, 96)
+        want = wei_norman._sector_snapshots(wei_norman.sector_amplitude(params, *image),
+                                            times, 7, 96)
+        for u, v in zip(got, want):
+            assert np.abs(wei_norman._parity_image(u) - v).max() < 1e-13
+
+
+def test_joint_step_blocks_match_their_sector_factors(preset_params):
+    n, duration, steps = 5, 1.9, 7
+    factors = wei_norman._sector_step_factors(n)
+    dt = duration / steps
+    units = list(wei_norman.joint_step_unitaries(preset_params, SpaceLayout(n), duration, steps))
+    assert len(units) == steps
+    for k, u in enumerate(units):
+        mask = np.ones(u.shape, dtype=bool)
+        for i, key in enumerate(wei_norman.SECTORS):
+            f = wei_norman.sector_amplitude(preset_params, *key)((k + 0.5) * dt)
+            want = factors(np.array([f]), dt)[0]
+            assert np.abs(u[i * n:(i + 1) * n, i * n:(i + 1) * n] - want).max() < 1e-13
+            mask[i * n:(i + 1) * n, i * n:(i + 1) * n] = False
+        assert not u[mask].any()
+
+
+def test_wrong_parity_image_is_flagged(monkeypatch, preset_params):
+    assert not coefficients_oracle(preset_params, 1.9, 10).flagged
+    monkeypatch.setattr(wei_norman, "_parity_image", lambda u: u)
+    assert coefficients_oracle(preset_params, 1.9, 10).flagged
