@@ -6,9 +6,11 @@
     hcps sweep     --config <path>   gate pipeline over a parameter grid, CSV
     hcps lindblad  --config <path>   open-system fidelity over a rate-scale grid, CSV
 
-Common flags: --out <dir> (default .), --fock N (override the cutoff);
-gate and sweep also take --eta <val>|auto (override the gate phase).  The
-flags override the loaded config once, and each command reads that config.
+Common flags: --out <dir> (default .; the commands that write create it
+before any run if missing; validate ignores it), --fock N (override the
+cutoff); gate and sweep also take --eta <val>|auto (override the gate
+phase).  The flags override the loaded config once, and each command reads
+that config.
 The literal config name ``paper_preset`` loads the bundled feasibility
 parameter set.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -182,10 +185,11 @@ def _validate_checks(cfg: RunConfig):
     yield ("propagator unitary", res.converged and res.unitarity_defect < 1e-9,
            f"defect {res.unitarity_defect:.2e}, converged {res.converged}")
 
-    # 3. sector-assembled oracle propagator agrees with the direct one
+    # 3. sector-assembled oracle propagator agrees with the direct one; the
+    #    order-4 oracle is nearly exact, so the gap is the midpoint side's
     oracle = coefficients_oracle(params, comm.t, fock, settings=_prop_settings(cfg, comm.t))
     cross = float(np.abs(oracle.numeric_unitary - res.unitary.entries).max())
-    yield ("sector assembly cross-check", cross < 50 * cross_tol,
+    yield ("sector assembly cross-check", cross < 5 * cross_tol,
            f"max diff {cross:.2e}")
 
     # 4. oracle B and C reproduce the closed forms in the single-coupling limits
@@ -376,6 +380,11 @@ def main(argv=None) -> int:
         if getattr(args, "eta", None) is not None:
             eta = None if args.eta == "auto" else float(args.eta)
             cfg = replace(cfg, gate=replace(cfg.gate, eta=eta))
+        if args.command != "validate":  # validate only prints
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot use --out {args.out}: {exc.strerror}") from exc
 
         if args.command == "gate":
             return cmd_gate(cfg, args.out, trajectory=args.trajectory)

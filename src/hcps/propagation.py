@@ -16,9 +16,10 @@ Two pieces are shared by every integrator in the package:
 uniform grid (each one :func:`hcps.hilbert.expm_hermitian`), and
 :func:`step_doubling` is the one refinement driver.  Propagators and
 states run on one midpoint-product loop; the sector oracle in
-:mod:`hcps.wei_norman` and the master-equation legs in
-:mod:`hcps.open_system` run on the same driver with their own fixed-grid
-passes.
+:mod:`hcps.wei_norman` (an order-4 commutator-free Magnus scheme, so this
+midpoint integrator checks it with a different method) and the
+master-equation legs in :mod:`hcps.open_system` run on the same driver with
+their own fixed-grid passes.
 
 Each run is single-threaded and deterministic; independent runs may execute
 in parallel with no shared mutable state.

@@ -28,17 +28,22 @@ Two coefficient routes are provided and deliberately kept independent:
   input columns is reported alongside.
 
 The oracle route has one of each moving part.  One kernel builds the
-sector midpoint factors (the (a + a') eigensystem dressed by number-operator
-phases); it serves both the checkpointed sector propagation, refined by the
-step-doubling driver of :mod:`hcps.propagation`, and the open-system joint
-leg (:func:`joint_step_unitaries`).  Only sectors (1, 1) and (1, -1) are
-propagated; sector (-s, -c) is driven by -f, so its propagator is the
-parity image P U(s, c) P, P = (-1)^n_hat, formed only where a full-space
-matrix is built.  One extraction turns the propagated sectors' snapshots
-into coefficients at every checkpoint: :func:`coefficients_oracle` reads its
-last checkpoint, :func:`oracle_grid` all of them.  Multiples of a
-disentangling period reuse one base-window propagation through
-:func:`oracle_power`, since h_eff is periodic and U(kT) = U(T)^k.
+sector factors exp(-i dt (f a' + f' a)) (the (a + a') eigensystem dressed by
+number-operator phases).  It serves both the checkpointed sector
+propagation, an order-4 commutator-free Magnus scheme (two factors per step
+at Gauss-point combinations of f) refined by the step-doubling driver of
+:mod:`hcps.propagation`, and the open-system joint leg
+(:func:`joint_step_unitaries`), which stays on the midpoint rule its Strang
+split is built around.  The generic full-space integrator also stays
+midpoint, so the oracle is checked against a different scheme.  Only
+sectors (1, 1) and (1, -1) are propagated; sector (-s, -c) is driven by -f,
+so its propagator is the parity image P U(s, c) P, P = (-1)^n_hat, formed
+only where a full-space matrix is built.  One extraction turns the
+propagated sectors' snapshots into coefficients at every checkpoint:
+:func:`coefficients_oracle` reads its last checkpoint, :func:`oracle_grid`
+all of them.  Multiples of a disentangling period reuse one base-window
+propagation through :func:`oracle_power`, since h_eff is periodic and
+U(kT) = U(T)^k.
 
 Gate synthesis consumes only the oracle route; the closed-form route exists
 so the disagreement on A is measured and reported, not papered over.
@@ -232,11 +237,16 @@ def sector_amplitude(params: SystemParams, spin_sign: int, charge_sign: int
     return f
 
 
-_CHUNK_ENTRIES = 2_000_000   # cap on steps*n*n per vectorized block
+_CHUNK_ENTRIES = 2_000_000   # cap on factors*n*n per vectorized block
+
+# order-4 commutator-free Magnus step: Gauss nodes and sample weights a_+, a_-
+_CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_CF4_PLUS = 0.25 + math.sqrt(3.0) / 6.0
+_CF4_MINUS = 0.25 - math.sqrt(3.0) / 6.0
 
 
 def _sector_step_factors(n: int) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Builder of stacked midpoint factors exp(-i dt (f a' + conj(f) a)).
+    """Builder of stacked sector factors exp(-i dt (f a' + conj(f) a)).
 
     Writing f = |f| e^{i theta}, f a' + conj(f) a = |f| R'(theta) (a + a') R(theta)
     with R = e^{-i theta n_hat}, so each factor is the one (a + a') eigensystem
@@ -268,12 +278,20 @@ def _sector_step_factors(n: int) -> Callable[[np.ndarray, float], np.ndarray]:
 
 def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
                       steps_total: int) -> list[np.ndarray]:
-    """Fixed-grid midpoint snapshots of one sector, H(t) = f a' + conj(f) a.
+    """Fixed-grid order-4 commutator-free Magnus snapshots of one sector,
+    H(t) = f a' + conj(f) a.
 
-    The identical piecewise-constant midpoint scheme as the generic
-    integrator, with factors from :func:`_sector_step_factors` built in
-    vectorized chunks and pairwise-reduced in step order.  Checkpoint k
-    ends at step round(steps_total * t_k / span), so the segments sum to
+    With f sampled at the Gauss points t + c_1,2 dt of each step, giving
+    f_1 and f_2, one step is the two-exponential product
+
+        exp(-i dt H[a_- f_1 + a_+ f_2]) exp(-i dt H[a_+ f_1 + a_- f_2]),
+
+    a_+- = 1/4 +- sqrt(3)/6, right factor applied first.  Every such
+    combination of samples is again a sector Hamiltonian, so both factors
+    come from :func:`_sector_step_factors`, built in vectorized chunks,
+    interleaved in step order and pairwise-reduced.  The generic integrator
+    stays midpoint, so the two are independent schemes.  Checkpoint k ends
+    at step round(steps_total * t_k / span), so the segments sum to
     steps_total (a segment is never shorter than one step).
     """
     times = list(times)
@@ -290,8 +308,14 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
         dt = (tk - prev) / seg_steps
         done = 0
         while done < seg_steps:
-            count = min(seg_steps - done, max(1, _CHUNK_ENTRIES // (n * n)))
-            mats = factors(f_fun(prev + (done + np.arange(count) + 0.5) * dt), dt)
+            # two factors per step, so 2 * count * n * n stays under the cap
+            count = min(seg_steps - done, max(1, _CHUNK_ENTRIES // (2 * n * n)))
+            starts = prev + (done + np.arange(count)) * dt
+            f1, f2 = (f_fun(starts + c * dt) for c in _CF4_NODES)
+            amps = np.empty(2 * count, dtype=np.complex128)
+            amps[0::2] = _CF4_PLUS * f1 + _CF4_MINUS * f2
+            amps[1::2] = _CF4_MINUS * f1 + _CF4_PLUS * f2
+            mats = factors(amps, dt)
             # ordered pairwise product of the chunk, then fold into u
             while mats.shape[0] > 1:
                 m = mats.shape[0] // 2

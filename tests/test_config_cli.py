@@ -1,7 +1,9 @@
+import itertools
 import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -235,6 +237,55 @@ def test_validate_fock_doubling_fails_at_inadequate_cutoff(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     check = [line for line in lines if "fock-cutoff doubling stable" in line]
     assert len(check) == 1 and check[0].startswith("FAIL")
+
+
+def test_validate_sector_cross_check_fails_with_a_wrong_parity_image(monkeypatch):
+    # checks 1-3 only, at a small cutoff: the direct full-space propagator
+    # exposes a sector assembly whose (-s, -c) blocks are not the images
+    cfg = replace(paper_preset(), fock_cutoff=6)
+
+    def check_3():
+        name, ok, _ = list(itertools.islice(cli._validate_checks(cfg), 3))[-1]
+        assert name == "sector assembly cross-check"
+        return ok
+
+    assert check_3()
+    monkeypatch.setattr(wei_norman, "_parity_image", lambda u: u)
+    assert not check_3()
+
+
+def test_missing_out_directory_is_created(tmp_path):
+    out = tmp_path / "results" / "run1"
+    assert main(["gate", "--config", small_config(tmp_path), "--out", str(out)]) == 0
+    assert (out / "gate_report.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["gate", "coeffs", "sweep", "lindblad"])
+def test_out_naming_a_file_exits_config_before_any_run(tmp_path, monkeypatch, capsys,
+                                                       command):
+    def fail(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("synthesize_gate", "oracle_grid", "oracle_at_periods"):
+        monkeypatch.setattr(cli, name, fail)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, "--config", "paper_preset", "--out", str(taken)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "--out" in err[0]
+
+
+def test_validate_ignores_out(tmp_path, monkeypatch, capsys):
+    # validate writes nothing: --out naming a file or a missing directory is
+    # neither an error nor created
+    monkeypatch.setattr(cli, "_validate_checks", lambda cfg: iter([("stub", True, "ok")]))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = tmp_path / "missing"
+    for out in (taken, missing):
+        assert main(["validate", "--config", "paper_preset", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["PASS  stub: ok"] * 2
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("command, section, key, value", [

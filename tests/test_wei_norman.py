@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hcps.gates import u3
 from hcps.hilbert import SpaceLayout, expm_hermitian, identity, ladder_matrix
 from hcps import wei_norman
-from hcps.propagation import PropagationSettings
+from hcps.propagation import PropagationSettings, midpoint_steps
 from hcps.wei_norman import (
     CSV_HEADER,
     CommensurabilityError,
@@ -279,7 +279,8 @@ def test_kernel_takes_exactly_steps_used(monkeypatch, preset_params, grid):
     else:
         oracle_grid(preset_params, np.linspace(2 * period / 50, 2 * period, 50), 6,
                     settings=one_pass)
-    assert sum(fed) == 2 * 512       # two propagated sectors, one pass each
+    # two propagated sectors, one pass each, two factors per CF4 step
+    assert sum(fed) == 2 * 2 * 512
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,6 +292,34 @@ def test_sector_step_factor_matches_eigendecomposition(n, re, im, dt):
     want = expm_hermitian(f * a.conj().T + np.conj(f) * a, -1j * dt)
     got = wei_norman._sector_step_factors(n)(np.array([f]), dt)[0]
     assert np.abs(got - want).max() < 1e-12
+
+
+def test_sector_fourth_order_convergence():
+    # halving the step divides the distance to the converged limit by about 16;
+    # a midpoint kernel gives about 4
+    f = wei_norman.sector_amplitude(make_params(), 1, 1)
+
+    def run(steps):
+        return wei_norman._sector_snapshots(f, [2.7], 6, steps)[-1]
+
+    ref = run(4096)
+    e1 = np.abs(run(32) - ref).max()
+    e2 = np.abs(run(64) - ref).max()
+    assert e2 > 1e-10                # far above the rounding floor
+    assert 12.0 < e1 / e2 < 20.0
+
+
+def test_sector_snapshot_matches_fine_midpoint_propagation():
+    # the generic midpoint integrator on the same sector Hamiltonian, an
+    # independent scheme, converges onto the CF4 snapshot
+    n, t = 6, 2.7
+    f = wei_norman.sector_amplitude(make_params(), 1, -1)
+    a = ladder_matrix(n)
+    want = np.eye(n, dtype=np.complex128)
+    for step in midpoint_steps(lambda s: f(s) * a.conj().T + np.conj(f(s)) * a, 0.0, t, 8192):
+        want = step @ want
+    got = wei_norman._sector_snapshots(f, [t / 3, t], n, 64)[-1]
+    assert np.abs(got - want).max() < 1e-8
 
 
 # ----------------------------------------------------------------------
