@@ -48,7 +48,6 @@ from .wei_norman import (
     coefficients_oracle,
     commensurate_time,
     dressed_basis,
-    factorized_propagator,
     oracle_at_periods,  # not called here; perfbench's tracer patches this module's binding
     oracle_power,
 )
@@ -341,10 +340,11 @@ def compose_sequence(schedule: PulseSchedule, params: SystemParams, layout: Spac
                      strict: bool = True) -> GateReport:
     """Compose U1 U2 U3, dress, and score against the controlled-phase target.
 
-    U3 comes from the factorized propagator with the oracle's coefficients,
-    which must be extracted at schedule.t_int; leakage is measured on the
-    brute-force propagator underlying the oracle.  With strict=True a phase
-    condition violated by more than CONDITION_TOL raises
+    U3 is the oracle's factorized propagator, built from its coefficients
+    when it was scored, so the oracle must be extracted at schedule.t_int;
+    leakage is measured on the brute-force propagator underlying the
+    oracle.  With strict=True a phase condition violated by more than
+    CONDITION_TOL raises
     ScheduleConditionError naming the equality and the miss; with
     strict=False it is demoted to a discrepancy note and the gate is scored
     anyway (used to audit externally imposed eta values).  A vacuum block
@@ -364,7 +364,7 @@ def compose_sequence(schedule: PulseSchedule, params: SystemParams, layout: Spac
 
     u_seq = u1(params.zeta, schedule.tau1, layout) \
         @ u2(params.xi, schedule.tau2, layout) \
-        @ factorized_propagator(oracle.coeffs, layout)
+        @ Operator(layout, oracle.factorized_unitary)
     block, _ = vacuum_block(u_seq)
     numeric_op = Operator(layout, oracle.numeric_unitary)
     _, leakage = vacuum_block(numeric_op)

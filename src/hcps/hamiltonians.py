@@ -24,12 +24,16 @@ The model, bottom up:
 
 h_eff commutes with both sigma_x and S_x at all times, which is what makes
 the propagator factorizable (see :mod:`hcps.wei_norman`).
+
+Each time-dependent builder returns H0 + (X(t) + X(t)'): H0 constant, X(t) at
+most two scalar-times-constant terms over one per-layout cache of constant
+matrices, so a sample multiplies no matrices and is Hermitian by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -42,11 +46,6 @@ from .hilbert import (
     build_annihilation,
     build_spin_ops,
     identity,
-)
-
-_PARAM_FIELDS = (
-    "E_c", "n_g", "E_J0", "flux_ratio", "D_gs", "gamma_B", "omega_r",
-    "Omega_mw", "omega", "g", "G", "eps", "omega_d",
 )
 
 
@@ -101,7 +100,7 @@ class SystemParams:
     omega_d: float = 0.0
 
     def __post_init__(self):
-        for name in _PARAM_FIELDS:
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"SystemParams.{name} must be finite, got {value!r}")
@@ -140,20 +139,34 @@ def effective_rabi(params: SystemParams) -> float:
 
 
 @lru_cache(maxsize=8)
-def _cached_ops(layout: SpaceLayout):
-    """Constant operator pieces reused across time samples."""
+def _constants(layout: SpaceLayout) -> dict:
+    """Read-only constant matrices of one layout, coupling products included."""
     spin = build_spin_ops(layout, SLOT_SPIN)
     charge = build_spin_ops(layout, SLOT_CHARGE)
-    a = build_annihilation(layout)
-    ad = a.dagger()
-    return {
-        "Sx": spin.x, "Sp": spin.plus, "Sm": spin.minus,
-        "up_proj": 0.5 * (spin.z + identity(layout)),
-        "sx": charge.x, "sz": charge.z,
-        "a": a, "ad": ad, "n": ad @ a,
-        "ad_Sm": ad @ spin.minus, "a_Sp": a @ spin.plus,
-        "a_plus_ad": a + ad,
+    a = build_annihilation(layout).entries
+    ad = a.conj().T
+    mats = {
+        "Sx": spin.x.entries, "up_proj": 0.5 * (spin.z + identity(layout)).entries,
+        "sx": charge.x.entries, "sz": charge.z.entries, "ad": ad, "n": ad @ a,
+        "ad_sx": ad @ charge.x.entries, "ad_Sx": ad @ spin.x.entries,
+        "ad_Sm": ad @ spin.minus.entries, "a_plus_ad_Sp": (a + ad) @ spin.plus.entries,
     }
+    for m in mats.values():
+        m.setflags(write=False)
+    return mats
+
+
+def _hermitian(layout: SpaceLayout, x: np.ndarray, h0: np.ndarray | None = None) -> Operator:
+    """Operator(H0 + (X + X')): the form of every time-dependent builder."""
+    h = x + x.conj().T
+    return Operator(layout, h if h0 is None else h0 + h)
+
+
+def _interaction_x(params: SystemParams, layout: SpaceLayout, t: float) -> np.ndarray:
+    """X(t) of h_interaction: g e^{i omega t} a' sigma_x + G e^{i Delta t} a' S-."""
+    m = _constants(layout)
+    return (params.g * np.exp(1j * params.omega * t)) * m["ad_sx"] \
+        + (params.G * np.exp(1j * params.Delta * t)) * m["ad_Sm"]
 
 
 # ----------------------------------------------------------------------
@@ -166,8 +179,9 @@ def h_charge_qubit(params: SystemParams, layout: SpaceLayout) -> Operator:
     At the degeneracy point n_g = 1/2 the sigma_z term vanishes identically
     and the qubit rotates purely about x.
     """
-    ops = _cached_ops(layout)
-    return (-4.0 * params.E_c * (0.5 - params.n_g)) * ops["sz"] - 0.5 * params.zeta * ops["sx"]
+    m = _constants(layout)
+    return Operator(layout, m["sz"] * complex(-4.0 * params.E_c * (0.5 - params.n_g))
+                    - m["sx"] * complex(0.5 * params.zeta))
 
 
 def h_nv(params: SystemParams, layout: SpaceLayout) -> Operator:
@@ -176,9 +190,9 @@ def h_nv(params: SystemParams, layout: SpaceLayout) -> Operator:
     (omega_0 - omega_r)|up><up| + (Omega/2) S_x; on resonance this is just
     (Omega/2) S_x.
     """
-    ops = _cached_ops(layout)
-    detuning = params.omega_0 - params.omega_r
-    return detuning * ops["up_proj"] + 0.5 * params.Omega_mw * ops["Sx"]
+    m = _constants(layout)
+    return Operator(layout, m["up_proj"] * complex(params.omega_0 - params.omega_r)
+                    + m["Sx"] * complex(0.5 * params.Omega_mw))
 
 
 def h_total_lab(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
@@ -187,16 +201,10 @@ def h_total_lab(params: SystemParams, layout: SpaceLayout, t: float) -> Operator
     omega a'a - (zeta/2) sigma_x - (xi/2) S_x + g (a + a') sigma_x
       + G (a + a') (S+ e^{i omega_r t} + S- e^{-i omega_r t})
     """
-    ops = _cached_ops(layout)
-    phase = np.exp(1j * params.omega_r * t)
-    spin_coupling = phase * ops["Sp"] + np.conj(phase) * ops["Sm"]
-    return (
-        params.omega * ops["n"]
-        - 0.5 * params.zeta * ops["sx"]
-        - 0.5 * params.xi * ops["Sx"]
-        + params.g * (ops["a_plus_ad"] @ ops["sx"])
-        + params.G * (ops["a_plus_ad"] @ spin_coupling)
-    )
+    m = _constants(layout)
+    h0 = params.omega * m["n"] - (0.5 * params.zeta) * m["sx"] - (0.5 * params.xi) * m["Sx"]
+    x = params.g * m["ad_sx"] + (params.G * np.exp(1j * params.omega_r * t)) * m["a_plus_ad_Sp"]
+    return _hermitian(layout, x, h0)
 
 
 def h_interaction(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
@@ -205,12 +213,7 @@ def h_interaction(params: SystemParams, layout: SpaceLayout, t: float) -> Operat
     g (a' e^{i omega t} + a e^{-i omega t}) sigma_x
       + G (a' S- e^{i Delta t} + a S+ e^{-i Delta t})
     """
-    ops = _cached_ops(layout)
-    pw = np.exp(1j * params.omega * t)
-    pd = np.exp(1j * params.Delta * t)
-    charge_part = params.g * ((pw * ops["ad"] + np.conj(pw) * ops["a"]) @ ops["sx"])
-    spin_part = params.G * (pd * ops["ad_Sm"] + np.conj(pd) * ops["a_Sp"])
-    return charge_part + spin_part
+    return _hermitian(layout, _interaction_x(params, layout, t))
 
 
 def h_drive(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
@@ -219,15 +222,14 @@ def h_drive(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
     Kept for validation runs; the default pipeline folds the drive into the
     effective Rabi rate Omega' instead of integrating it directly.
     """
-    ops = _cached_ops(layout)
-    ph = np.exp(-1j * params.omega_d * t)
-    return params.eps * (ph * ops["ad"] + np.conj(ph) * ops["a"])
+    x = (params.eps * np.exp(-1j * params.omega_d * t)) * _constants(layout)["ad"]
+    return _hermitian(layout, x)
 
 
 def h_T(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
     """Driven interaction Hamiltonian: h_interaction + Omega' S_x."""
-    ops = _cached_ops(layout)
-    return h_interaction(params, layout, t) + effective_rabi(params) * ops["Sx"]
+    h0 = effective_rabi(params) * _constants(layout)["Sx"]
+    return _hermitian(layout, _interaction_x(params, layout, t), h0)
 
 
 def h_eff(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
@@ -241,9 +243,7 @@ def h_eff(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
     joint eigenbasis; within one (s1, s2) eigensector it is a linearly
     driven oscillator.  See :func:`hcps.wei_norman.sector_amplitude`.
     """
-    ops = _cached_ops(layout)
-    pw = np.exp(1j * params.omega * t)
-    pd = np.exp(1j * params.Delta * t)
-    charge_part = params.g * ((pw * ops["ad"] + np.conj(pw) * ops["a"]) @ ops["sx"])
-    spin_part = 0.5 * params.G * ((pd * ops["ad"] + np.conj(pd) * ops["a"]) @ ops["Sx"])
-    return charge_part + spin_part
+    m = _constants(layout)
+    x = (params.g * np.exp(1j * params.omega * t)) * m["ad_sx"] \
+        + (0.5 * params.G * np.exp(1j * params.Delta * t)) * m["ad_Sx"]
+    return _hermitian(layout, x)

@@ -144,13 +144,6 @@ def _evolve(h_mat: Callable[[float], np.ndarray], start: np.ndarray,
     return step_doubling(run, lambda out: out, settings)
 
 
-def adaptive_propagate(h_mat: Callable[[float], np.ndarray], settings: PropagationSettings
-                       ) -> tuple[np.ndarray, bool, int]:
-    """Step-doubled propagator U(t1, t0) of a matrix-valued Hamiltonian."""
-    dim = np.asarray(h_mat(settings.t0)).shape[0]
-    return _evolve(h_mat, np.eye(dim, dtype=np.complex128), settings)
-
-
 # ----------------------------------------------------------------------
 # typed wrappers
 # ----------------------------------------------------------------------

@@ -41,9 +41,9 @@ so its propagator is the parity image P U(s, c) P, P = (-1)^n_hat, formed
 only where a full-space matrix is built.  One extraction turns the
 propagated sectors' snapshots into coefficients at every checkpoint:
 :func:`coefficients_oracle` reads its last checkpoint, :func:`oracle_grid`
-all of them.  Multiples of a disentangling period reuse one base-window
-propagation through :func:`oracle_power`, since h_eff is periodic and
-U(kT) = U(T)^k.
+those at its given times, which it adds to the same checkpoint grid.
+Multiples of a disentangling period reuse one base-window propagation
+through :func:`oracle_power`, since h_eff is periodic and U(kT) = U(T)^k.
 
 Gate synthesis consumes only the oracle route; the closed-form route exists
 so the disagreement on A is measured and reported, not papered over.
@@ -113,7 +113,8 @@ class OracleResult:
     a truncated Fock ladder cannot agree between the two constructions.
     sector_unitaries holds the two propagated sector blocks, keyed like
     PROPAGATED; numeric_unitary is assembled from them and their parity
-    images, and :func:`oracle_power` raises them.
+    images, and :func:`oracle_power` raises them.  factorized_unitary is the
+    six-factor product of coeffs the residuals were scored with.
     """
 
     coeffs: WNCoefficients
@@ -124,6 +125,7 @@ class OracleResult:
     converged: bool
     steps_used: int
     numeric_unitary: np.ndarray = field(repr=False)
+    factorized_unitary: np.ndarray = field(repr=False)
     sector_unitaries: dict = field(repr=False)
 
 
@@ -450,19 +452,22 @@ def _window_columns(layout: SpaceLayout, fock_window: int) -> np.ndarray:
 
 
 def _score(coeffs: WNCoefficients, sector_mats: dict, layout: SpaceLayout,
-           fock_window: int) -> tuple[np.ndarray, float, float]:
-    """Lab-basis numeric propagator and its windowed and full residuals."""
+           fock_window: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Lab-basis numeric and factorized propagators, and the windowed and
+    full residuals between them."""
     numeric = _assemble_lab_unitary(sector_mats, layout)
-    diff = np.abs(factorized_propagator(coeffs, layout).entries - numeric)
+    factorized = factorized_propagator(coeffs, layout).entries
+    diff = np.abs(factorized - numeric)
     cols = _window_columns(layout, fock_window)
-    return numeric, float(diff[:, cols].max()), float(diff.max())
+    return numeric, factorized, float(diff[:, cols].max()), float(diff.max())
 
 
 def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
                    steps: int) -> OracleResult:
     layout = SpaceLayout(sector_mats[PROPAGATED[0]].shape[0])
     fock_window = _default_fock_window(layout.fock_cutoff)
-    numeric, residual, residual_full = _score(coeffs, sector_mats, layout, fock_window)
+    numeric, factorized, residual, residual_full = _score(coeffs, sector_mats, layout,
+                                                          fock_window)
     return OracleResult(
         coeffs=coeffs,
         residual=residual,
@@ -472,6 +477,7 @@ def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
         converged=converged,
         steps_used=steps,
         numeric_unitary=numeric,
+        factorized_unitary=factorized,
         sector_unitaries=sector_mats,
     )
 
@@ -528,19 +534,26 @@ def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int =
     """Coefficient extraction along a whole time grid in one propagation pass.
 
     Much cheaper than calling coefficients_oracle per point; used by the
-    coeffs pipeline and the closed-form comparison tests.
+    coeffs pipeline and the closed-form comparison tests.  The sectors are
+    propagated on the union of the given times and coefficients_oracle's
+    checkpoint grid, so however sparse the given times, the phases behind
+    A and D are unwrapped along that grid; rows are read at the given times.
     """
     times = np.asarray(sorted(times), dtype=float)
     if times[0] <= 0.0:
         raise ValueError("grid times must be positive")
+    t_end = float(times[-1])
+    grid = np.union1d(times, np.linspace(0.0, t_end, _checkpoint_count(params, t_end) + 1)[1:])
     layout = SpaceLayout(fock_cutoff)
     window = _default_fock_window(fock_cutoff)
     snapshots, converged, _steps = _propagate_sectors(
-        params, times, fock_cutoff, _oracle_settings(params, float(times[-1]), settings))
+        params, grid, fock_cutoff, _oracle_settings(params, t_end, settings))
+    extracted = _extract(snapshots, grid)
     rows = []
-    for i, coeffs in enumerate(_extract(snapshots, times)):
-        _, residual, _ = _score(coeffs, {k: v[i] for k, v in snapshots.items()}, layout,
-                                window)
+    for i in np.searchsorted(grid, times):
+        coeffs = extracted[i]
+        _, _, residual, _ = _score(coeffs, {k: v[i] for k, v in snapshots.items()}, layout,
+                                   window)
         rows.append(CoefficientRow(t=coeffs.t, coeffs=coeffs,
                                    A_closed_form=closed_form_A(params, coeffs.t),
                                    residual=residual, converged=converged))

@@ -23,7 +23,7 @@ from hcps.open_system import (
     gate_fidelity_open,
     pure_dephasing_rate,
 )
-from hcps.propagation import PropagationSettings, adaptive_propagate, frame_rotate
+from hcps.propagation import PropagationSettings, evolve_propagator, frame_rotate
 from hcps.gates import schedule_for_eta
 from hcps.wei_norman import (
     closed_form_A,
@@ -182,11 +182,10 @@ def _strong_driving_fidelities(params, ratio: float, layout: SpaceLayout,
     assert effective_rabi(p) == pytest.approx(omega_prime)
 
     steps = int(max(20000, 60 * omega_prime * t_gate))
-    u9, _, _ = adaptive_propagate(
-        lambda t: h_T(p, layout, t).entries,
-        PropagationSettings(0.0, t_gate, steps, 1e-5, max_refinements=0))
-    from hcps.hilbert import Operator
-    rotated = frame_rotate(Operator(layout, u9), build_spin_ops(layout, SLOT_SPIN).x,
+    u9 = evolve_propagator(
+        lambda t: h_T(p, layout, t),
+        PropagationSettings(0.0, t_gate, steps, 1e-5, max_refinements=0)).unitary
+    rotated = frame_rotate(u9, build_spin_ops(layout, SLOT_SPIN).x,
                            lambda t: omega_prime * t, t_gate)
     overlaps = np.sum(np.conj(u_eff @ states) * (rotated.entries @ states), axis=0)
     return np.abs(overlaps) ** 2
@@ -195,9 +194,9 @@ def _strong_driving_fidelities(params, ratio: float, layout: SpaceLayout,
 def test_criterion_5_strong_driving_elimination(params):
     layout = SpaceLayout(8)
     t_gate = TWO_PI / params.omega
-    u_eff, conv, _ = adaptive_propagate(
-        lambda t: h_eff(params, layout, t).entries,
-        PropagationSettings(0.0, t_gate, 8192, 1e-8))
+    res = evolve_propagator(lambda t: h_eff(params, layout, t),
+                            PropagationSettings(0.0, t_gate, 8192, 1e-8))
+    u_eff, conv = res.unitary.entries, res.converged
     assert conv
 
     # qubit basis x {vacuum, one photon}

@@ -20,6 +20,7 @@ from hcps.config import (
     parse_config,
 )
 from hcps.gates import ScheduleConditionError
+from hcps.hilbert import Operator
 from hcps.propagation import NonHermitianSampleError
 
 TWO_PI = 2.0 * math.pi
@@ -237,6 +238,28 @@ def test_validate_fock_doubling_fails_at_inadequate_cutoff(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     check = [line for line in lines if "fock-cutoff doubling stable" in line]
     assert len(check) == 1 and check[0].startswith("FAIL")
+
+
+def test_validate_hermiticity_check_fails_on_a_non_hermitian_builder(monkeypatch):
+    # check 1 only: one builder with a 1e-9 entry above the diagonal and none
+    # below must turn it to FAIL
+    cfg = replace(paper_preset(), fock_cutoff=4)
+
+    def check_1():
+        name, ok, _ = next(cli._validate_checks(cfg))
+        assert name == "hamiltonians hermitian"
+        return ok
+
+    assert check_1()
+    honest = cli.h_eff
+
+    def skewed(params, layout, t):
+        entries = honest(params, layout, t).entries.copy()
+        entries[0, 1] += 1e-9
+        return Operator(layout, entries)
+
+    monkeypatch.setattr(cli, "h_eff", skewed)
+    assert not check_1()
 
 
 def test_validate_sector_cross_check_fails_with_a_wrong_parity_image(monkeypatch):

@@ -312,6 +312,28 @@ def test_synthesize_gate_propagates_base_window_once(preset_params, monkeypatch)
     assert calls == [pytest.approx(comm.t)]
 
 
+def test_synthesize_gate_builds_the_factorized_propagator_twice(preset_params, monkeypatch):
+    # once to score the base window and once to score the k-period oracle;
+    # U3 is the k-period oracle's own product, not a third build
+    import sys
+    import hcps.wei_norman as wn
+    calls = []
+    original = wn.factorized_propagator
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].t)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hcps" and getattr(module, "factorized_propagator",
+                                                    None) is original:
+            monkeypatch.setattr(module, "factorized_propagator", counting)
+    rep = synthesize_gate(preset_params, SpaceLayout(6), max_periods=48, settings=FAST)
+    comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
+    assert rep.schedule.t_int > 1.5 * comm.t      # several periods, not just one
+    assert calls == [pytest.approx(comm.t), pytest.approx(rep.schedule.t_int)]
+
+
 def test_forced_paper_eta_misses_cz(preset_params):
     rep = synthesize_gate(preset_params, SpaceLayout(8), eta=PI / 8,
                           max_periods=8, settings=FAST)

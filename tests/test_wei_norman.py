@@ -207,6 +207,28 @@ def test_factorized_with_oracle_coefficients_is_unitary(preset_params):
     assert np.abs(gram - np.eye(4)).max() < 1e-9
 
 
+def test_oracle_carries_the_factorized_propagator_it_was_scored_with(preset_params):
+    comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
+    for res in (coefficients_oracle(preset_params, comm.t, 6),
+                oracle_at_periods(preset_params, comm, 3, 6)):
+        want = factorized_propagator(res.coeffs, SpaceLayout(6)).entries
+        assert np.array_equal(res.factorized_unitary, want)
+
+
+def test_oracle_grid_on_a_sparse_grid_matches_the_oracle(preset_params):
+    # the residual cannot see a 2 pi slip of A (exp(-2 pi i sx Sx) = 1), so
+    # a grid of two far-apart times must still unwrap A and Re D as densely
+    # as the single-time oracle does
+    p = preset_params.replace(g=0.3 * preset_params.omega, G=0.3 * abs(preset_params.Delta))
+    t = 6 * TWO_PI / p.omega
+    row = oracle_grid(p, [t / 2, t], 8)[-1]
+    ref = coefficients_oracle(p, t, 8)
+    assert abs(ref.coeffs.A) > math.pi                # beyond the first branch
+    assert row.t == t
+    assert row.coeffs.A == pytest.approx(ref.coeffs.A, abs=1e-9)
+    assert row.coeffs.D.real == pytest.approx(ref.coeffs.D.real, abs=1e-9)
+
+
 def test_oracle_at_periods_is_additive(preset_params):
     comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
     one = oracle_at_periods(preset_params, comm, 1, 8, settings=TIGHT)
