@@ -309,7 +309,9 @@ def cmd_lindblad(cfg: RunConfig, out_dir) -> int:
     if cfg.decoherence is None:
         raise ConfigError("lindblad pipeline needs a 'decoherence' section")
     params = cfg.system
-    fock_dm = min(cfg.fock_cutoff, 12)    # density-matrix runs cap the cutoff for memory
+    # a fixed cap, not a memory limit: lindblad.csv is scored at N <= 12 until a
+    # Fock-doubling test picks the cutoff
+    fock_dm = min(cfg.fock_cutoff, 12)
     layout = SpaceLayout(fock_dm)
     comm = commensurate_time(params.omega, params.Delta, cfg.gate.max_n,
                              cfg.commensurability_tol)

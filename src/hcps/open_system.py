@@ -7,19 +7,19 @@ decay a at rate kappa.  With these normalizations a lone dephasing channel
 decays an off-diagonal element as exp(-t/T_phi) and the T1 channel
 contributes the remaining exp(-t/(2 T1)) of the total T2 law.
 
-The integrator is a symmetric (Strang) split: a half step of the dissipator
-(midpoint rule), a full unitary step exp(-i H(t_mid) dt) applied by
-conjugation, and another dissipator half step.  Every piece preserves the
-trace to rounding and the scheme is second order.  One leg runner applies
-it to the single leg of :func:`evolve_master` and to each pulse of
-:func:`gate_fidelity_open`, and judges the trace drift of both; its step
-unitaries come from the generic midpoint generator of
-:mod:`hcps.propagation` (evolve_master), a constant-Hamiltonian provider
-(the qubit pulses) or the sector-block joint steps of :mod:`hcps.wei_norman`
-(the interaction leg), and the step-doubling driver of
-:mod:`hcps.propagation` refines each leg.  Density matrices never leave the
-d x d representation (no superoperators), which keeps the default Fock
-cutoff of 12 comfortable.
+Every collapse operator and both qubit-pulse Hamiltonians act on the qubits
+alone or on the resonator alone (the dressed transform too touches only the
+qubit indices), so the dissipator is a sum of two commuting constant maps: a
+16 x 16 superoperator on the qubit index pair of rho and, with resonator
+decay, an N^2 x N^2 one on its Fock pair, each exponentiated exactly.  A
+qubit pulse is one such map, exp(tau L) with its Hamiltonian in L, and takes
+no steps.  The one stepped leg (:func:`evolve_master`'s, and the interaction
+leg of :func:`gate_fidelity_open`) is a Strang split, second order and
+trace-preserving to rounding: exact dissipator half-step map, unitary step
+by conjugation, half-step map.  Its step unitaries come from
+:func:`hcps.propagation.midpoint_steps` or, for the interaction leg, from
+:func:`hcps.wei_norman.joint_step_unitaries`, and the step-doubling driver
+of :mod:`hcps.propagation` refines it.  No d^2 x d^2 matrix is formed.
 
 Dissipators are applied in the frame in which h_eff is written; frame
 corrections to the collapse operators under the strong drive are out of
@@ -29,7 +29,6 @@ and the spin-qubit coherence presets can be explored.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -41,7 +40,7 @@ from .gates import PulseSchedule
 from .hamiltonians import SystemParams, h_charge_qubit, h_nv
 from .hilbert import (
     Operator, SLOT_CHARGE, SLOT_SPIN, SpaceLayout, StateVector, build_annihilation,
-    build_spin_ops, expm_hermitian,
+    build_spin_ops, expm_hermitian, expm_matrix,
 )
 from .propagation import PropagationSettings, _check_hermitian, midpoint_steps, step_doubling
 from .wei_norman import dressed_basis, dressed_transform, joint_step_unitaries
@@ -175,73 +174,85 @@ def collapse_ops(dec: DecoherenceParams, layout: SpaceLayout
 # integrator
 # ----------------------------------------------------------------------
 
-def _dissipator(collapse: Sequence[tuple[np.ndarray, float]]):
-    """Precompiled dissipator RHS; returns None when there are no channels."""
-    if not collapse:
+def _local_factors(ops: Sequence[tuple[Operator, float]], n: int, basis: np.ndarray):
+    """(qubit, Fock) lists of (factor, value) from (operator, value) pairs.
+
+    :func:`hcps.hilbert.embed` builds every local operator as an exact
+    Kronecker product in the lab basis, so Q kron 1_N and 1_4 kron F are
+    recognized by equality; an operator on both factors raises ValueError.
+    Qubit factors are conjugated by basis (real symmetric, its own inverse).
+    """
+    qubit, fock = [], []
+    for op, value in ops:
+        q, f = op.entries[::n, ::n], op.entries[:n, :n]
+        if np.array_equal(op.entries, np.kron(q, np.eye(n))):
+            qubit.append((basis @ q @ basis, value))
+        elif np.array_equal(op.entries, np.kron(np.eye(4), f)):
+            fock.append((f, value))
+        else:
+            raise ValueError("operator acts on both the qubits and the resonator")
+    return qubit, fock
+
+
+def _liouvillian(dim: int, collapse: Sequence[tuple[np.ndarray, float]],
+                 h: np.ndarray | None = None) -> np.ndarray | None:
+    """Row-major matrix of rho -> -i[h, rho] + sum_k rate_k D[L_k] rho on one factor.
+
+    Row-major vectorization maps A rho B to (A kron B^T) vec(rho).  None,
+    the identity map's stand-in, when there is neither h nor a channel.
+    """
+    if h is None and not collapse:
         return None
-    scaled = [math.sqrt(rate) * np.asarray(l, dtype=np.complex128) for l, rate in collapse]
-    lds = [l.conj().T for l in scaled]
-    anticomm = sum(ld @ l for l, ld in zip(scaled, lds))
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -0.5 * (anticomm @ rho + rho @ anticomm)
-        for l, ld in zip(scaled, lds):
-            out += l @ rho @ ld
-        return out
-
-    return rhs
+    eye = np.eye(dim)
+    out = np.zeros((dim * dim,) * 2, dtype=np.complex128)
+    if h is not None:
+        out += -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for l, rate in collapse:
+        ldl = l.conj().T @ l
+        out += rate * (np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
+    return out
 
 
-def _leg_pass(step_unitaries: Iterable[np.ndarray], half: float, rhos: np.ndarray,
-              psis: np.ndarray, dissipator) -> tuple[np.ndarray, np.ndarray]:
-    """One Strang-split resolution of one leg; inputs stacked along the leading axis.
+def _exact_maps(generators: tuple, t: float) -> tuple:
+    """exp(t G) of each generator G, None (the identity) kept as it is."""
+    return tuple(None if g is None else expm_matrix(g, t) for g in generators)
 
-    Each step is a dissipator half step of length half (midpoint rule), the
-    step unitary applied by conjugation, and another dissipator half step.
-    The closed reference states psis ride along on exactly those factors, so
-    the zero-rate limit reproduces the closed evolution identically rather
-    than merely to tolerance.  The dissipator RHS broadcasts over the stack.
+
+def _apply_maps(rhos: np.ndarray, n: int, qubit_map, fock_map) -> np.ndarray:
+    """A qubit-pair and a Fock-pair superoperator (None: identity) on a (m, d, d) stack.
+
+    The stack is viewed as (m, 4, N, 4, N); the two maps commute.
     """
-    for u in step_unitaries:
-        if dissipator is not None:
-            rhos = rhos + half * dissipator(rhos + 0.5 * half * dissipator(rhos))
-        rhos = u @ rhos @ u.conj().T
-        psis = psis @ u.T
-        if dissipator is not None:
-            rhos = rhos + half * dissipator(rhos + 0.5 * half * dissipator(rhos))
-    return rhos, psis
+    r = rhos.reshape(-1, 4, n, 4, n)
+    if qubit_map is not None:
+        r = np.tensordot(qubit_map.reshape((4,) * 4), r, ([2, 3], [1, 3])).transpose(2, 0, 3, 1, 4)
+    if fock_map is not None:
+        r = np.tensordot(r, fock_map.reshape((n,) * 4), ([2, 4], [2, 3])).transpose(0, 1, 3, 2, 4)
+    return r.reshape(rhos.shape)
 
 
-def _constant_steps(h: np.ndarray, duration: float):
-    _check_hermitian(h, 0.0)
+def _strang_leg(provider: Callable[[int], Iterable[np.ndarray]], duration: float,
+                rhos: np.ndarray, psis: np.ndarray, n: int, dissipators: tuple,
+                settings: PropagationSettings
+                ) -> tuple[np.ndarray, np.ndarray, bool, float, int]:
+    """The one stepped leg: step-doubled Strang passes over provider(steps).
 
-    def provider(steps: int):
-        return itertools.repeat(expm_hermitian(h, -1j * (duration / steps)), steps)
-
-    return provider
-
-
-def _run_legs(legs, rhos: np.ndarray, psis: np.ndarray, dissipator,
-              settings: PropagationSettings
-              ) -> tuple[np.ndarray, np.ndarray, bool, float, int]:
-    """Step-doubled Strang legs, (duration, step-unitary provider) pairs, in order.
-
-    Each leg converges on its density matrices.  Returns the final stacks,
-    whether every leg converged and the worst trace defect stayed within
-    TRACE_DRIFT_LIMIT, that defect, and the finest grid any leg needed.
+    Each step is the exact dissipator half-step map, the step unitary u by
+    conjugation, and the half-step map again; the closed twins psis ride on
+    the same u.  Returns the final stacks, whether the leg converged with a
+    trace defect within TRACE_DRIFT_LIMIT, that defect, and the grid used.
     """
-    converged = True
-    steps_max = 0
-    for duration, provider in legs:
-        (rhos, psis), leg_converged, steps = step_doubling(
-            lambda steps: _leg_pass(provider(steps), 0.5 * duration / steps, rhos, psis,
-                                    dissipator),
-            lambda r: r[0], settings)
-        converged &= leg_converged
-        steps_max = max(steps_max, steps)
-    traces = np.einsum("kii->k", rhos)
-    trace_defect = float(np.abs(traces - 1.0).max())
-    return rhos, psis, converged and trace_defect <= TRACE_DRIFT_LIMIT, trace_defect, steps_max
+    def run(steps: int):
+        half = _exact_maps(dissipators, 0.5 * duration / steps)
+        r, p = rhos, psis
+        for u in provider(steps):
+            r = _apply_maps(u @ _apply_maps(r, n, *half) @ u.conj().T, n, *half)
+            p = p @ u.T
+        return r, p
+
+    (rhos, psis), converged, steps = step_doubling(run, lambda out: out[0], settings)
+    trace_defect = float(np.abs(np.einsum("kii->k", rhos) - 1.0).max())
+    return rhos, psis, converged and trace_defect <= TRACE_DRIFT_LIMIT, trace_defect, steps
 
 
 def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
@@ -250,27 +261,21 @@ def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
     """Integrate d rho/dt = -i[H, rho] + sum_k rate_k D[L_k] rho.
 
     Step-doubled like the closed-system propagator; trace drift beyond 1e-6
-    clears the converged flag rather than raising.
+    clears the converged flag rather than raising.  A collapse operator on
+    both the qubits and the resonator raises ValueError.
     """
     layout = rho0.layout
-    t0, t1 = settings.t0, settings.t1
-
-    def h_mat(t: float) -> np.ndarray:
-        return h_fun(t).entries
-
-    legs = [(t1 - t0, partial(midpoint_steps, h_mat, t0, t1))]
-    dissipator = _dissipator([(op.entries, rate) for op, rate in collapse])
+    n = layout.fock_cutoff
+    qubit, fock = _local_factors(collapse, n, np.eye(4))
     no_states = np.zeros((0, layout.total_dim), dtype=np.complex128)
-    rhos, _, converged, trace_defect, steps = _run_legs(
-        legs, rho0.entries[None], no_states, dissipator, settings)
+    rhos, _, converged, trace_defect, steps = _strang_leg(
+        partial(midpoint_steps, lambda t: h_fun(t).entries, settings.t0, settings.t1),
+        settings.t1 - settings.t0, rho0.entries[None], no_states, n,
+        (_liouvillian(4, qubit), _liouvillian(n, fock)), settings)
 
     rho = 0.5 * (rhos[0] + rhos[0].conj().T)    # strip rounding-level asymmetry
-    return MasterResult(
-        rho=DensityMatrix(layout, rho),
-        converged=converged,
-        trace_defect=trace_defect,
-        steps_used=steps,
-    )
+    return MasterResult(rho=DensityMatrix(layout, rho), converged=converged,
+                        trace_defect=trace_defect, steps_used=steps)
 
 
 # ----------------------------------------------------------------------
@@ -310,23 +315,6 @@ class OpenGateResult:
         return 1.0 - self.fidelity_avg
 
 
-def _sequence_legs(params: SystemParams, schedule: PulseSchedule, layout: SpaceLayout,
-                   trans: np.ndarray):
-    """(duration, step-unitary provider) per pulse, in order, in the sector-block basis.
-
-    The joint leg's step unitaries are cheap in the sector-block (dressed)
-    basis; the two qubit Hamiltonians are conjugated into it by trans once.
-    """
-    return [
-        (schedule.tau1, _constant_steps(trans @ h_charge_qubit(params, layout).entries @ trans,
-                                        schedule.tau1)),
-        (schedule.tau2, _constant_steps(trans @ h_nv(params, layout).entries @ trans,
-                                        schedule.tau2)),
-        (schedule.t_int,
-         lambda steps: joint_step_unitaries(params, layout, schedule.t_int, steps)),
-    ]
-
-
 def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
                        dec: DecoherenceParams, layout: SpaceLayout, *,
                        settings: PropagationSettings) -> OpenGateResult:
@@ -334,28 +322,37 @@ def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
 
     Each standard input is evolved through the three-pulse sequence under
     the Lindblad equation and scored as <psi_closed| rho |psi_closed>, where
-    psi_closed follows the identical sequence with every rate at zero on the
-    same step grid; with an empty dissipator set the two computations
-    coincide exactly.  The whole sequence runs in the sector-block basis
-    (inputs and collapse operators are conjugated into it once); fidelities
-    and traces do not depend on the basis.
+    psi_closed follows the sequence with every rate at zero: exp(-i tau h)
+    for a qubit pulse, whose rho map is exact, and the interaction leg's step
+    unitaries.  With an empty dissipator set the two agree to rounding.  The
+    sequence runs in the sector-block basis (inputs and qubit factors are
+    conjugated into it once); fidelities and traces do not depend on it.
     """
+    n = layout.fock_cutoff
     trans = dressed_transform(layout)     # real, symmetric and its own inverse
-    dissipator = _dissipator([(trans @ op.entries @ trans, rate)
-                              for op, rate in collapse_ops(dec, layout)])
+    hadamards = trans[::n, ::n]           # its qubit factor
+    qubit, fock = _local_factors(collapse_ops(dec, layout), n, hadamards)
+    dissipators = (_liouvillian(4, qubit), _liouvillian(n, fock))
     inputs = standard_input_states(layout)
     rhos = trans @ np.stack([DensityMatrix.from_state(s).entries for s in inputs]) @ trans
     psis = np.stack([s.amplitudes for s in inputs]) @ trans
 
-    rhos, psis, converged, trace_defect, _ = _run_legs(
-        _sequence_legs(params, schedule, layout, trans), rhos, psis, dissipator, settings)
+    pulses, on_resonator = _local_factors(
+        [(h_charge_qubit(params, layout), schedule.tau1), (h_nv(params, layout), schedule.tau2)],
+        n, hadamards)
+    if on_resonator:
+        raise ValueError("a qubit pulse Hamiltonian acts on the resonator")
+    for h, tau in pulses:
+        _check_hermitian(h, 0.0)
+        rhos = _apply_maps(rhos, n, *_exact_maps((_liouvillian(4, qubit, h), dissipators[1]), tau))
+        psis = (expm_hermitian(h, -1j * tau) @ psis.reshape(-1, 4, n)).reshape(psis.shape)
+
+    rhos, psis, converged, trace_defect, _ = _strang_leg(
+        lambda steps: joint_step_unitaries(params, layout, schedule.t_int, steps),
+        schedule.t_int, rhos, psis, n, dissipators, settings)
     fids = tuple(float(np.real(np.vdot(psi, rho @ psi))) for psi, rho in zip(psis, rhos))
-    return OpenGateResult(
-        fidelity_avg=float(np.mean(fids)),
-        fidelity_per_input=fids,
-        trace_defect=trace_defect,
-        converged=converged,
-    )
+    return OpenGateResult(fidelity_avg=float(np.mean(fids)), fidelity_per_input=fids,
+                          trace_defect=trace_defect, converged=converged)
 
 
 LINDBLAD_CSV_HEADER = "scale_factor,fidelity_avg,trace_defect"

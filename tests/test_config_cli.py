@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -6,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hcps import cli, gates, wei_norman
@@ -20,7 +22,9 @@ from hcps.config import (
     parse_config,
 )
 from hcps.gates import ScheduleConditionError
-from hcps.hilbert import Operator
+from hcps.hilbert import (
+    SLOT_CHARGE, SLOT_SPIN, Operator, build_spin_ops, expm_matrix,
+)
 from hcps.propagation import NonHermitianSampleError
 
 TWO_PI = 2.0 * math.pi
@@ -275,6 +279,64 @@ def test_validate_sector_cross_check_fails_with_a_wrong_parity_image(monkeypatch
     assert check_3()
     monkeypatch.setattr(wei_norman, "_parity_image", lambda u: u)
     assert not check_3()
+
+
+@functools.lru_cache(maxsize=None)
+def _unpatched_checks(fock: int) -> tuple:
+    """(name, passed) of validate checks 1-8 on the preset at a cutoff."""
+    cfg = replace(paper_preset(), fock_cutoff=fock)
+    return tuple((name, ok) for name, ok, _ in itertools.islice(cli._validate_checks(cfg), 8))
+
+
+def _scaled_propagator(honest):
+    def patched(h_fun, settings):
+        res = honest(h_fun, settings)
+        u = res.unitary * (1.0 + 1e-6)
+        return replace(res, unitary=u, unitarity_defect=u.unitarity_defect())
+    return patched
+
+
+def _offset_closed_form_b(honest):
+    return lambda params, t: replace(honest(params, t), B=honest(params, t).B + 1e-5)
+
+
+def _phased_factorized(honest):
+    return lambda coeffs, layout: honest(coeffs, layout) * np.exp(1e-4j)
+
+
+def _u3_about_z(honest):
+    def patched(a_phase, layout):
+        sz = build_spin_ops(layout, SLOT_CHARGE).z.entries
+        Sz = build_spin_ops(layout, SLOT_SPIN).z.entries
+        return Operator(layout, expm_matrix(Sz @ sz, -1j * a_phase))
+    return patched
+
+
+def _scaled_exponential(honest):
+    return lambda op, scale=1.0: honest(op, scale) * 1.001
+
+
+@pytest.mark.parametrize("number, name, module, attr, patch, fock", [
+    (2, "propagator unitary", cli, "evolve_propagator", _scaled_propagator, 6),
+    (4, "oracle matches closed-form B, C", cli, "coefficients_closed_form",
+     _offset_closed_form_b, 6),
+    # the residual check needs a cutoff whose trusted window is converged:
+    # at 6 it reads 9.9e-5 and fails honestly, at 12 it reads 3.2e-8
+    (5, "factorization residual", wei_norman, "factorized_propagator", _phased_factorized, 12),
+    (6, "closed-form A discrepancy fires", cli, "closed_form_A",
+     lambda honest: lambda *args: 1.0, 6),
+    (7, "pulse unitaries commute", cli, "u3", _u3_about_z, 6),
+    (8, "matrix exponential unitary", cli, "matrix_exponential", _scaled_exponential, 6),
+])
+def test_validate_check_fails_when_its_invariant_breaks(monkeypatch, number, name, module,
+                                                        attr, patch, fock):
+    # checks 1 to `number` only: one patched name must turn check `number`
+    # from PASS to FAIL
+    assert _unpatched_checks(fock)[number - 1] == (name, True)
+    monkeypatch.setattr(module, attr, patch(getattr(module, attr)))
+    cfg = replace(paper_preset(), fock_cutoff=fock)
+    got, ok, _ = list(itertools.islice(cli._validate_checks(cfg), number))[-1]
+    assert got == name and not ok
 
 
 def test_missing_out_directory_is_created(tmp_path):

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import hcps.open_system
 from hcps.gates import schedule_for_eta
 from hcps.hamiltonians import h_eff
-from hcps.hilbert import SpaceLayout, basis_state, identity
+from hcps.hilbert import (
+    SLOT_CHARGE, SLOT_SPIN, SpaceLayout, StateVector, basis_state, build_annihilation,
+    build_spin_ops, identity,
+)
 from hcps.open_system import (
     DecoherenceParams,
     DensityMatrix,
@@ -163,6 +168,46 @@ def test_trace_and_hermiticity_preserved():
     assert np.abs(res.rho.entries - res.rho.entries.conj().T).max() < 1e-10
 
 
+def dense_liouvillian(h: np.ndarray, collapse) -> np.ndarray:
+    """Row-major d^2 x d^2 generator of the whole master equation."""
+    eye = np.eye(len(h))
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op, rate in collapse:
+        l = op.entries
+        ldl = l.conj().T @ l
+        out += rate * (np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
+    return out
+
+
+def test_all_five_channels_with_resonator_decay_match_the_dense_liouvillian():
+    # a constant qubit Hamiltonian, both qubits' relaxation and dephasing and
+    # kappa > 0, from a state with photons: the split maps against expm of
+    # the full d^2 x d^2 generator
+    lay = SpaceLayout(3)
+    h = 0.5 * build_spin_ops(lay, SLOT_CHARGE).x + 0.3 * build_spin_ops(lay, SLOT_SPIN).x
+    collapse = collapse_ops(DecoherenceParams(T1_spin_us=1000.0, kappa_res=0.2), lay)
+    assert len(collapse) == 5
+    amp = np.arange(1, lay.total_dim + 1) + 0.5j
+    rho0 = DensityMatrix.from_state(StateVector(lay, amp / np.linalg.norm(amp)))
+    t = 2.0
+    res = evolve_master(lambda _: h, rho0, collapse, PropagationSettings(0.0, t, 64, 1e-9))
+    assert res.converged
+    d = lay.total_dim
+    want = (scipy.linalg.expm(t * dense_liouvillian(h.entries, collapse))
+            @ rho0.entries.reshape(-1)).reshape(d, d)
+    assert np.abs(want - rho0.entries).max() > 0.1          # the state really moves
+    assert np.abs(res.rho.entries - want).max() < 1e-9
+
+
+def test_collapse_operator_on_qubits_and_resonator_is_rejected():
+    lay = SpaceLayout(3)
+    mixed = build_annihilation(lay) @ build_spin_ops(lay, SLOT_CHARGE).minus
+    rho0 = DensityMatrix.from_state(basis_state(lay, 0, 0, 1))
+    with pytest.raises(ValueError, match="both the qubits and the resonator"):
+        evolve_master(lambda _: 0.0 * identity(lay), rho0, [(mixed, 0.1)],
+                      PropagationSettings(0.0, 1.0, 8, 1e-6))
+
+
 # ----------------------------------------------------------------------
 # full-sequence open fidelity
 # ----------------------------------------------------------------------
@@ -200,6 +245,23 @@ def test_open_fidelity_decreases_with_rates(preset_params, preset_schedule):
         losses.append(res.fidelity_loss)
     assert 0 < losses[0] < losses[1] < losses[2]
     assert losses[0] < 0.01
+
+
+def test_open_fidelity_steps_only_the_interaction_leg(preset_params, preset_schedule,
+                                                     monkeypatch):
+    # the qubit pulses are exact maps: one step-doubled leg per run
+    calls = []
+    honest = hcps.open_system.step_doubling
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(hcps.open_system, "step_doubling", counting)
+    res = gate_fidelity_open(preset_params, preset_schedule, DecoherenceParams(),
+                             SpaceLayout(4), settings=OPEN_SETTINGS)
+    assert res.converged
+    assert len(calls) == 1
 
 
 def test_lindblad_csv_format(tmp_path):
