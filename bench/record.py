@@ -10,19 +10,28 @@ process after another: two numpy processes at once slow each other on a
 small machine.  The record holds the environment of the first run, the
 commit and source digest of the checkout, the run length declared in
 <root>/BENCHMARK.json, and per workload the end-to-end metrics, the
-per-layer metrics and the operation counts of both runs.  It is written to
---out (default: the root of the repository holding this script).
+per-layer metrics and the operation counts of both runs, plus the measured
+(uncorrected) wall_s median read back from the untraced run's output
+file.  It then times each CLI command on paper_preset once, again one
+process at a time, with the checkout's src/ on PYTHONPATH and a scratch
+output directory.  It is written to --out (default: the root of the
+repository holding this script).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 WORKLOADS = ("gate_preset", "oracle_random", "open_gate_period", "fullspace_period")
+CLI_COMMANDS = ("gate", "validate", "coeffs", "sweep", "lindblad")
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,6 +42,28 @@ def run_workload(root: Path, workload: str, trace: int) -> tuple[dict, dict]:
         cwd=root, capture_output=True, text=True, check=True)
     env_line, result_line = done.stdout.strip().splitlines()[-2:]
     return json.loads(env_line)["environment"], json.loads(result_line)
+
+
+def measured_wall_s(root: Path, workload: str, seed: int) -> float:
+    """Median over cycles of the summed raw operation times of the untraced run.
+
+    The same formula as run.py's corrected wall_s, applied to op_s instead
+    of op_corrected_s, so the machine's speed is not divided out.
+    """
+    path = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    return statistics.median(sum(cycle) for cycle in json.loads(path.read_text())["op_s"])
+
+
+def time_cli(root: Path, command: str) -> dict:
+    """Wall seconds and exit code of one `hcps <command> --config paper_preset`."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as out_dir:
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "hcps.cli", command, "--config", "paper_preset",
+             "--out", out_dir], cwd=root, env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+    return {"wall_s": wall, "exit_code": done.returncode}
 
 
 def source_modified(root: Path) -> bool | None:
@@ -55,7 +86,13 @@ def record(root: Path, label: str) -> dict:
             entry[key] = {name: m["value"] for name, m in result["metrics"].items()}
             entry[f"{key}_ops"] = {k: result[k] for k in ("correct", "attempted", "failed")}
             print(f"{workload} trace={trace}: {json.dumps(entry[key])}", file=sys.stderr)
+        entry["measured_wall_s"] = measured_wall_s(root, workload, out["environment"]["seed"])
         out["workloads"][workload] = entry
+    out["cli_paper_preset"] = {}
+    for command in CLI_COMMANDS:
+        out["cli_paper_preset"][command] = time_cli(root, command)
+        print(f"hcps {command}: {json.dumps(out['cli_paper_preset'][command])}",
+              file=sys.stderr)
     env = out["environment"]
     out["commit"] = env["git_commit"]
     out["source_sha256"] = env["source_sha256"]

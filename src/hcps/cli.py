@@ -277,6 +277,18 @@ def _sweep_point(cfg: RunConfig, factor: float) -> tuple[float, GateReport]:
     return value, _run_gate(replace(cfg, system=system))
 
 
+TREND_TOL = 1e-12   # fidelity steps smaller than this are rounding, not a trend
+
+
+def _fidelity_trend(fids: list[float]) -> str:
+    pairs = list(zip(fids, fids[1:]))
+    if all(b >= a - TREND_TOL for a, b in pairs):
+        return "nondecreasing"
+    if all(b <= a + TREND_TOL for a, b in pairs):
+        return "nonincreasing"
+    return "mixed"
+
+
 def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     factors = cfg.sweep.factors
     results = [_sweep_point(cfg, f) for f in factors]
@@ -289,13 +301,7 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
                      rep.leakage, rep.eta_used, rep.gate_time_ns)
             fh.write(cfg.sweep.parameter + "," + ",".join(f"{x:.17g}" for x in cells) + "\n")
 
-    fids = [rep.fidelity_avg for _, rep in results]
-    if all(b >= a for a, b in zip(fids, fids[1:])):
-        trend = "nondecreasing"
-    elif all(b <= a for a, b in zip(fids, fids[1:])):
-        trend = "nonincreasing"
-    else:
-        trend = "mixed"
+    trend = _fidelity_trend([rep.fidelity_avg for _, rep in results])
     print(f"wrote {path} ({len(results)} rows); fidelity trend over "
           f"{cfg.sweep.parameter}: {trend}")
     return EXIT_OK if all(rep.converged for _, rep in results) else EXIT_NUMERICAL

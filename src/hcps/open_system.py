@@ -16,7 +16,8 @@ qubit pulse is one such map, exp(tau L) with its Hamiltonian in L, and takes
 no steps.  The one stepped leg (:func:`evolve_master`'s, and the interaction
 leg of :func:`gate_fidelity_open`) is a Strang split, second order and
 trace-preserving to rounding: exact dissipator half-step map, unitary step
-by conjugation, half-step map.  Its step unitaries come from
+by conjugation, half-step map, with the two half maps between consecutive
+steps fused into one full-step map.  Its step unitaries come from
 :func:`hcps.propagation.midpoint_steps` or, for the interaction leg, from
 :func:`hcps.wei_norman.joint_step_unitaries`, and the step-doubling driver
 of :mod:`hcps.propagation` refines it.  No d^2 x d^2 matrix is formed.
@@ -238,17 +239,21 @@ def _strang_leg(provider: Callable[[int], Iterable[np.ndarray]], duration: float
     """The one stepped leg: step-doubled Strang passes over provider(steps).
 
     Each step is the exact dissipator half-step map, the step unitary u by
-    conjugation, and the half-step map again; the closed twins psis ride on
-    the same u.  Returns the final stacks, whether the leg converged with a
-    trace defect within TRACE_DRIFT_LIMIT, that defect, and the grid used.
+    conjugation, and the half-step map again.  The trailing half of one step
+    and the leading half of the next are one constant map, so a pass applies
+    the half map, then the full-step map between consecutive unitaries, and
+    the half map after the last one.  The closed twins psis ride on the same
+    u.  Returns the final stacks, whether the leg converged with a trace
+    defect within TRACE_DRIFT_LIMIT, that defect, and the grid used.
     """
     def run(steps: int):
-        half = _exact_maps(dissipators, 0.5 * duration / steps)
-        r, p = rhos, psis
+        half, full = (_exact_maps(dissipators, k * duration / steps) for k in (0.5, 1.0))
+        r, p, gap = rhos, psis, half
         for u in provider(steps):
-            r = _apply_maps(u @ _apply_maps(r, n, *half) @ u.conj().T, n, *half)
+            r = u @ _apply_maps(r, n, *gap) @ u.conj().T
             p = p @ u.T
-        return r, p
+            gap = full
+        return _apply_maps(r, n, *half), p
 
     (rhos, psis), converged, steps = step_doubling(run, lambda out: out[0], settings)
     trace_defect = float(np.abs(np.einsum("kii->k", rhos) - 1.0).max())

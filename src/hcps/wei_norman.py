@@ -27,23 +27,24 @@ Two coefficient routes are provided and deliberately kept independent:
   ||U_factorized - U_numeric||_max over a truncation-trusted window of
   input columns is reported alongside.
 
-The oracle route has one of each moving part.  One kernel builds the
-sector factors exp(-i dt (f a' + f' a)) (the (a + a') eigensystem dressed by
-number-operator phases).  It serves both the checkpointed sector
-propagation, an order-4 commutator-free Magnus scheme (two factors per step
-at Gauss-point combinations of f) refined by the step-doubling driver of
+The oracle route has one of each moving part.  One kernel builds the sector
+factors exp(-i dt (f a' + f' a)) (the (a + a') eigensystem dressed by
+number-operator phases) for both the checkpointed sector propagation, an
+order-4 commutator-free Magnus scheme refined by the step-doubling driver of
 :mod:`hcps.propagation`, and the open-system joint leg
 (:func:`joint_step_unitaries`), which stays on the midpoint rule its Strang
-split is built around.  The generic full-space integrator also stays
-midpoint, so the oracle is checked against a different scheme.  Only
-sectors (1, 1) and (1, -1) are propagated; sector (-s, -c) is driven by -f,
-so its propagator is the parity image P U(s, c) P, P = (-1)^n_hat, formed
-only where a full-space matrix is built.  One extraction turns the
-propagated sectors' snapshots into coefficients at every checkpoint:
-:func:`coefficients_oracle` reads its last checkpoint, :func:`oracle_grid`
-those at its given times, which it adds to the same checkpoint grid.
-Multiples of a disentangling period reuse one base-window propagation
-through :func:`oracle_power`, since h_eff is periodic and U(kT) = U(T)^k.
+split is built around, as does the generic full-space integrator the oracle
+is checked against.  Only sectors (1, 1) and (1, -1) are propagated; sector
+(-s, -c) is driven by -f, so its propagator is the parity image P U(s, c) P,
+P = (-1)^n_hat.  The six-factor product is built per sector too, where sx
+and Sx are scalars, but on all four (an independent check of those images),
+and one function assembles every full-space matrix from sector blocks.  One
+extraction turns the propagated sectors' snapshots into coefficients at
+every checkpoint: :func:`coefficients_oracle` reads its last checkpoint,
+:func:`oracle_grid` those at its given times, which it adds to the same
+checkpoint grid.  Multiples of a disentangling period reuse one base-window
+propagation through :func:`oracle_power`, since h_eff is periodic and
+U(kT) = U(T)^k.
 
 Gate synthesis consumes only the oracle route; the closed-form route exists
 so the disagreement on A is measured and reported, not papered over.
@@ -61,7 +62,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .hamiltonians import SystemParams
-from .hilbert import Operator, SpaceLayout, build_annihilation, build_spin_ops, expm_matrix, ladder_matrix
+from .hilbert import Operator, SpaceLayout, expm_matrix, ladder_matrix
 from .propagation import PropagationSettings, step_doubling
 
 TWO_PI = 2.0 * math.pi
@@ -340,12 +341,16 @@ def _parity_image(u: np.ndarray) -> np.ndarray:
     return u * (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
 
 
-def _sector_block_diagonal(u_pp: np.ndarray, u_pm: np.ndarray) -> np.ndarray:
-    """Block diagonal over SECTORS from (stacks of) the PROPAGATED blocks
-    and their parity images, the blocks of (-1, 1) and (-1, -1)."""
-    n = u_pp.shape[-1]
-    full = np.zeros(u_pp.shape[:-2] + (4 * n, 4 * n), dtype=np.complex128)
-    for i, blk in enumerate((u_pp, u_pm, _parity_image(u_pm), _parity_image(u_pp))):
+def _sector_blocks(u_pp: np.ndarray, u_pm: np.ndarray) -> tuple:
+    """All SECTORS blocks from (stacks of) the PROPAGATED ones and their images."""
+    return u_pp, u_pm, _parity_image(u_pm), _parity_image(u_pp)
+
+
+def _sector_block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Block diagonal over SECTORS from (stacks of) their blocks, in order."""
+    n = blocks[0].shape[-1]
+    full = np.zeros(blocks[0].shape[:-2] + (4 * n, 4 * n), dtype=np.complex128)
+    for i, blk in enumerate(blocks):
         full[..., i * n:(i + 1) * n, i * n:(i + 1) * n] = blk
     return full
 
@@ -385,7 +390,8 @@ def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: fl
         # a dense chunk of d x d step unitaries is kept to about 4 MB
         count = min(steps - done, max(1, _CHUNK_ENTRIES // (8 * d * d)))
         mids = (done + np.arange(count) + 0.5) * dt
-        yield from _sector_block_diagonal(*(factors(f_fun(mids), dt) for f_fun in amps))
+        yield from _sector_block_diagonal(_sector_blocks(*(factors(f_fun(mids), dt)
+                                                           for f_fun in amps)))
         done += count
 
 
@@ -434,31 +440,25 @@ def _extract(snapshots: dict, times: Sequence[float]) -> list[WNCoefficients]:
             for a, b, c, d, tk in zip(A, B, C, D, times)]
 
 
-def _assemble_lab_unitary(sector_mats: dict, layout: SpaceLayout) -> np.ndarray:
-    """Rebuild the full-space propagator from the two propagated sector blocks.
+def _assemble_lab_unitary(blocks: Sequence[np.ndarray], layout: SpaceLayout) -> np.ndarray:
+    """The full-space matrix with the given blocks of SECTORS, in order.
 
     The sector block diagonal lives in the joint x-eigenbasis of both
     qubits; the full operator is it conjugated back to the lab basis by
     :func:`dressed_transform`.
     """
-    blk = _sector_block_diagonal(*(sector_mats[key] for key in PROPAGATED))
     trans = dressed_transform(layout)
-    return trans @ blk @ trans
-
-
-def _window_columns(layout: SpaceLayout, fock_window: int) -> np.ndarray:
-    n = layout.fock_cutoff
-    return np.array([q * n + k for q in range(4) for k in range(fock_window + 1)])
+    return trans @ _sector_block_diagonal(blocks) @ trans
 
 
 def _score(coeffs: WNCoefficients, sector_mats: dict, layout: SpaceLayout,
            fock_window: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Lab-basis numeric and factorized propagators, and the windowed and
     full residuals between them."""
-    numeric = _assemble_lab_unitary(sector_mats, layout)
+    numeric = _assemble_lab_unitary(_sector_blocks(*(sector_mats[k] for k in PROPAGATED)), layout)
     factorized = factorized_propagator(coeffs, layout).entries
     diff = np.abs(factorized - numeric)
-    cols = _window_columns(layout, fock_window)
+    cols = [q * layout.fock_cutoff + k for q in range(4) for k in range(fock_window + 1)]
     return numeric, factorized, float(diff[:, cols].max()), float(diff.max())
 
 
@@ -598,20 +598,20 @@ def oracle_at_periods(params: SystemParams, base: CommensurateTime, periods: int
 # ----------------------------------------------------------------------
 
 def factorized_propagator(coeffs: WNCoefficients, layout: SpaceLayout) -> Operator:
-    """The six-factor product, leftmost factor applied last."""
-    a = build_annihilation(layout).entries
-    ad = a.conj().T
-    sx = build_spin_ops(layout, 1).x.entries   # charge qubit sigma_x
-    Sx = build_spin_ops(layout, 0).x.entries   # spin qubit S_x
-    A, B, C, D = coeffs.A, coeffs.B, coeffs.C, coeffs.D
+    """The six-factor product, leftmost factor applied last, built per sector.
 
-    u = expm_matrix(sx @ Sx, -1j * A)
-    u = u @ expm_matrix(a @ sx, -1j * B)
-    u = u @ expm_matrix(ad @ sx, -1j * np.conj(B))
-    u = u @ expm_matrix(a @ Sx, -1j * C)
-    u = u @ expm_matrix(ad @ Sx, -1j * np.conj(C))
-    u = u * np.exp(-1j * D)
-    return Operator(layout, u)
+    On sector (s, c), sx = c and Sx = s: the block is e^{-i(D + A s c)}
+    e^{-icB a} e^{-icB* a'} e^{-isC a} e^{-isC* a'}, from n x n ladder
+    exponentials (exact on the truncated ladder), two per sign of B and of C.
+    No block is a parity image, so the residual still tests the numeric side's.
+    """
+    a = ladder_matrix(layout.fock_cutoff)
+    ladder = lambda z: expm_matrix(a, -1j * z) @ expm_matrix(a.T, -1j * np.conj(z))
+    charge = {c: ladder(c * coeffs.B) for c in (1, -1)}
+    spin = {s: ladder(s * coeffs.C) for s in (1, -1)}
+    blocks = [np.exp(-1j * (coeffs.D + coeffs.A * s * c)) * charge[c] @ spin[s]
+              for s, c in SECTORS]
+    return Operator(layout, _assemble_lab_unitary(blocks, layout))
 
 
 # ----------------------------------------------------------------------

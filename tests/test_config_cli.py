@@ -448,6 +448,13 @@ def test_eta_override_flag(tmp_path):
     assert "schedule_condition_violated" in codes
 
 
+def test_sweep_trend_ignores_rounding_level_steps():
+    # two points of the preset sweep share a fidelity up to the last bits
+    assert cli._fidelity_trend([0.9999, 0.9997, 0.9997 + 1e-15]) == "nonincreasing"
+    assert cli._fidelity_trend([0.9997, 0.9999, 0.9999 - 1e-15]) == "nondecreasing"
+    assert cli._fidelity_trend([0.9997, 0.9999, 0.9998]) == "mixed"
+
+
 def test_sweep_rows_in_grid_order(tmp_path, capsys):
     cfg = small_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0

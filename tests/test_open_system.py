@@ -168,6 +168,27 @@ def test_trace_and_hermiticity_preserved():
     assert np.abs(res.rho.entries - res.rho.entries.conj().T).max() < 1e-10
 
 
+def test_strang_pass_applies_one_dissipator_map_between_unitaries(monkeypatch):
+    # the trailing half step of one step and the leading half of the next are
+    # one constant map, so a fixed-grid pass of n steps applies n + 1 maps
+    calls = []
+    honest = hcps.open_system._apply_maps
+
+    def counting(*args):
+        calls.append(1)
+        return honest(*args)
+
+    monkeypatch.setattr(hcps.open_system, "_apply_maps", counting)
+    lay = SpaceLayout(3)
+    p = make_params()
+    res = evolve_master(lambda t: h_eff(p, lay, t),
+                        DensityMatrix.from_state(standard_input_states(lay)[4]),
+                        collapse_ops(DecoherenceParams(), lay),
+                        PropagationSettings(0.0, 1.0, 16, 1e-7, max_refinements=0))
+    assert res.steps_used == 16
+    assert len(calls) == 16 + 1
+
+
 def dense_liouvillian(h: np.ndarray, collapse) -> np.ndarray:
     """Row-major d^2 x d^2 generator of the whole master equation."""
     eye = np.eye(len(h))

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from hcps.gates import u3
-from hcps.hilbert import SpaceLayout, expm_hermitian, identity, ladder_matrix
+from hcps.hilbert import (
+    SLOT_CHARGE, SLOT_SPIN, SpaceLayout, build_annihilation, build_spin_ops, expm_hermitian,
+    identity, ladder_matrix,
+)
 from hcps import wei_norman
 from hcps.propagation import PropagationSettings, midpoint_steps
 from hcps.wei_norman import (
@@ -22,6 +26,7 @@ from hcps.wei_norman import (
     write_coefficients_csv,
 )
 
+from test_acceptance import _random_parameter_set
 from test_hamiltonians import make_params
 
 TWO_PI = 2.0 * math.pi
@@ -140,6 +145,19 @@ def test_oracle_full_model_B_C_and_D_match_closed_forms(preset_params):
         assert abs(row.coeffs.D - want.D) < 1e-7
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_B_C_and_D_match_closed_forms_on_random_parameter_sets(seed):
+    rng = np.random.default_rng(20260808 + seed)
+    p = _random_parameter_set(rng)
+    ts = np.sort(rng.uniform(0.2, 1.6, 3)) * TWO_PI / p.omega
+    for row in oracle_grid(p, ts, 25):
+        want = coefficients_closed_form(p, row.t)
+        assert row.converged
+        assert abs(row.coeffs.B - want.B) < 1e-8
+        assert abs(row.coeffs.C - want.C) < 1e-8
+        assert abs(row.coeffs.D - want.D) < 1e-8
+
+
 def test_oracle_A_nonzero_at_gate_time_while_closed_form_vanishes(preset_params):
     comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
     res = coefficients_oracle(preset_params, comm.t, 10, settings=TIGHT)
@@ -194,6 +212,48 @@ def test_factorized_reduces_to_joint_phase_gate():
     phi = 0.77
     coeffs = WNCoefficients(A=phi, B=0.0, C=0.0, D=0.0, t=1.0)
     assert (factorized_propagator(coeffs, lay) - u3(phi, lay)).norm_max() < 1e-13
+
+
+def _literal_product(coeffs: WNCoefficients, layout: SpaceLayout) -> np.ndarray:
+    """The six factors as lab-basis 4N x 4N exponentials, leftmost applied last."""
+    a = build_annihilation(layout).entries
+    ad = a.conj().T
+    sx = build_spin_ops(layout, SLOT_CHARGE).x.entries
+    Sx = build_spin_ops(layout, SLOT_SPIN).x.entries
+    u = scipy.linalg.expm(-1j * coeffs.A * sx @ Sx)
+    for gen, z in ((a @ sx, coeffs.B), (ad @ sx, np.conj(coeffs.B)),
+                   (a @ Sx, coeffs.C), (ad @ Sx, np.conj(coeffs.C))):
+        u = u @ scipy.linalg.expm(-1j * z * gen)
+    return u * np.exp(-1j * coeffs.D)
+
+
+_COEFF = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), A=st.floats(-2.0, 2.0), B=_COEFF, C=_COEFF, D=_COEFF)
+def test_factorized_matches_the_literal_six_factor_product(n, A, B, C, D):
+    # relative bound: Im D and the non-unitary ladder factors make entries large
+    lay = SpaceLayout(n)
+    coeffs = WNCoefficients(A=A, B=B, C=C, D=D, t=1.0)
+    want = _literal_product(coeffs, lay)
+    got = factorized_propagator(coeffs, lay).entries
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_factorized_takes_only_fock_block_exponentials(monkeypatch):
+    shapes = []
+    honest = wei_norman.expm_matrix
+
+    def recording(mat, scale=1.0):
+        shapes.append(np.shape(mat))
+        return honest(mat, scale)
+
+    monkeypatch.setattr(wei_norman, "expm_matrix", recording)
+    coeffs = WNCoefficients(A=0.3, B=0.2 + 0.1j, C=-0.4j, D=0.05 + 0.01j, t=1.0)
+    factorized_propagator(coeffs, SpaceLayout(5))
+    # e^{-iz a} and e^{-iz* a'} for z = +-B and +-C, shared by the four sectors
+    assert shapes == [(5, 5)] * 8
 
 
 def test_factorized_with_oracle_coefficients_is_unitary(preset_params):
