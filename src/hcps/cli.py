@@ -137,9 +137,10 @@ def cmd_gate(cfg: RunConfig, out_dir, trajectory: bool = False) -> int:
 
 def _heff_trajectory(params: SystemParams, layout: SpaceLayout, psi0: np.ndarray,
                      duration: float, points: int = 512):
-    """Sampled state trajectory of the interaction leg, via the fast
-    sector-block step unitaries (export accuracy, not gate accuracy)."""
-    steps = max(4096, 64 * int(math.ceil(duration)))
+    """Sampled state trajectory of the interaction leg on the sector-block
+    step unitaries, the oracle's order-4 step rule on a fixed grid (export
+    accuracy, not gate accuracy)."""
+    steps = max(4096, 16 * int(math.ceil(duration)))
     stride = max(1, steps // points)
     trans = dressed_transform(layout)
     psi = trans @ psi0

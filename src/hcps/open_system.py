@@ -19,8 +19,10 @@ trace-preserving to rounding: exact dissipator half-step map, unitary step
 by conjugation, half-step map, with the two half maps between consecutive
 steps fused into one full-step map.  Its step unitaries come from
 :func:`hcps.propagation.midpoint_steps` or, for the interaction leg, from
-:func:`hcps.wei_norman.joint_step_unitaries`, and the step-doubling driver
-of :mod:`hcps.propagation` refines it.  No d^2 x d^2 matrix is formed.
+:func:`hcps.wei_norman.joint_step_unitaries` (the oracle's order-4
+commutator-free Magnus step, so that leg converges on a grid about 16 times
+coarser than a midpoint one), and the step-doubling driver of
+:mod:`hcps.propagation` refines it.  No d^2 x d^2 matrix is formed.
 
 Dissipators are applied in the frame in which h_eff is written; frame
 corrections to the collapse operators under the strong drive are out of

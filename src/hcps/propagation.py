@@ -11,15 +11,15 @@ step-doubling until two successive resolutions agree to the requested
 max-norm tolerance.  No cleverness that could share a failure mode with the
 factorized propagator it is meant to audit.
 
-Two pieces are shared by every integrator in the package:
 :func:`midpoint_steps` yields the Hermiticity-checked midpoint factors of a
-uniform grid (each one :func:`hcps.hilbert.expm_hermitian`), and
-:func:`step_doubling` is the one refinement driver.  Propagators and
-states run on one midpoint-product loop; the sector oracle in
-:mod:`hcps.wei_norman` (an order-4 commutator-free Magnus scheme, so this
-midpoint integrator checks it with a different method) and the
-master-equation legs in :mod:`hcps.open_system` run on the same driver with
-their own fixed-grid passes.
+uniform grid (each one :func:`hcps.hilbert.expm_hermitian`); propagators,
+states and the generic master-equation leg of :mod:`hcps.open_system` run
+on them.  :func:`step_doubling` is the one refinement driver, shared by
+every integrator in the package.  The sector oracle of
+:mod:`hcps.wei_norman` and the open-system interaction leg step with that
+module's order-4 commutator-free Magnus rule instead, so this midpoint
+integrator checks them with a different method; they run on the same
+driver with their own fixed-grid passes.
 
 Each run is single-threaded and deterministic; independent runs may execute
 in parallel with no shared mutable state.

@@ -29,18 +29,19 @@ Two coefficient routes are provided and deliberately kept independent:
 
 The oracle route has one of each moving part.  One kernel builds the sector
 factors exp(-i dt (f a' + f' a)) (the (a + a') eigensystem dressed by
-number-operator phases) for both the checkpointed sector propagation, an
-order-4 commutator-free Magnus scheme refined by the step-doubling driver of
+number-operator phases), and one step rule, an order-4 commutator-free
+Magnus step of two such factors (:func:`_cf4_steps`), drives both the
+checkpointed sector propagation, refined by the step-doubling driver of
 :mod:`hcps.propagation`, and the open-system joint leg
-(:func:`joint_step_unitaries`), which stays on the midpoint rule its Strang
-split is built around, as does the generic full-space integrator the oracle
-is checked against.  Only sectors (1, 1) and (1, -1) are propagated; sector
-(-s, -c) is driven by -f, so its propagator is the parity image P U(s, c) P,
-P = (-1)^n_hat.  The six-factor product is built per sector too, where sx
-and Sx are scalars, but on all four (an independent check of those images),
-and one function assembles every full-space matrix from sector blocks.  One
-extraction turns the propagated sectors' snapshots into coefficients at
-every checkpoint: :func:`coefficients_oracle` reads its last checkpoint,
+(:func:`joint_step_unitaries`).  The generic full-space integrator the
+oracle is checked against stays midpoint.  Only sectors (1, 1) and (1, -1)
+are propagated; sector (-s, -c) is driven by -f, so its propagator is the
+parity image P U(s, c) P, P = (-1)^n_hat.  The six-factor product is built
+per sector too, where sx and Sx are scalars, but on all four (an
+independent check of those images), and one function assembles every
+full-space matrix from sector blocks.  One extraction turns the propagated
+sectors' snapshots into coefficients at every checkpoint:
+:func:`coefficients_oracle` reads its last checkpoint,
 :func:`oracle_grid` those at its given times, which it adds to the same
 checkpoint grid.  Multiples of a disentangling period reuse one base-window
 propagation through :func:`oracle_power`, since h_eff is periodic and
@@ -279,10 +280,10 @@ def _sector_step_factors(n: int) -> Callable[[np.ndarray, float], np.ndarray]:
     return factors
 
 
-def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
-                      steps_total: int) -> list[np.ndarray]:
-    """Fixed-grid order-4 commutator-free Magnus snapshots of one sector,
-    H(t) = f a' + conj(f) a.
+def _cf4_steps(f_fun: Callable, factors: Callable, starts: np.ndarray,
+               dt: float) -> np.ndarray:
+    """Order-4 commutator-free Magnus step unitaries of one sector,
+    H(t) = f a' + conj(f) a, one per step start time.
 
     With f sampled at the Gauss points t + c_1,2 dt of each step, giving
     f_1 and f_2, one step is the two-exponential product
@@ -291,11 +292,28 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
 
     a_+- = 1/4 +- sqrt(3)/6, right factor applied first.  Every such
     combination of samples is again a sector Hamiltonian, so both factors
-    come from :func:`_sector_step_factors`, built in vectorized chunks,
-    interleaved in step order and pairwise-reduced.  The generic integrator
-    stays midpoint, so the two are independent schemes.  Checkpoint k ends
-    at step round(steps_total * t_k / span), so the segments sum to
-    steps_total (a segment is never shorter than one step).
+    of every step come from one call of factors, a
+    :func:`_sector_step_factors` builder.  This is the one step rule of
+    the module: the oracle's snapshots and the open-system joint leg both
+    take it.
+    """
+    f1, f2 = (f_fun(starts + c * dt) for c in _CF4_NODES)
+    amps = np.empty(2 * len(starts), dtype=np.complex128)
+    amps[0::2] = _CF4_PLUS * f1 + _CF4_MINUS * f2
+    amps[1::2] = _CF4_MINUS * f1 + _CF4_PLUS * f2
+    mats = factors(amps, dt)
+    return mats[1::2] @ mats[0::2]
+
+
+def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
+                      steps_total: int) -> list[np.ndarray]:
+    """Fixed-grid snapshots of one sector on :func:`_cf4_steps`.
+
+    The step unitaries are built in vectorized chunks and pairwise-reduced
+    in step order.  The generic integrator stays midpoint, so the two are
+    independent schemes.  Checkpoint k ends at step
+    round(steps_total * t_k / span), so the segments sum to steps_total (a
+    segment is never shorter than one step).
     """
     times = list(times)
     span = times[-1]
@@ -313,12 +331,7 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
         while done < seg_steps:
             # two factors per step, so 2 * count * n * n stays under the cap
             count = min(seg_steps - done, max(1, _CHUNK_ENTRIES // (2 * n * n)))
-            starts = prev + (done + np.arange(count)) * dt
-            f1, f2 = (f_fun(starts + c * dt) for c in _CF4_NODES)
-            amps = np.empty(2 * count, dtype=np.complex128)
-            amps[0::2] = _CF4_PLUS * f1 + _CF4_MINUS * f2
-            amps[1::2] = _CF4_MINUS * f1 + _CF4_PLUS * f2
-            mats = factors(amps, dt)
+            mats = _cf4_steps(f_fun, factors, prev + (done + np.arange(count)) * dt, dt)
             # ordered pairwise product of the chunk, then fold into u
             while mats.shape[0] > 1:
                 m = mats.shape[0] // 2
@@ -372,12 +385,11 @@ def dressed_basis() -> np.ndarray:
 
 def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: float,
                          steps: int):
-    """Midpoint step unitaries of h_eff, yielded in order, sector-block basis.
+    """Uniform-grid step unitaries of h_eff, yielded in order, sector-block basis.
 
-    Exactly the factors exp(-i h_eff(t_mid) dt) the generic integrator would
-    build, assembled per sector by :func:`_sector_step_factors` instead of
-    one eigendecomposition per step (two sectors built, two their parity
-    images); consumers working in the lab basis conjugate by
+    Each is the :func:`_cf4_steps` step (the oracle's rule) of the two
+    PROPAGATED sectors with their parity images, assembled block-diagonally;
+    consumers working in the lab basis conjugate by
     :func:`dressed_transform` once per leg instead.
     """
     d = layout.total_dim
@@ -389,9 +401,9 @@ def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: fl
     while done < steps:
         # a dense chunk of d x d step unitaries is kept to about 4 MB
         count = min(steps - done, max(1, _CHUNK_ENTRIES // (8 * d * d)))
-        mids = (done + np.arange(count) + 0.5) * dt
-        yield from _sector_block_diagonal(_sector_blocks(*(factors(f_fun(mids), dt)
-                                                           for f_fun in amps)))
+        starts = (done + np.arange(count)) * dt
+        yield from _sector_block_diagonal(_sector_blocks(
+            *(_cf4_steps(f_fun, factors, starts, dt) for f_fun in amps)))
         done += count
 
 

@@ -255,7 +255,7 @@ def test_criterion_6_gate_fidelity_loss(params, cfg):
                              settings=PropagationSettings(0.0, 1.0, 64, 1e-7, max_refinements=10))
     assert res.converged
     assert 0.0 < res.fidelity_loss < 0.01
-    report(f"6: PASS full-gate fidelity loss {res.fidelity_loss:.3e} < 1% over "
+    report(f"6: PASS one-period sequence fidelity loss {res.fidelity_loss:.3e} < 1% over "
            f"{schedule.tau1 + schedule.tau2 + schedule.t_int:.3f} ns at the quoted rates")
 
 

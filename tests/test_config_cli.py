@@ -23,7 +23,7 @@ from hcps.config import (
 )
 from hcps.gates import ScheduleConditionError
 from hcps.hilbert import (
-    SLOT_CHARGE, SLOT_SPIN, Operator, build_spin_ops, expm_matrix,
+    SLOT_CHARGE, SLOT_SPIN, Operator, SpaceLayout, basis_state, build_spin_ops, expm_matrix,
 )
 from hcps.propagation import NonHermitianSampleError
 
@@ -187,6 +187,19 @@ def test_gate_trajectory_export(tmp_path):
     assert lines[0].startswith("t_ns,re_amp_0,im_amp_0")
     ts = [float(r.split(",")[0]) for r in lines[1:]]
     assert ts == sorted(ts) and len(ts) > 2
+
+
+def test_trajectory_ends_at_the_gate_oracle_state(preset_params):
+    # the export's last state over the gate's t_int is the 44-period oracle's
+    # propagator on the exported initial state (midpoint export: 7.4e-5 off)
+    layout = SpaceLayout(8)
+    report = gates.synthesize_gate(preset_params, layout)
+    comm = report.base_window
+    periods = round(report.schedule.t_int / comm.t)
+    psi0 = basis_state(layout, 0, 0, 0).amplitudes
+    _, states = cli._heff_trajectory(preset_params, layout, psi0, report.schedule.t_int)
+    want = wei_norman.oracle_at_periods(preset_params, comm, periods, 8).numeric_unitary @ psi0
+    assert np.abs(states[-1] - want).max() < 1e-6
 
 
 def test_missing_config_is_config_error(tmp_path):

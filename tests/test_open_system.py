@@ -285,6 +285,25 @@ def test_open_fidelity_steps_only_the_interaction_leg(preset_params, preset_sche
     assert len(calls) == 1
 
 
+def test_open_fidelity_leg_converges_on_a_coarse_order_4_grid(preset_params, preset_schedule,
+                                                              monkeypatch):
+    # the interaction leg takes the oracle's order-4 step: 128 steps from the
+    # 64-step start (a midpoint leg needs 2 048)
+    grids = []
+    honest = hcps.open_system.step_doubling
+
+    def recording(*args, **kwargs):
+        out = honest(*args, **kwargs)
+        grids.append(out[2])
+        return out
+
+    monkeypatch.setattr(hcps.open_system, "step_doubling", recording)
+    res = gate_fidelity_open(preset_params, preset_schedule, DecoherenceParams(),
+                             SpaceLayout(4), settings=OPEN_SETTINGS)
+    assert res.converged
+    assert len(grids) == 1 and grids[0] <= 256
+
+
 def test_lindblad_csv_format(tmp_path):
     path = tmp_path / "lind.csv"
     write_lindblad_csv(path, [(0.0, 1.0, 1e-12), (1.0, 0.9976, 2e-12)])
