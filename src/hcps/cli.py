@@ -175,9 +175,10 @@ def _validate_checks(cfg: RunConfig):
         defect = max(defect, op.hermiticity_defect())
     yield ("hamiltonians hermitian", defect < 1e-12, f"max defect {defect:.2e}")
 
-    # 2. propagator unitarity over one base period, full space; the generic
-    #    integrator is exactly unitary per step, so a relaxed convergence
-    #    tolerance does not soften the unitarity statement
+    # 2. propagator unitarity over one base period, full space; each step of
+    #    the generic integrator is unitary to rounding whatever the step
+    #    size, so a relaxed convergence tolerance does not soften the
+    #    unitarity statement
     comm = commensurate_time(params.omega, params.Delta, cfg.gate.max_n,
                              cfg.commensurability_tol)
     cross_tol = max(1e-6, cfg.propagation.tolerance)

@@ -29,6 +29,11 @@ SLOT_RESONATOR = 2
 
 HERMITIAN_TOL = 1e-12
 
+# expm_hermitian sums a Taylor series when ||scale * h||_1 is at most this,
+# the measured crossover with eigh at d = 32 and 80 on one BLAS thread
+TAYLOR_MAX_NORM = 0.5
+UNIT_ROUNDOFF = 2.0 ** -53
+
 
 @dataclass(frozen=True)
 class SpaceLayout:
@@ -270,12 +275,42 @@ def commutator(a: Operator, b: Operator) -> Operator:
 # matrix exponential
 # ----------------------------------------------------------------------
 
-def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
-    """exp(scale * h) of a Hermitian array by eigendecomposition.
+def _taylor_degree(theta: float) -> int:
+    """Smallest m with theta^(m+1) / (m+1)! <= 2^-53, the Taylor truncation bound."""
+    m, term = 0, theta
+    while term > UNIT_ROUNDOFF:
+        m += 1
+        term *= theta / (m + 1)
+    return m
 
-    The caller guarantees Hermiticity; nothing is checked.  With an
-    imaginary scale the result is unitary to rounding.
+
+def _expm_taylor(a: np.ndarray, m: int) -> np.ndarray:
+    """I + a + ... + a^m / m! by Horner's rule, I + a (I + a/2 (... (I + a/m)))."""
+    diag = np.s_[:: a.shape[0] + 1]
+    out = a / m if m else np.zeros_like(a)
+    out.flat[diag] += 1.0
+    for k in range(m - 1, 0, -1):
+        out = a @ out
+        out *= 1.0 / k
+        out.flat[diag] += 1.0
+    return out
+
+
+def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale * h) of a Hermitian array.
+
+    The caller guarantees Hermiticity; nothing is checked.  A small step,
+    theta = ||scale * h||_1 at most TAYLOR_MAX_NORM (a midpoint step of the
+    propagators is one), sums the Taylor series by Horner's rule to the
+    degree _taylor_degree(theta), whose truncation error is below unit
+    roundoff (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); no
+    scaling and squaring.  Every other input, non-finite ones included,
+    goes through the eigendecomposition.  With an imaginary scale both
+    branches are unitary to rounding.
     """
+    theta = abs(scale) * float(np.abs(h).sum(axis=0).max())
+    if theta <= TAYLOR_MAX_NORM:
+        return _expm_taylor(scale * h, _taylor_degree(theta))
     w, v = np.linalg.eigh(h)
     return (v * np.exp(scale * w)) @ v.conj().T
 

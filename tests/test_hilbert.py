@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from hcps import hilbert
 from hcps.hilbert import (
     Operator,
     SLOT_CHARGE,
@@ -183,3 +186,28 @@ def test_expm_hermitian_matches_scipy_and_is_unitary(n, seed, t):
     u = expm_hermitian(h, -1j * t)
     assert np.abs(u - scipy.linalg.expm(-1j * t * h)).max() < 1e-12
     assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", [4, 32, 80])
+@pytest.mark.parametrize("theta", [1e-6, 2e-3, 0.016, 0.99 * hilbert.TAYLOR_MAX_NORM,
+                                   1.01 * hilbert.TAYLOR_MAX_NORM, 5.0, 50.0])
+def test_expm_hermitian_both_branches(d, theta, monkeypatch):
+    # theta = ||scale * h||_1 picks the branch: a Taylor polynomial at or
+    # below TAYLOR_MAX_NORM, the eigendecomposition above it
+    rng = np.random.default_rng(d)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = 0.5 * (m + m.conj().T)
+    t = theta / np.abs(h).sum(axis=0).max()
+    eigh_calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(1) or eigh(a))
+    u = expm_hermitian(h, -1j * t)
+    taylor = theta <= hilbert.TAYLOR_MAX_NORM
+    assert len(eigh_calls) == (0 if taylor else 1)
+    assert np.abs(u - scipy.linalg.expm(-1j * t * h)).max() < 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-13
+    if taylor:
+        # the degree is the smallest that meets the truncation bound
+        m = hilbert._taylor_degree(theta)
+        bound = lambda k: theta ** (k + 1) / math.factorial(k + 1)
+        assert bound(m) <= 2.0 ** -53 < bound(m - 1)

@@ -120,8 +120,9 @@ def test_propagator_composition():
 
 
 def test_converged_propagator_is_unitary():
-    # every midpoint factor is exactly unitary, so the defect sits at the
-    # rounding floor regardless of the convergence tolerance
+    # every midpoint factor is unitary to rounding (a Taylor polynomial
+    # truncated below unit roundoff), so the defect stays near the rounding
+    # floor, growing with the step count, regardless of the tolerance
     lay = SpaceLayout(6)
     p = make_params()
     res = evolve_propagator(lambda t: h_eff(p, lay, t),
@@ -205,6 +206,40 @@ def test_non_hermitian_sample_raises():
     bad = Operator(lay, np.triu(np.ones((8, 8))))
     with pytest.raises(NonHermitianSampleError):
         evolve_propagator(lambda t: bad, PropagationSettings(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_raises(bad):
+    # a NaN defect compares false against any tolerance; without its own
+    # check the sample would be exponentiated and every refinement run
+    lay = SpaceLayout(2)
+    entries = np.zeros((8, 8), dtype=complex)
+    entries[0, 0] = bad
+    with pytest.raises(NonHermitianSampleError):
+        evolve_propagator(lambda t: Operator(lay, entries), PropagationSettings(0.0, 1.0, 4))
+
+
+def test_settings_reject_negative_max_refinements():
+    PropagationSettings(0.0, 1.0, 4, max_refinements=0)
+    with pytest.raises(ValueError, match="max_refinements"):
+        PropagationSettings(0.0, 1.0, 4, max_refinements=-1)
+
+
+def test_midpoint_rule_matches_inline_eigh_reference():
+    # the step exponential against an independent one: the midpoint product
+    # of exp(-i H dt) by eigendecomposition, over one period on a fixed grid
+    lay = SpaceLayout(6)
+    p = make_params()
+    steps = 512
+    dt = TWO_PI / steps
+    res = evolve_propagator(lambda t: h_eff(p, lay, t),
+                            PropagationSettings(0.0, TWO_PI, steps, 1e-30, max_refinements=0))
+    want = np.eye(lay.total_dim, dtype=complex)
+    for k in range(steps):
+        w, v = np.linalg.eigh(h_eff(p, lay, (k + 0.5) * dt).entries)
+        want = (v * np.exp(-1j * dt * w)) @ v.conj().T @ want
+    assert res.steps_used == steps
+    assert np.abs(res.unitary.entries - want).max() <= 1e-12
 
 
 def test_trajectory_csv_format(tmp_path):
