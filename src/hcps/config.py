@@ -17,7 +17,8 @@ Supported tags:
     kHz_cyclic    2 pi e-6 rad/ns per kHz
 
 Decoherence times are plain microseconds (their own key names say so);
-null means infinite (channel off).
+null means infinite (channel off).  Every number must be finite: JSON's
+NaN and Infinity are rejected naming the key.
 
 Each key has one reader and one default, the field default of its options
 dataclass; a key that no reader declares is an error naming it, so a
@@ -83,7 +84,13 @@ def frequency_to_rad_per_ns(node, where: str) -> float:
 def _number(node, where: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {node!r}")
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:             # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: value must be finite")
+    return value
 
 
 def _integer(node, where: str) -> int:
@@ -151,6 +158,8 @@ class PropagationDefaults:
 
     def __post_init__(self):
         _at_least(self, steps=1, max_refinements=0)
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be > 0")
 
 
 @dataclass(frozen=True)

@@ -161,12 +161,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.layout, self.amplitudes / n)
-
     def overlap(self, other: "StateVector") -> complex:
         """<self|other>."""
         if other.layout != self.layout:

@@ -39,13 +39,11 @@ are propagated; sector (-s, -c) is driven by -f, so its propagator is the
 parity image P U(s, c) P, P = (-1)^n_hat.  The six-factor product is built
 per sector too, where sx and Sx are scalars, but on all four (an
 independent check of those images), and one function assembles every
-full-space matrix from sector blocks.  One extraction turns the propagated
-sectors' snapshots into coefficients at every checkpoint:
-:func:`coefficients_oracle` reads its last checkpoint,
-:func:`oracle_grid` those at its given times, which it adds to the same
-checkpoint grid.  Multiples of a disentangling period reuse one base-window
-propagation through :func:`oracle_power`, since h_eff is periodic and
-U(kT) = U(T)^k.
+full-space matrix from sector blocks.  One extraction reads every
+coefficient from sector blocks: :func:`coefficients_oracle` and
+:func:`oracle_grid` share one propagation pass over their times and the
+last one's checkpoint grid, and :func:`oracle_power` reads the k-th power
+of a base window's blocks, since h_eff is periodic and U(kT) = U(T)^k.
 
 Gate synthesis consumes only the oracle route; the closed-form route exists
 so the disagreement on A is measured and reported, not papered over.
@@ -58,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -411,31 +409,23 @@ def _default_fock_window(fock_cutoff: int) -> int:
     return max(1, min(6, fock_cutoff // 4))
 
 
-def _checkpoint_count(params: SystemParams, t: float) -> int:
-    n_osc = abs(t) * (abs(params.omega) + abs(params.Delta)) / TWO_PI
-    return int(max(48, 8 * math.ceil(n_osc)))
+def _oscillations(params: SystemParams, t: float) -> int:
+    """Drive oscillations in [0, t], rounded up; sizes the checkpoint and step grids."""
+    return math.ceil(abs(t) * (abs(params.omega) + abs(params.Delta)) / TWO_PI)
 
 
-def _solve_sectors(alpha: dict, phi_cross, phi_mean):
-    """(A, B, C, D), elementwise, from the propagated sectors' alpha and phases.
-
-    alpha(sector) = -i*charge_sign*B' - i*spin_sign*C' (primes = conjugates)
-    and the sector phase is -Re D + (Im(B'C) - A) s_spin s_charge, so the
-    charge-odd and charge-even parts of (1, 1) and (1, -1) fix all four; the
-    parity images carry the opposite displacements and the same phases.
-    """
-    a_pp, a_pm = alpha[(1, 1)], alpha[(1, -1)]
-    B, C = np.conj(0.5j * (a_pp - a_pm)), np.conj(0.5j * (a_pp + a_pm))
-    A = np.imag(np.conj(B) * C) - phi_cross
-    return A, B, C, -phi_mean + 0.5j * (np.abs(B)**2 + np.abs(C)**2)
-
-
-def _extract(snapshots: dict, times: Sequence[float]) -> list[WNCoefficients]:
-    """Coefficients at every checkpoint of the propagated sectors' snapshots.
+def _extract(snapshots: dict, times: Sequence[float], start: dict | None = None
+             ) -> list[WNCoefficients]:
+    """Coefficients at every snapshot of the propagated sectors.
 
     For a driven oscillator each sector propagator is e^{i phi} D(alpha), so
-    <0|U|0> = e^{i phi} e^{-|alpha|^2 / 2} and <1|U|0> / <0|U|0> = alpha.  The
-    phases are unwrapped along the checkpoint grid starting from phi(0) = 0.
+    <0|U|0> = e^{i phi} e^{-|alpha|^2 / 2} and <1|U|0> / <0|U|0> = alpha.
+    alpha(sector) = -i*charge_sign*B' - i*spin_sign*C' (primes = conjugates)
+    and phi = -Re D + (Im(B'C) - A) s_spin s_charge, so the charge-odd and
+    charge-even parts of (1, 1) and (1, -1) fix all four; the parity images
+    carry the opposite displacements and the same phases.  Each sector's
+    phases are unwrapped along the snapshots from start[sector], or from
+    phi(0) = 0 when start is None.
     """
     alphas, phis = {}, {}
     for key, snaps in snapshots.items():
@@ -445,9 +435,13 @@ def _extract(snapshots: dict, times: Sequence[float]) -> list[WNCoefficients]:
             raise RuntimeError("vacuum survival amplitude too small for phase extraction; "
                                "displacement exceeds the extraction method's domain")
         alphas[key] = c1 / c0
-        phis[key] = np.unwrap(np.concatenate(([0.0], np.angle(c0))))[1:]
+        phi0 = 0.0 if start is None else start[key]
+        phis[key] = np.unwrap(np.concatenate(([phi0], np.angle(c0))))[1:]
+    a_pp, a_pm = alphas[(1, 1)], alphas[(1, -1)]
     p_pp, p_pm = phis[(1, 1)], phis[(1, -1)]
-    A, B, C, D = _solve_sectors(alphas, 0.5 * (p_pp - p_pm), 0.5 * (p_pp + p_pm))
+    B, C = np.conj(0.5j * (a_pp - a_pm)), np.conj(0.5j * (a_pp + a_pm))
+    A = np.imag(np.conj(B) * C) - 0.5 * (p_pp - p_pm)
+    D = -0.5 * (p_pp + p_pm) + 0.5j * (np.abs(B)**2 + np.abs(C)**2)
     return [WNCoefficients(float(a), complex(b), complex(c), complex(d), float(tk))
             for a, b, c, d, tk in zip(A, B, C, D, times)]
 
@@ -463,43 +457,29 @@ def _assemble_lab_unitary(blocks: Sequence[np.ndarray], layout: SpaceLayout) -> 
     return trans @ _sector_block_diagonal(blocks) @ trans
 
 
-def _score(coeffs: WNCoefficients, sector_mats: dict, layout: SpaceLayout,
-           fock_window: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Lab-basis numeric and factorized propagators, and the windowed and
-    full residuals between them."""
+def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
+                   steps: int) -> OracleResult:
+    """coeffs scored against the sector blocks they were read from: the
+    numeric and factorized lab propagators, and the windowed and full
+    residuals between them."""
+    layout = SpaceLayout(sector_mats[PROPAGATED[0]].shape[0])
+    fock_window = _default_fock_window(layout.fock_cutoff)
     numeric = _assemble_lab_unitary(_sector_blocks(*(sector_mats[k] for k in PROPAGATED)), layout)
     factorized = factorized_propagator(coeffs, layout).entries
     diff = np.abs(factorized - numeric)
     cols = [q * layout.fock_cutoff + k for q in range(4) for k in range(fock_window + 1)]
-    return numeric, factorized, float(diff[:, cols].max()), float(diff.max())
-
-
-def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
-                   steps: int) -> OracleResult:
-    layout = SpaceLayout(sector_mats[PROPAGATED[0]].shape[0])
-    fock_window = _default_fock_window(layout.fock_cutoff)
-    numeric, factorized, residual, residual_full = _score(coeffs, sector_mats, layout,
-                                                          fock_window)
-    return OracleResult(
-        coeffs=coeffs,
-        residual=residual,
-        residual_full=residual_full,
-        flagged=residual > RESIDUAL_THRESHOLD,
-        fock_window=fock_window,
-        converged=converged,
-        steps_used=steps,
-        numeric_unitary=numeric,
-        factorized_unitary=factorized,
-        sector_unitaries=sector_mats,
-    )
+    residual = float(diff[:, cols].max())
+    return OracleResult(coeffs=coeffs, residual=residual, residual_full=float(diff.max()),
+                        flagged=residual > RESIDUAL_THRESHOLD, fock_window=fock_window,
+                        converged=converged, steps_used=steps, numeric_unitary=numeric,
+                        factorized_unitary=factorized, sector_unitaries=sector_mats)
 
 
 def _oracle_settings(params: SystemParams, t: float,
                      settings: PropagationSettings | None) -> PropagationSettings:
     if settings is not None:
         return settings.replace(t0=0.0, t1=t)
-    n_osc = abs(t) * (abs(params.omega) + abs(params.Delta)) / TWO_PI
-    steps = int(max(256, 64 * math.ceil(n_osc)))
+    steps = max(256, 64 * _oscillations(params, t))
     return PropagationSettings(t0=0.0, t1=t, steps=steps, tolerance=1e-8)
 
 
@@ -525,6 +505,25 @@ def _propagate_sectors(params: SystemParams, times: Sequence[float], fock_cutoff
     return snapshots, converged_all, steps_max
 
 
+def _oracle_pass(params: SystemParams, times: np.ndarray, fock_cutoff: int,
+                 settings: PropagationSettings | None) -> Iterator[OracleResult]:
+    """The oracle at each of the sorted, positive times, from one propagation.
+
+    The sectors are propagated on the union of the times and the last one's
+    checkpoint grid, so however sparse the times, the phases behind A and D
+    are unwrapped along that grid.
+    """
+    t_end = float(times[-1])
+    checkpoints = max(48, 8 * _oscillations(params, t_end))
+    grid = np.union1d(times, np.linspace(0.0, t_end, checkpoints + 1)[1:])
+    snapshots, converged, steps = _propagate_sectors(
+        params, grid, fock_cutoff, _oracle_settings(params, t_end, settings))
+    extracted = _extract(snapshots, grid)
+    for i in np.searchsorted(grid, times):
+        yield _oracle_result(extracted[i], {k: v[i] for k, v in snapshots.items()},
+                             converged, steps)
+
+
 def coefficients_oracle(params: SystemParams, t: float, fock_cutoff: int = 20, *,
                         settings: PropagationSettings | None = None) -> OracleResult:
     """Extract (A, B, C, D) at time t from the brute-force propagator.
@@ -534,11 +533,8 @@ def coefficients_oracle(params: SystemParams, t: float, fock_cutoff: int = 20, *
     """
     if t <= 0.0:
         raise ValueError("oracle extraction needs t > 0")
-    times = np.linspace(0.0, t, _checkpoint_count(params, t) + 1)[1:]
-    snapshots, converged, steps = _propagate_sectors(
-        params, times, fock_cutoff, _oracle_settings(params, t, settings))
-    return _oracle_result(_extract(snapshots, times)[-1],
-                          {k: v[-1] for k, v in snapshots.items()}, converged, steps)
+    (result,) = _oracle_pass(params, np.array([t], dtype=float), fock_cutoff, settings)
+    return result
 
 
 def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int = 20, *,
@@ -546,48 +542,34 @@ def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int =
     """Coefficient extraction along a whole time grid in one propagation pass.
 
     Much cheaper than calling coefficients_oracle per point; used by the
-    coeffs pipeline and the closed-form comparison tests.  The sectors are
-    propagated on the union of the given times and coefficients_oracle's
-    checkpoint grid, so however sparse the given times, the phases behind
-    A and D are unwrapped along that grid; rows are read at the given times.
+    coeffs pipeline and the closed-form comparison tests.  It is
+    coefficients_oracle's pass with a row read at each of the given times.
     """
     times = np.asarray(sorted(times), dtype=float)
     if times[0] <= 0.0:
         raise ValueError("grid times must be positive")
-    t_end = float(times[-1])
-    grid = np.union1d(times, np.linspace(0.0, t_end, _checkpoint_count(params, t_end) + 1)[1:])
-    layout = SpaceLayout(fock_cutoff)
-    window = _default_fock_window(fock_cutoff)
-    snapshots, converged, _steps = _propagate_sectors(
-        params, grid, fock_cutoff, _oracle_settings(params, t_end, settings))
-    extracted = _extract(snapshots, grid)
-    rows = []
-    for i in np.searchsorted(grid, times):
-        coeffs = extracted[i]
-        _, _, residual, _ = _score(coeffs, {k: v[i] for k, v in snapshots.items()}, layout,
-                                   window)
-        rows.append(CoefficientRow(t=coeffs.t, coeffs=coeffs,
-                                   A_closed_form=closed_form_A(params, coeffs.t),
-                                   residual=residual, converged=converged))
-    return rows
+    return [CoefficientRow(t=res.coeffs.t, coeffs=res.coeffs,
+                           A_closed_form=closed_form_A(params, res.coeffs.t),
+                           residual=res.residual, converged=res.converged)
+            for res in _oracle_pass(params, times, fock_cutoff, settings)]
 
 
 def oracle_power(base: OracleResult, periods: int) -> OracleResult:
     """The oracle after `periods` repetitions of a base disentangling window.
 
     h_eff is periodic with the base commensurate time, so U(k t) = U(t)^k:
-    the sector blocks are raised to the k-th power, the displacement
-    coefficients are re-extracted from that power (they stay at the
-    numerical floor), and the accumulated phases scale linearly in k.
+    the sector blocks are raised to the k-th power and all four coefficients
+    are read from that power by :func:`_extract`.  Each sector's phase is
+    unwrapped from k times the base window's, which only picks its 2 pi
+    branch.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
     powered = {k: np.linalg.matrix_power(u, periods) for k, u in base.sector_unitaries.items()}
     b = base.coeffs
-    A, B, C, D = _solve_sectors({k: u[1, 0] / u[0, 0] for k, u in powered.items()},
-                                periods * (np.imag(np.conj(b.B) * b.C) - b.A),
-                                -periods * b.D.real)
-    coeffs = WNCoefficients(float(A), complex(B), complex(C), complex(D), b.t * periods)
+    cross = np.imag(np.conj(b.B) * b.C) - b.A
+    start = {(s, c): periods * (s * c * cross - b.D.real) for s, c in PROPAGATED}
+    (coeffs,) = _extract({k: [u] for k, u in powered.items()}, [b.t * periods], start)
     return _oracle_result(coeffs, powered, base.converged, base.steps_used)
 
 

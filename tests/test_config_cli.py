@@ -419,6 +419,47 @@ def test_bad_setting_is_config_error_naming_the_key(tmp_path, capsys, command, s
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("lindblad", "scale_factors", [math.nan]),
+    (None, "commensurability_tol", math.inf),
+    ("decoherence", "T2_spin_us", math.inf),        # null is how a time says infinite
+    ("system", "n_g", math.nan),
+    pytest.param("system", "flux_ratio", 10**400, id="system-flux_ratio-beyond_float"),
+    ("propagation", "tolerance", -math.inf),
+])
+def test_non_finite_number_is_config_error_naming_the_key(tmp_path, section, key, value):
+    # json writes NaN and Infinity, and json.load accepts them back
+    doc = paper_preset_dict()
+    (doc if section is None else doc[section])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=rf"{key}: value must be finite"):
+        load_config(path)
+
+
+def test_nan_rate_scale_exits_config_before_any_row(tmp_path, capsys):
+    # a NaN scale would drop every decoherence channel (only rate > 0 is kept)
+    # and report a noiseless fidelity of 1
+    cfg = small_config(tmp_path, lindblad={"scale_factors": [0.0, math.nan]})
+    assert main(["lindblad", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "lindblad.scale_factors" in capsys.readouterr().err
+    assert not (tmp_path / "lindblad.csv").exists()
+
+
+def test_non_positive_tolerance_fails_at_load(tmp_path, capsys):
+    # checked with the other propagation settings, so validate runs no check
+    doc = paper_preset_dict()
+    doc["propagation"]["tolerance"] = 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"bad\.json: propagation: tolerance must be > 0"):
+        load_config(path)
+    assert main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert "bad.json: propagation" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["gate"],                                                   # --config missing
     ["coeffs", "--config", "paper_preset", "--eta", "1"],       # --eta is for gate and sweep
