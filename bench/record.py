@@ -12,10 +12,11 @@ commit and source digest of the checkout, the run length declared in
 <root>/BENCHMARK.json, and per workload the end-to-end metrics, the
 per-layer metrics and the operation counts of both runs, plus the measured
 (uncorrected) wall_s median read back from the untraced run's output
-file.  It then times each CLI command on paper_preset once, again one
-process at a time, with the checkout's src/ on PYTHONPATH and a scratch
-output directory.  It is written to --out (default: the root of the
-repository holding this script).
+file.  It then times each CLI command on paper_preset once, and `gate
+--trajectory` under the key gate_trajectory, again one process at a time,
+with the checkout's src/ on PYTHONPATH and a scratch output directory.  It
+is written to --out (default: the root of the repository holding this
+script).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("gate_preset", "oracle_random", "open_gate_period", "fullspace_period")
-CLI_COMMANDS = ("gate", "validate", "coeffs", "sweep", "lindblad")
+CLI_RUNS = {command: [command] for command in ("gate", "validate", "coeffs", "sweep", "lindblad")}
+CLI_RUNS["gate_trajectory"] = ["gate", "--trajectory"]
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -54,13 +56,13 @@ def measured_wall_s(root: Path, workload: str, seed: int) -> float:
     return statistics.median(sum(cycle) for cycle in json.loads(path.read_text())["op_s"])
 
 
-def time_cli(root: Path, command: str) -> dict:
-    """Wall seconds and exit code of one `hcps <command> --config paper_preset`."""
+def time_cli(root: Path, args: list[str]) -> dict:
+    """Wall seconds and exit code of one `hcps <args> --config paper_preset`."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as out_dir:
         start = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-m", "hcps.cli", command, "--config", "paper_preset",
+            [sys.executable, "-m", "hcps.cli", *args, "--config", "paper_preset",
              "--out", out_dir], cwd=root, env=env, capture_output=True, text=True)
         wall = time.perf_counter() - start
     return {"wall_s": wall, "exit_code": done.returncode}
@@ -89,9 +91,9 @@ def record(root: Path, label: str) -> dict:
         entry["measured_wall_s"] = measured_wall_s(root, workload, out["environment"]["seed"])
         out["workloads"][workload] = entry
     out["cli_paper_preset"] = {}
-    for command in CLI_COMMANDS:
-        out["cli_paper_preset"][command] = time_cli(root, command)
-        print(f"hcps {command}: {json.dumps(out['cli_paper_preset'][command])}",
+    for key, args in CLI_RUNS.items():
+        out["cli_paper_preset"][key] = time_cli(root, args)
+        print(f"hcps {' '.join(args)}: {json.dumps(out['cli_paper_preset'][key])}",
               file=sys.stderr)
     env = out["environment"]
     out["commit"] = env["git_commit"]

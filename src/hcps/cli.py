@@ -37,9 +37,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .gates import GateReport, ScheduleConditionError, schedule_for_eta, synthesize_gate, u1, u2, u3
-from .hamiltonians import (
-    SystemParams, h_charge_qubit, h_drive, h_eff, h_interaction, h_nv, h_T, h_total_lab,
-)
+from .hamiltonians import h_charge_qubit, h_drive, h_eff, h_interaction, h_nv, h_T, h_total_lab
 from .hilbert import Operator, SpaceLayout, basis_state, commutator, matrix_exponential
 from .open_system import gate_fidelity_open, write_lindblad_csv
 from .propagation import (
@@ -51,10 +49,9 @@ from .wei_norman import (
     coefficients_closed_form,
     coefficients_oracle,
     commensurate_time,
-    dressed_transform,
-    joint_step_unitaries,
     oracle_at_periods,
     oracle_grid,
+    oracle_trajectory,
     write_coefficients_csv,
 )
 
@@ -108,12 +105,12 @@ def cmd_gate(cfg: RunConfig, out_dir, trajectory: bool = False) -> int:
     report = _run_gate(cfg)
     _write_json(f"{out_dir}/gate_report.json", report_to_json(report))
 
-    comm = report.base_window
-    periods = round(report.schedule.t_int / comm.t)
+    schedule = report.schedule
+    comm, periods = schedule.window, schedule.periods
     print(f"disentangling time = {comm.t:.6f} ns (n={comm.n}, p={comm.p}); "
           f"sequence accumulates {periods} of them")
-    print(f"gate_time_ns   = {report.gate_time_ns:.6f} "
-          f"(t_int {report.schedule.t_int:.6f} over n={report.schedule.n}, p={report.schedule.p})")
+    print(f"gate_time_ns   = {report.gate_time_ns:.6f} (t_int {schedule.t_int:.6f} "
+          f"over n={comm.n * periods}, p={comm.p * periods})")
     print(f"fidelity_avg   = {report.fidelity_avg:.9f}  vs target '{cfg.gate.target}' "
           f"(relabeling {report.relabeling})")
     print(f"phase_distance = {report.phase_distance:.3e}")
@@ -125,35 +122,16 @@ def cmd_gate(cfg: RunConfig, out_dir, trajectory: bool = False) -> int:
         print(f"discrepancy[{note['code']}]: {note['detail']}")
     print(f"wrote {out_dir}/gate_report.json")
 
+    converged = report.converged
     if trajectory:
         layout = SpaceLayout(cfg.fock_cutoff)
         psi0 = basis_state(layout, 0, 0, 0)
-        times, states = _heff_trajectory(cfg.system, layout, psi0.amplitudes,
-                                         report.schedule.t_int)
+        times, states, traj_converged = oracle_trajectory(
+            cfg.system, layout, psi0.amplitudes, comm, periods, settings=_prop_settings(cfg, 1.0))
         write_trajectory_csv(f"{out_dir}/trajectory.csv", times, states)
         print(f"wrote {out_dir}/trajectory.csv")
-    return EXIT_OK if report.converged else EXIT_NUMERICAL
-
-
-def _heff_trajectory(params: SystemParams, layout: SpaceLayout, psi0: np.ndarray,
-                     duration: float, points: int = 512):
-    """Sampled state trajectory of the interaction leg on the sector-block
-    step unitaries, the oracle's order-4 step rule on a fixed grid (export
-    accuracy, not gate accuracy)."""
-    steps = max(4096, 16 * int(math.ceil(duration)))
-    stride = max(1, steps // points)
-    trans = dressed_transform(layout)
-    psi = trans @ psi0
-    times = [0.0]
-    traj = [psi0.copy()]
-    k = 0
-    for u in joint_step_unitaries(params, layout, duration, steps):
-        psi = u @ psi
-        k += 1
-        if k % stride == 0 or k == steps:
-            times.append(duration * k / steps)
-            traj.append(trans @ psi)
-    return np.array(times), np.array(traj)
+        converged &= traj_converged
+    return EXIT_OK if converged else EXIT_NUMERICAL
 
 
 # ----------------------------------------------------------------------
@@ -325,6 +303,8 @@ def cmd_lindblad(cfg: RunConfig, out_dir) -> int:
                              cfg.commensurability_tol)
     oracle = oracle_at_periods(params, comm, 1, fock_dm, settings=_prop_settings(cfg, comm.t))
     schedule = schedule_for_eta(params, oracle.coeffs.A, comm, 1)
+    print(f"scoring the one-period sequence: t_int {schedule.t_int:.6f} ns, gate time "
+          f"{schedule.tau1 + schedule.tau2 + schedule.t_int:.6f} ns, Fock cutoff {fock_dm}")
 
     rows = []
     converged = True

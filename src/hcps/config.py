@@ -265,6 +265,8 @@ def _parse_system(node, where: str) -> SystemParams:
     for name in _SYSTEM_READERS:
         if name not in kwargs:
             raise ConfigError(f"{where}: system.{name} is required")
+    if kwargs["omega"] <= 0.0:
+        raise ConfigError(f"{where}: system.omega must be positive, got {kwargs['omega']!r}")
     try:
         return SystemParams(**kwargs)
     except ValueError as exc:

@@ -33,7 +33,7 @@ reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -73,19 +73,24 @@ class TruncationError(ArithmeticError):
 class PulseSchedule:
     """Durations and phase bookkeeping for one gate run.
 
-    n and p witness commensurability of the interaction time t_int.
+    The interaction leg, t_int long, repeats the disentangling window `periods` times.
     """
 
     tau1: float
     tau2: float
-    t_int: float
     eta: float
-    n: int = 1
-    p: int = 1
+    window: CommensurateTime
+    periods: int = 1
 
     def __post_init__(self):
-        if self.tau1 <= 0 or self.tau2 <= 0 or self.t_int <= 0:
+        if self.tau1 <= 0 or self.tau2 <= 0 or self.window.t <= 0:
             raise ValueError("all schedule durations must be positive")
+        if self.periods < 1:
+            raise ValueError("periods must be >= 1")
+
+    @property
+    def t_int(self) -> float:
+        return self.window.t * self.periods
 
 
 class EtaCalibration(NamedTuple):
@@ -113,7 +118,6 @@ class GateReport:
     fidelity_paper_eta: float
     top_level_population: float
     converged: bool
-    base_window: CommensurateTime | None = None   # the repeated window, from synthesize_gate
 
 
 # ----------------------------------------------------------------------
@@ -309,15 +313,12 @@ def schedule_for_eta(params: SystemParams, eta: float, comm: CommensurateTime,
     duration of the idealized description would force zeta = xi, which
     realistic parameter sets violate.
     """
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
     return PulseSchedule(
         tau1=duration_for_phase(params.zeta, eta),
         tau2=duration_for_phase(params.xi, eta),
-        t_int=comm.t * periods,
         eta=eta,
-        n=comm.n * periods,
-        p=comm.p * periods,
+        window=comm,
+        periods=periods,
     )
 
 
@@ -478,6 +479,5 @@ def synthesize_gate(params: SystemParams, layout: SpaceLayout, *,
     eta_used = oracle.coeffs.A if eta is None else float(eta)
 
     schedule = schedule_for_eta(params, eta_used, comm, periods)
-    report = compose_sequence(schedule, params, layout, target=target, oracle=oracle,
-                              calibration=calibration, strict=eta is None)
-    return replace(report, base_window=comm)
+    return compose_sequence(schedule, params, layout, target=target, oracle=oracle,
+                            calibration=calibration, strict=eta is None)

@@ -8,13 +8,14 @@ decays an off-diagonal element as exp(-t/T_phi) and the T1 channel
 contributes the remaining exp(-t/(2 T1)) of the total T2 law.
 
 Every collapse operator and both qubit-pulse Hamiltonians act on the qubits
-alone or on the resonator alone (the dressed transform too touches only the
-qubit indices), so the dissipator is a sum of two commuting constant maps: a
-16 x 16 superoperator on the qubit index pair of rho and, with resonator
-decay, an N^2 x N^2 one on its Fock pair, each exponentiated exactly.  A
-qubit pulse is one such map, exp(tau L) with its Hamiltonian in L, and takes
-no steps.  The one stepped leg (:func:`evolve_master`'s, and the interaction
-leg of :func:`gate_fidelity_open`) is a Strang split, second order and
+alone or on the resonator alone (so does the change to the sector-block
+basis, QUBIT_HADAMARD on the qubit index), so the dissipator is a sum of
+two commuting constant maps: a 16 x 16 superoperator on the qubit index
+pair of rho and, with resonator decay, an N^2 x N^2 one on its Fock pair,
+each exponentiated exactly.  A qubit pulse is one such map, exp(tau L) with
+its Hamiltonian in L, and takes no steps.  The one stepped leg
+(:func:`evolve_master`'s, and the interaction leg of
+:func:`gate_fidelity_open`) is a Strang split, second order and
 trace-preserving to rounding: exact dissipator half-step map, unitary step
 by conjugation, half-step map, with the two half maps between consecutive
 steps fused into one full-step map.  Its step unitaries come from
@@ -46,7 +47,7 @@ from .hilbert import (
     build_spin_ops, expm_hermitian, expm_matrix,
 )
 from .propagation import PropagationSettings, _check_hermitian, midpoint_steps, step_doubling
-from .wei_norman import dressed_basis, dressed_transform, joint_step_unitaries
+from .wei_norman import QUBIT_HADAMARD, dressed_basis, joint_step_unitaries
 
 US_TO_NS = 1.0e3
 
@@ -333,20 +334,20 @@ def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
     for a qubit pulse, whose rho map is exact, and the interaction leg's step
     unitaries.  With an empty dissipator set the two agree to rounding.  The
     sequence runs in the sector-block basis (inputs and qubit factors are
-    conjugated into it once); fidelities and traces do not depend on it.
+    mapped into it once, by QUBIT_HADAMARD on the qubit index); fidelities
+    and traces do not depend on it.
     """
     n = layout.fock_cutoff
-    trans = dressed_transform(layout)     # real, symmetric and its own inverse
-    hadamards = trans[::n, ::n]           # its qubit factor
-    qubit, fock = _local_factors(collapse_ops(dec, layout), n, hadamards)
+    qubit, fock = _local_factors(collapse_ops(dec, layout), n, QUBIT_HADAMARD)
     dissipators = (_liouvillian(4, qubit), _liouvillian(n, fock))
     inputs = standard_input_states(layout)
-    rhos = trans @ np.stack([DensityMatrix.from_state(s).entries for s in inputs]) @ trans
-    psis = np.stack([s.amplitudes for s in inputs]) @ trans
+    rhos = _apply_maps(np.stack([DensityMatrix.from_state(s).entries for s in inputs]), n,
+                       np.kron(QUBIT_HADAMARD, QUBIT_HADAMARD), None)   # H rho H, H = H^T
+    psis = np.stack([(QUBIT_HADAMARD @ s.amplitudes.reshape(4, n)).ravel() for s in inputs])
 
     pulses, on_resonator = _local_factors(
         [(h_charge_qubit(params, layout), schedule.tau1), (h_nv(params, layout), schedule.tau2)],
-        n, hadamards)
+        n, QUBIT_HADAMARD)
     if on_resonator:
         raise ValueError("a qubit pulse Hamiltonian acts on the resonator")
     for h, tau in pulses:

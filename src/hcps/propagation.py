@@ -201,14 +201,10 @@ def frame_rotate(u: Operator, generator: Operator, angle_fun: Callable[[float], 
 
 def write_trajectory_csv(path, times: np.ndarray, trajectory: np.ndarray):
     """Trajectory CSV: t_ns, then one (re, im) column pair per basis index."""
-    n = trajectory.shape[1]
-    header = ["t_ns"]
-    for j in range(n):
-        header += [f"re_amp_{j}", f"im_amp_{j}"]
+    header = ["t_ns"] + [f"{part}_amp_{j}" for j in range(trajectory.shape[1])
+                         for part in ("re", "im")]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for t, row in zip(times, trajectory):
-            cells = [f"{t:.17g}"]
-            for amp in row:
-                cells += [f"{amp.real:.17g}", f"{amp.imag:.17g}"]
-            fh.write(",".join(cells) + "\n")
+            cells = [t, *np.column_stack([row.real, row.imag]).ravel()]
+            fh.write(",".join(f"{x:.17g}" for x in cells) + "\n")

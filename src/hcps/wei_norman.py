@@ -38,12 +38,12 @@ oracle is checked against stays midpoint.  Only sectors (1, 1) and (1, -1)
 are propagated; sector (-s, -c) is driven by -f, so its propagator is the
 parity image P U(s, c) P, P = (-1)^n_hat.  The six-factor product is built
 per sector too, where sx and Sx are scalars, but on all four (an
-independent check of those images), and one function assembles every
-full-space matrix from sector blocks.  One extraction reads every
-coefficient from sector blocks: :func:`coefficients_oracle` and
-:func:`oracle_grid` share one propagation pass over their times and the
-last one's checkpoint grid, and :func:`oracle_power` reads the k-th power
-of a base window's blocks, since h_eff is periodic and U(kT) = U(T)^k.
+independent check of those images); blocks reach the lab basis through
+QUBIT_HADAMARD on the qubit index.  One extraction reads every coefficient
+from sector blocks: :func:`coefficients_oracle` and :func:`oracle_grid`
+share one propagation pass over their times and the last one's checkpoint
+grid.  h_eff is periodic, U(kT + s) = U(s) U(T)^k, so :func:`oracle_power`
+and :func:`oracle_trajectory` repeat one window's blocks.
 
 Gate synthesis consumes only the oracle route; the closed-form route exists
 so the disagreement on A is measured and reported, not papered over.
@@ -72,7 +72,11 @@ PROPAGATED = SECTORS[:2]    # the last two are their sign flips, in reverse orde
 
 RESIDUAL_THRESHOLD = 1e-5   # windowed factorization residual above which a result is flagged
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+QUBIT_HADAMARD = np.kron(_HADAMARD, _HADAMARD)   # lab (spin x charge) <-> SECTORS, self-inverse
+QUBIT_HADAMARD.setflags(write=False)
+
+TRAJECTORY_SAMPLES = 512    # oracle_trajectory's least row count after t = 0
 
 
 class CommensurabilityError(ValueError):
@@ -366,19 +370,14 @@ def _sector_block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return full
 
 
-def dressed_transform(layout: SpaceLayout) -> np.ndarray:
-    """Hadamard on each qubit slot; maps lab basis to the sector-block basis."""
-    return np.kron(np.kron(_HADAMARD, _HADAMARD), np.eye(layout.fock_cutoff)).real
-
-
 def dressed_basis() -> np.ndarray:
     """Columns map dressed order (gg, ge, eg, ee) to lab (spin x charge) coords.
 
     g = (|up> - |down>)/sqrt(2) is the -1 eigenstate of the x operator on
     each qubit, e the +1 eigenstate; first letter is the spin qubit.  SECTORS
-    runs from ee to gg, so these are dressed_transform's qubit columns reversed.
+    runs from ee to gg, so these are QUBIT_HADAMARD's columns reversed.
     """
-    return np.kron(_HADAMARD, _HADAMARD)[:, ::-1].copy()
+    return QUBIT_HADAMARD[:, ::-1].astype(np.complex128)
 
 
 def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: float,
@@ -386,9 +385,9 @@ def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: fl
     """Uniform-grid step unitaries of h_eff, yielded in order, sector-block basis.
 
     Each is the :func:`_cf4_steps` step (the oracle's rule) of the two
-    PROPAGATED sectors with their parity images, assembled block-diagonally;
-    consumers working in the lab basis conjugate by
-    :func:`dressed_transform` once per leg instead.
+    PROPAGATED sectors with their parity images, assembled block-diagonally.
+    Its one consumer, the open-system interaction leg, stays in this basis
+    and maps its inputs into it once, by QUBIT_HADAMARD on the qubit index.
     """
     d = layout.total_dim
     factors = _sector_step_factors(layout.fock_cutoff)
@@ -447,14 +446,11 @@ def _extract(snapshots: dict, times: Sequence[float], start: dict | None = None
 
 
 def _assemble_lab_unitary(blocks: Sequence[np.ndarray], layout: SpaceLayout) -> np.ndarray:
-    """The full-space matrix with the given blocks of SECTORS, in order.
-
-    The sector block diagonal lives in the joint x-eigenbasis of both
-    qubits; the full operator is it conjugated back to the lab basis by
-    :func:`dressed_transform`.
-    """
-    trans = dressed_transform(layout)
-    return trans @ _sector_block_diagonal(blocks) @ trans
+    """The lab-basis matrix with the given blocks of SECTORS, in order: entry
+    ((p, a), (q, b)) is sum_i H[p, i] blocks[i][a, b] H[i, q], H = QUBIT_HADAMARD."""
+    n = layout.fock_cutoff
+    return np.einsum("pi,iab,iq->paqb", QUBIT_HADAMARD, np.asarray(blocks),
+                     QUBIT_HADAMARD).reshape(4 * n, 4 * n)
 
 
 def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
@@ -579,12 +575,36 @@ def oracle_at_periods(params: SystemParams, base: CommensurateTime, periods: int
     """Oracle coefficients at an integer multiple of the base disentangling time.
 
     The base window is extracted once, then raised to the period count by
-    :func:`oracle_power`.
+    :func:`oracle_power`, which checks the period count.
+    """
+    window = coefficients_oracle(params, base.t, fock_cutoff, settings=settings)
+    return oracle_power(window, periods)
+
+
+def oracle_trajectory(params: SystemParams, layout: SpaceLayout, psi0: np.ndarray,
+                      window: CommensurateTime, periods: int, *,
+                      settings: PropagationSettings | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Lab-basis states U(t) psi0 over `periods` repetitions of a window T.
+
+    One oracle pass samples the sector blocks at m = ceil(TRAJECTORY_SAMPLES
+    / periods) evenly spaced s in (0, T]; U(jT + s) = U(s) U(T)^j applies them
+    blockwise to the last state of period j - 1.  Returns the 1 + periods * m
+    times from 0 to periods * T, the states as rows, and the converged flag.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    window = coefficients_oracle(params, base.t, fock_cutoff, settings=settings)
-    return oracle_power(window, periods)
+    n = layout.fock_cutoff
+    m = -(-TRAJECTORY_SAMPLES // periods)
+    snapshots, converged, _ = _propagate_sectors(params, np.linspace(0.0, window.t, m + 1)[1:],
+                                                 n, _oracle_settings(params, window.t, settings))
+    blocks = np.stack(_sector_blocks(*(np.array(snapshots[k]) for k in PROPAGATED)))
+    phis = [QUBIT_HADAMARD @ np.reshape(psi0, (4, n))]      # sector basis
+    for _ in range(periods):
+        phis.extend(np.einsum("imab,ib->mia", blocks, phis[-1]))
+    states = np.einsum("pi,kia->kpa", QUBIT_HADAMARD, phis[1:]).reshape(-1, 4 * n)
+    times = np.linspace(0.0, window.t * periods, periods * m + 1)
+    return times, np.concatenate([np.reshape(psi0, (1, 4 * n)), states]), converged
 
 
 # ----------------------------------------------------------------------

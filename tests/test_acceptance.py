@@ -165,7 +165,7 @@ def test_criterion_4_gate_construction(params):
     assert rep.leakage < 1e-4
     report(f"4: PASS composed gate at N=20: fidelity {rep.fidelity_avg:.6f} >= 0.999, "
            f"leakage {rep.leakage:.2e} < 1e-4 "
-           f"(eta_used {rep.eta_used:.6f}, {rep.schedule.n} periods, "
+           f"(eta_used {rep.eta_used:.6f}, {rep.schedule.periods} periods, "
            f"relabeling {rep.relabeling})")
 
 

@@ -180,26 +180,51 @@ def test_gate_command_is_deterministic(tmp_path):
 
 
 def test_gate_trajectory_export(tmp_path):
+    # one window sampled ceil(512 / k) times, repeated over the k periods
     cfg = small_config(tmp_path)
     code = main(["gate", "--config", cfg, "--out", str(tmp_path), "--trajectory"])
     assert code == 0
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("t_ns,re_amp_0,im_amp_0")
-    ts = [float(r.split(",")[0]) for r in lines[1:]]
-    assert ts == sorted(ts) and len(ts) > 2
+    ts = np.array([float(r.split(",")[0]) for r in lines[1:]])
+    schedule = cli._run_gate(load_config(cfg)).schedule
+    assert len(ts) == 1 + schedule.periods * math.ceil(512 / schedule.periods)
+    assert ts[0] == 0.0 and np.all(np.diff(ts) > 0)
+    assert abs(ts[-1] - schedule.t_int) < 1e-12
+
+
+def test_gate_trajectory_export_is_deterministic(tmp_path):
+    cfg = small_config(tmp_path)
+    for run in ("a", "b"):
+        assert main(["gate", "--config", cfg, "--out", str(tmp_path / run), "--trajectory"]) == 0
+    assert (tmp_path / "a/trajectory.csv").read_bytes() == \
+        (tmp_path / "b/trajectory.csv").read_bytes()
+
+
+def test_unconverged_trajectory_exits_numerical(tmp_path, monkeypatch):
+    def unconverged(*args, **kwargs):
+        times, states, _ = wei_norman.oracle_trajectory(*args, **kwargs)
+        return times, states, False
+
+    monkeypatch.setattr(cli, "oracle_trajectory", unconverged)
+    cfg = small_config(tmp_path)
+    assert main(["gate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["gate", "--config", cfg, "--out", str(tmp_path), "--trajectory"]) == 2
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 def test_trajectory_ends_at_the_gate_oracle_state(preset_params):
     # the export's last state over the gate's t_int is the 44-period oracle's
-    # propagator on the exported initial state (midpoint export: 7.4e-5 off)
+    # propagator on the exported initial state
     layout = SpaceLayout(8)
-    report = gates.synthesize_gate(preset_params, layout)
-    comm = report.base_window
-    periods = round(report.schedule.t_int / comm.t)
+    schedule = gates.synthesize_gate(preset_params, layout).schedule
     psi0 = basis_state(layout, 0, 0, 0).amplitudes
-    _, states = cli._heff_trajectory(preset_params, layout, psi0, report.schedule.t_int)
-    want = wei_norman.oracle_at_periods(preset_params, comm, periods, 8).numeric_unitary @ psi0
-    assert np.abs(states[-1] - want).max() < 1e-6
+    _, states, converged = wei_norman.oracle_trajectory(preset_params, layout, psi0,
+                                                        schedule.window, schedule.periods)
+    want = wei_norman.oracle_at_periods(preset_params, schedule.window, schedule.periods,
+                                        8).numeric_unitary @ psi0
+    assert converged
+    assert np.abs(states[-1] - want).max() < 1e-9
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -446,6 +471,19 @@ def test_nan_rate_scale_exits_config_before_any_row(tmp_path, capsys):
     assert not (tmp_path / "lindblad.csv").exists()
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0])
+@pytest.mark.parametrize("command", ["gate", "validate", "coeffs", "sweep", "lindblad"])
+def test_non_positive_omega_is_config_error_naming_it(tmp_path, capsys, command, omega):
+    doc = paper_preset_dict()
+    doc["system"]["omega"] = {"value": omega, "unit": "rad_per_ns"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "system.omega must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_positive_tolerance_fails_at_load(tmp_path, capsys):
     # checked with the other propagation settings, so validate runs no check
     doc = paper_preset_dict()
@@ -560,6 +598,14 @@ def test_lindblad_command(tmp_path, capsys):
     one = float(lines[2].split(",")[1])
     assert zero == pytest.approx(1.0, abs=1e-8)
     assert 0.97 < one < zero
+
+
+def test_lindblad_names_the_sequence_and_cutoff_it_scores(tmp_path, capsys):
+    cfg = small_config(tmp_path, lindblad={"scale_factors": [0.0]})
+    assert main(["lindblad", "--config", cfg, "--out", str(tmp_path), "--fock", "16"]) == 0
+    out = capsys.readouterr().out
+    assert "one-period sequence: t_int 6.283185 ns" in out
+    assert "Fock cutoff 12" in out
 
 
 def test_report_json_serializable(tmp_path):

@@ -27,7 +27,7 @@ from hcps.gates import (
 )
 from hcps.hilbert import SLOT_CHARGE, SLOT_SPIN, SpaceLayout, build_spin_ops, commutator, identity
 from hcps.propagation import PropagationSettings
-from hcps.wei_norman import commensurate_time, oracle_at_periods
+from hcps.wei_norman import CommensurateTime, commensurate_time, oracle_at_periods
 
 from test_hamiltonians import make_params
 
@@ -253,8 +253,11 @@ def preset_gate_report(preset_params):
 
 
 def test_schedule_requires_positive_durations():
+    window = CommensurateTime(t=1.0, n=1, p=1)
     with pytest.raises(ValueError):
-        PulseSchedule(tau1=0.0, tau2=1.0, t_int=1.0, eta=0.1)
+        PulseSchedule(tau1=0.0, tau2=1.0, eta=0.1, window=window)
+    with pytest.raises(ValueError, match="periods"):
+        PulseSchedule(tau1=1.0, tau2=1.0, eta=0.1, window=window, periods=0)
 
 
 def test_schedule_for_eta_solves_phase_congruences(preset_params):
@@ -264,7 +267,7 @@ def test_schedule_for_eta_solves_phase_congruences(preset_params):
         assert abs(wrap_angle(preset_params.zeta * s.tau1 / 2 - eta)) < 1e-12
         assert abs(wrap_angle(preset_params.xi * s.tau2 / 2 - eta)) < 1e-12
         assert s.t_int == pytest.approx(3 * comm.t)
-        assert (s.n, s.p) == (3 * comm.n, 3 * comm.p)
+        assert (s.window, s.periods) == (comm, 3)
 
 
 def test_synthesized_gate_hits_cz_target(preset_gate_report):
@@ -291,7 +294,7 @@ def test_synthesized_gate_time_accounting(preset_gate_report):
     rep = preset_gate_report
     s = rep.schedule
     assert rep.gate_time_ns == pytest.approx(s.tau1 + s.tau2 + s.t_int)
-    assert s.t_int == pytest.approx(s.n * TWO_PI)
+    assert s.t_int == pytest.approx(s.periods * s.window.n * TWO_PI)
 
 
 def test_synthesize_gate_propagates_base_window_once(preset_params, monkeypatch):
@@ -348,8 +351,8 @@ def test_compose_sequence_strict_raises_on_bad_schedule(preset_params):
     comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
     oracle = oracle_at_periods(preset_params, comm, 1, 8, settings=FAST)
     good = schedule_for_eta(preset_params, oracle.coeffs.A, comm, 1)
-    bad = PulseSchedule(tau1=good.tau1 * 1.07, tau2=good.tau2, t_int=good.t_int,
-                        eta=good.eta, n=good.n, p=good.p)
+    bad = PulseSchedule(tau1=good.tau1 * 1.07, tau2=good.tau2, eta=good.eta,
+                        window=good.window, periods=good.periods)
     with pytest.raises(ScheduleConditionError) as err:
         compose_sequence(bad, preset_params, SpaceLayout(8), oracle=oracle)
     assert "tau1" in str(err.value)

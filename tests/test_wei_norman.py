@@ -473,3 +473,21 @@ def test_oracle_power_matches_a_direct_multi_period_oracle(preset_params, overri
             assert np.abs(diff).max() < 1e-8
         assert abs(powered.coeffs.A - direct.coeffs.A) < 1e-8
         assert abs(powered.coeffs.D - direct.coeffs.D) < 1e-8
+
+
+@settings(max_examples=15, deadline=None)
+@given(omega=st.floats(0.7, 1.6),
+       ratio=st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 2 / 3, -2 / 3, 1.5, -1.5]),
+       g=st.floats(0.02, 0.3), G=st.floats(0.02, 0.3), k=st.sampled_from([2, 3]))
+def test_oracle_power_matches_a_direct_oracle_on_random_commensurate_draws(omega, ratio, g,
+                                                                           G, k):
+    # Delta = omega - omega_r = ratio * omega; same bounds as the fixed sets above
+    params = make_params(omega=omega, omega_r=omega * (1.0 - ratio), g=g, G=G)
+    period = commensurate_time(params.omega, params.Delta).t
+    powered = wei_norman.oracle_power(coefficients_oracle(params, period, 8), k)
+    direct = coefficients_oracle(params, k * period, 8)
+    for key in wei_norman.PROPAGATED:
+        diff = powered.sector_unitaries[key] - direct.sector_unitaries[key]
+        assert np.abs(diff).max() < 1e-8
+    assert abs(powered.coeffs.A - direct.coeffs.A) < 1e-8
+    assert abs(powered.coeffs.D - direct.coeffs.D) < 1e-8
