@@ -39,10 +39,8 @@ from .config import ConfigError, RunConfig, load_config
 from .gates import GateReport, ScheduleConditionError, schedule_for_eta, synthesize_gate, u1, u2, u3
 from .hamiltonians import h_charge_qubit, h_drive, h_eff, h_interaction, h_nv, h_T, h_total_lab
 from .hilbert import Operator, SpaceLayout, basis_state, commutator, matrix_exponential
-from .open_system import gate_fidelity_open, write_lindblad_csv
-from .propagation import (
-    NonHermitianSampleError, PropagationSettings, evolve_propagator, write_trajectory_csv,
-)
+from .open_system import gate_fidelity_open
+from .propagation import NonHermitianSampleError, PropagationSettings, evolve_propagator
 from .wei_norman import (
     CommensurabilityError,
     closed_form_A,
@@ -52,7 +50,6 @@ from .wei_norman import (
     oracle_at_periods,
     oracle_grid,
     oracle_trajectory,
-    write_coefficients_csv,
 )
 
 EXIT_OK = 0
@@ -83,6 +80,16 @@ def _write_json(path, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True))
         fh.write("\n")
+
+
+def _write_csv(path, header: str, rows):
+    """The one CSV writer: the header line, then one line per row, a str cell
+    verbatim and any other cell with 17 significant digits (a float64 reads
+    back exactly)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else f"{c:.17g}" for c in row) + "\n")
 
 
 def _run_gate(cfg: RunConfig) -> GateReport:
@@ -128,7 +135,11 @@ def cmd_gate(cfg: RunConfig, out_dir, trajectory: bool = False) -> int:
         psi0 = basis_state(layout, 0, 0, 0)
         times, states, traj_converged = oracle_trajectory(
             cfg.system, layout, psi0.amplitudes, comm, periods, settings=_prop_settings(cfg, 1.0))
-        write_trajectory_csv(f"{out_dir}/trajectory.csv", times, states)
+        # t_ns, then one (re, im) column pair per basis index
+        header = ",".join(["t_ns"] + [f"{part}_amp_{j}" for j in range(states.shape[1])
+                                      for part in ("re", "im")])
+        _write_csv(f"{out_dir}/trajectory.csv", header,
+                   np.column_stack([times, np.ascontiguousarray(states).view(np.float64)]))
         print(f"wrote {out_dir}/trajectory.csv")
         converged &= traj_converged
     return EXIT_OK if converged else EXIT_NUMERICAL
@@ -231,6 +242,9 @@ def cmd_validate(cfg: RunConfig, out_dir) -> int:
 # coeffs
 # ----------------------------------------------------------------------
 
+COEFFS_CSV_HEADER = "t_ns,A_oracle,reB,imB,reC,imC,reD,imD,A_printed,residual"
+
+
 def cmd_coeffs(cfg: RunConfig, out_dir) -> int:
     params = cfg.system
     t_max = cfg.coeffs.t_max_periods * 2.0 * math.pi / params.omega
@@ -238,7 +252,11 @@ def cmd_coeffs(cfg: RunConfig, out_dir) -> int:
     times = np.linspace(t_max / pts, t_max, pts)
     rows = oracle_grid(params, times, cfg.fock_cutoff, settings=_prop_settings(cfg, t_max))
     path = f"{out_dir}/coefficients.csv"
-    write_coefficients_csv(path, rows)
+    # A_printed is the literal closed-form A, printed beside the oracle's
+    _write_csv(path, COEFFS_CSV_HEADER,
+               [(row.t, row.coeffs.A, row.coeffs.B.real, row.coeffs.B.imag,
+                 row.coeffs.C.real, row.coeffs.C.imag, row.coeffs.D.real, row.coeffs.D.imag,
+                 closed_form_A(params, row.t), row.residual) for row in rows])
     print(f"wrote {path} ({len(rows)} rows, t up to {t_max:.6f} ns)")
     return EXIT_OK if all(row.converged for row in rows) else EXIT_NUMERICAL
 
@@ -274,12 +292,10 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     results = [_sweep_point(cfg, f) for f in factors]
 
     path = f"{out_dir}/sweep.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for factor, (value, rep) in zip(factors, results):
-            cells = (factor, value, rep.fidelity_avg, rep.phase_distance,
-                     rep.leakage, rep.eta_used, rep.gate_time_ns)
-            fh.write(cfg.sweep.parameter + "," + ",".join(f"{x:.17g}" for x in cells) + "\n")
+    _write_csv(path, SWEEP_CSV_HEADER,
+               [(cfg.sweep.parameter, factor, value, rep.fidelity_avg, rep.phase_distance,
+                 rep.leakage, rep.eta_used, rep.gate_time_ns)
+                for factor, (value, rep) in zip(factors, results)])
 
     trend = _fidelity_trend([rep.fidelity_avg for _, rep in results])
     print(f"wrote {path} ({len(results)} rows); fidelity trend over "
@@ -290,6 +306,9 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
 # ----------------------------------------------------------------------
 # lindblad
 # ----------------------------------------------------------------------
+
+LINDBLAD_CSV_HEADER = "scale_factor,fidelity_avg,trace_defect"
+
 
 def cmd_lindblad(cfg: RunConfig, out_dir) -> int:
     if cfg.decoherence is None:
@@ -317,7 +336,7 @@ def cmd_lindblad(cfg: RunConfig, out_dir) -> int:
         print(f"scale {factor:g}: fidelity {res.fidelity_avg:.9f} "
               f"(loss {res.fidelity_loss:.3e}), trace defect {res.trace_defect:.2e}")
     path = f"{out_dir}/lindblad.csv"
-    write_lindblad_csv(path, rows)
+    _write_csv(path, LINDBLAD_CSV_HEADER, rows)
     print(f"wrote {path}")
     return EXIT_OK if converged else EXIT_NUMERICAL
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonians import SystemParams
-from .hilbert import Operator, SLOT_CHARGE, SLOT_SPIN, SpaceLayout, build_spin_ops, expm_matrix
+from .hilbert import Operator, SLOT_CHARGE, SLOT_SPIN, SpaceLayout, build_spin_ops
 from .propagation import PropagationSettings
 from .wei_norman import (
     CommensurateTime,
@@ -124,23 +124,29 @@ class GateReport:
 # elementary unitaries
 # ----------------------------------------------------------------------
 
+def _rotation(g: np.ndarray, angle: float, layout: SpaceLayout) -> Operator:
+    """exp(i angle G) = cos(angle) + i sin(angle) G for a G with G^2 = 1."""
+    eye = np.eye(layout.total_dim)
+    return Operator(layout, math.cos(angle) * eye + 1j * math.sin(angle) * g)
+
+
 def u1(zeta: float, tau: float, layout: SpaceLayout) -> Operator:
     """Charge-qubit rotation exp(i zeta sigma_x tau / 2)."""
-    sx = build_spin_ops(layout, SLOT_CHARGE).x
-    return Operator(layout, expm_matrix(sx.entries, 0.5j * zeta * tau))
+    sx = build_spin_ops(layout, SLOT_CHARGE).x.entries
+    return _rotation(sx, 0.5 * zeta * tau, layout)
 
 
 def u2(xi: float, tau: float, layout: SpaceLayout) -> Operator:
     """Spin-qubit rotation exp(i xi S_x tau / 2)."""
-    Sx = build_spin_ops(layout, SLOT_SPIN).x
-    return Operator(layout, expm_matrix(Sx.entries, 0.5j * xi * tau))
+    Sx = build_spin_ops(layout, SLOT_SPIN).x.entries
+    return _rotation(Sx, 0.5 * xi * tau, layout)
 
 
 def u3(a_phase: float, layout: SpaceLayout) -> Operator:
     """Joint phase exp(-i A sigma_x S_x); equals cos A - i sin A sigma_x S_x."""
     sx = build_spin_ops(layout, SLOT_CHARGE).x.entries
     Sx = build_spin_ops(layout, SLOT_SPIN).x.entries
-    return Operator(layout, expm_matrix(Sx @ sx, -1j * a_phase))
+    return _rotation(Sx @ sx, -a_phase, layout)
 
 
 # ----------------------------------------------------------------------
@@ -189,23 +195,29 @@ def _check_unitary(u: np.ndarray, name: str):
         raise ValueError(f"{name} is not unitary to {UNITARY_INPUT_TOL} (defect {defect:.3e})")
 
 
-def _overlap(u: np.ndarray, v: np.ndarray) -> float:
-    """|Tr(V'U)| of two unitaries, each checked to UNITARY_INPUT_TOL."""
+def _overlap(u: np.ndarray, v: np.ndarray) -> complex:
+    """Tr(V'U) of two unitaries, each checked to UNITARY_INPUT_TOL."""
     _check_unitary(u, "first argument")
     _check_unitary(v, "second argument")
-    return abs(np.trace(v.conj().T @ u))
+    return np.trace(v.conj().T @ u)
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """Average gate fidelity (|Tr(V'U)|^2 + d) / (d(d+1)); phase invariant."""
     d = u.shape[0]
-    return float((_overlap(u, v) ** 2 + d) / (d * (d + 1)))
+    return float((abs(_overlap(u, v)) ** 2 + d) / (d * (d + 1)))
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Frobenius distance min over a global phase of the first argument."""
-    d = u.shape[0]
-    return float(math.sqrt(max(0.0, 2.0 * d - 2.0 * _overlap(u, v))))
+    """Frobenius distance min over phi of ||U - e^{i phi} V||.
+
+    The optimal phase is e^{i phi} = Tr(V'U)/|Tr(V'U)| (1 when the trace
+    vanishes), and the norm is taken directly: the equal value
+    sqrt(2d - 2|Tr(V'U)|) cancels and keeps only about half the digits.
+    """
+    tr = _overlap(u, v)
+    phase = tr / abs(tr) if tr != 0 else 1.0
+    return float(np.linalg.norm(u - phase * v))
 
 
 def _best_relabeling(u: np.ndarray, target: np.ndarray) -> tuple[float, float, str]:

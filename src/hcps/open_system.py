@@ -361,13 +361,3 @@ def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
     fids = tuple(float(np.real(np.vdot(psi, rho @ psi))) for psi, rho in zip(psis, rhos))
     return OpenGateResult(fidelity_avg=float(np.mean(fids)), fidelity_per_input=fids,
                           trace_defect=trace_defect, converged=converged)
-
-
-LINDBLAD_CSV_HEADER = "scale_factor,fidelity_avg,trace_defect"
-
-
-def write_lindblad_csv(path, rows: Sequence[tuple[float, float, float]]):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(LINDBLAD_CSV_HEADER + "\n")
-        for scale, fid, defect in rows:
-            fh.write(f"{scale:.17g},{fid:.17g},{defect:.17g}\n")

@@ -197,14 +197,3 @@ def frame_rotate(u: Operator, generator: Operator, angle_fun: Callable[[float], 
         raise ValueError("frame generator must be Hermitian")
     rot = expm_hermitian(generator.entries, 1j * float(angle_fun(t)))
     return Operator(u.layout, rot @ u.entries)
-
-
-def write_trajectory_csv(path, times: np.ndarray, trajectory: np.ndarray):
-    """Trajectory CSV: t_ns, then one (re, im) column pair per basis index."""
-    header = ["t_ns"] + [f"{part}_amp_{j}" for j in range(trajectory.shape[1])
-                         for part in ("re", "im")]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, row in zip(times, trajectory):
-            cells = [t, *np.column_stack([row.real, row.imag]).ravel()]
-            fh.write(",".join(f"{x:.17g}" for x in cells) + "\n")

@@ -72,8 +72,8 @@ PROPAGATED = SECTORS[:2]    # the last two are their sign flips, in reverse orde
 
 RESIDUAL_THRESHOLD = 1e-5   # windowed factorization residual above which a result is flagged
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-QUBIT_HADAMARD = np.kron(_HADAMARD, _HADAMARD)   # lab (spin x charge) <-> SECTORS, self-inverse
+# lab (spin x charge) <-> SECTORS; entries exactly +-1/2, so self-inverse exactly
+QUBIT_HADAMARD = 0.5 * np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
 QUBIT_HADAMARD.setflags(write=False)
 
 TRAJECTORY_SAMPLES = 512    # oracle_trajectory's least row count after t = 0
@@ -134,7 +134,7 @@ class OracleResult:
 
 
 class CoefficientRow(NamedTuple):
-    """One row of the coefficient table exported by the coeffs pipeline.
+    """One row of the coefficient table the coeffs pipeline writes.
 
     converged is the step-doubling flag of the propagation the row was read
     from; it is not written to the CSV.
@@ -142,7 +142,6 @@ class CoefficientRow(NamedTuple):
 
     t: float
     coeffs: WNCoefficients
-    A_closed_form: float
     residual: float
     converged: bool
 
@@ -544,9 +543,8 @@ def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int =
     times = np.asarray(sorted(times), dtype=float)
     if times[0] <= 0.0:
         raise ValueError("grid times must be positive")
-    return [CoefficientRow(t=res.coeffs.t, coeffs=res.coeffs,
-                           A_closed_form=closed_form_A(params, res.coeffs.t),
-                           residual=res.residual, converged=res.converged)
+    return [CoefficientRow(t=res.coeffs.t, coeffs=res.coeffs, residual=res.residual,
+                           converged=res.converged)
             for res in _oracle_pass(params, times, fock_cutoff, settings)]
 
 
@@ -626,21 +624,3 @@ def factorized_propagator(coeffs: WNCoefficients, layout: SpaceLayout) -> Operat
     blocks = [np.exp(-1j * (coeffs.D + coeffs.A * s * c)) * charge[c] @ spin[s]
               for s, c in SECTORS]
     return Operator(layout, _assemble_lab_unitary(blocks, layout))
-
-
-# ----------------------------------------------------------------------
-# export
-# ----------------------------------------------------------------------
-
-CSV_HEADER = "t_ns,A_oracle,reB,imB,reC,imC,reD,imD,A_printed,residual"
-
-
-def write_coefficients_csv(path, rows: Sequence[CoefficientRow]):
-    """Coefficient table CSV; A_printed is the literal closed-form A."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            c = row.coeffs
-            cells = [row.t, c.A, c.B.real, c.B.imag, c.C.real, c.C.imag,
-                     c.D.real, c.D.imag, row.A_closed_form, row.residual]
-            fh.write(",".join(f"{x:.17g}" for x in cells) + "\n")

@@ -4,11 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcps import cli, gates, wei_norman
 from hcps.cli import main, report_to_json
@@ -138,6 +140,23 @@ def small_config(tmp_path, **over):
     return str(path)
 
 
+def test_csv_writer_round_trips_floats(tmp_path):
+    rng = np.random.default_rng(7)
+    floats = [5e-324, 1e308, -0.0, *rng.normal(size=20) * 10.0 ** rng.integers(-300, 300, 20)]
+    rows = [("g", *floats[:12]), ("xi", *floats[12:])]
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "name,x", rows)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "name,x"
+    assert len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert cells[0] == row[0]
+        back = [float(c) for c in cells[1:]]
+        assert back == list(row[1:])
+        assert [math.copysign(1.0, x) for x in back] == [math.copysign(1.0, x) for x in row[1:]]
+
+
 def test_gate_command_writes_report(tmp_path, capsys):
     cfg = small_config(tmp_path)
     code = main(["gate", "--config", cfg, "--out", str(tmp_path)])
@@ -179,6 +198,35 @@ def test_gate_command_is_deterministic(tmp_path):
         (tmp_path / "b/gate_report.json").read_bytes()
 
 
+@settings(max_examples=8, deadline=None)
+@given(omega=st.floats(0.7, 1.6), ratio=st.sampled_from([1.0, 2.0, 0.5, -1.0]),
+       g_rel=st.floats(0.03, 0.3), G_rel=st.floats(0.03, 0.3),
+       fock=st.sampled_from([4, 6]), points=st.integers(2, 5))
+def test_rerun_writes_identical_bytes(omega, ratio, g_rel, G_rel, fock, points):
+    # a drawn unit-tagged config, run twice per command: same exit code, same bytes
+    delta = ratio * omega
+    rad = lambda x: {"value": x, "unit": "rad_per_ns"}
+    doc = paper_preset_dict()
+    doc["system"].update(omega=rad(omega), omega_r=rad(omega - delta), g=rad(g_rel * omega),
+                         G=rad(G_rel * abs(delta)))
+    doc["fock_cutoff"] = fock
+    doc["gate"]["max_periods"] = 8
+    doc["propagation"] = {"steps": 1024, "tolerance": 1e-7, "max_refinements": 8}
+    doc["coeffs"] = {"points": points, "t_max_periods": 2.0}
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        cfg = root / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        for command in ("coeffs", "gate"):
+            a, b = root / command / "a", root / command / "b"
+            codes = [main([command, "--config", str(cfg), "--out", str(out)]) for out in (a, b)]
+            assert codes[0] == codes[1]
+            names = sorted(p.name for p in a.iterdir())
+            assert names == sorted(p.name for p in b.iterdir())
+            for name in names:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_gate_trajectory_export(tmp_path):
     # one window sampled ceil(512 / k) times, repeated over the k periods
     cfg = small_config(tmp_path)
@@ -186,6 +234,8 @@ def test_gate_trajectory_export(tmp_path):
     assert code == 0
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("t_ns,re_amp_0,im_amp_0")
+    width = 1 + 2 * SpaceLayout(6).total_dim    # t, then (re, im) per basis index
+    assert all(len(line.split(",")) == width for line in lines)
     ts = np.array([float(r.split(",")[0]) for r in lines[1:]])
     schedule = cli._run_gate(load_config(cfg)).schedule
     assert len(ts) == 1 + schedule.periods * math.ceil(512 / schedule.periods)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from hcps.gates import (
@@ -27,7 +28,9 @@ from hcps.gates import (
 )
 from hcps.hilbert import SLOT_CHARGE, SLOT_SPIN, SpaceLayout, build_spin_ops, commutator, identity
 from hcps.propagation import PropagationSettings
-from hcps.wei_norman import CommensurateTime, commensurate_time, oracle_at_periods
+from hcps.wei_norman import (
+    QUBIT_HADAMARD, CommensurateTime, commensurate_time, oracle_at_periods,
+)
 
 from test_hamiltonians import make_params
 
@@ -100,6 +103,15 @@ def test_pulse_unitaries_mutually_commute():
     for i, a in enumerate(ops):
         for b in ops[i + 1:]:
             assert commutator(a, b).norm_max() < 1e-12
+    # each closed form is the exponential of its generator, at any angle
+    sx = build_spin_ops(lay, SLOT_CHARGE).x.entries
+    Sx = build_spin_ops(lay, SLOT_SPIN).x.entries
+    for angle in (-7.3, 0.0, 0.37, TWO_PI + 0.1, 40.0):
+        for got, generator in ((u1(2.0, angle, lay), sx), (u2(2.0, angle, lay), Sx),
+                               (u3(-angle, lay), Sx @ sx)):
+            want = scipy.linalg.expm(1j * angle * generator)
+            assert np.abs(got.entries - want).max() < 1e-13
+            assert got.unitarity_defect() < 1e-14
 
 
 # ----------------------------------------------------------------------
@@ -107,9 +119,11 @@ def test_pulse_unitaries_mutually_commute():
 # ----------------------------------------------------------------------
 
 def test_dressed_basis_is_real_orthogonal():
+    # entries are exactly +-1/2, so the Hadamard and the basis are orthogonal exactly
     v = dressed_basis()
     assert np.abs(v.imag).max() == 0.0
-    assert np.abs(v.T @ v - np.eye(4)).max() < 1e-14
+    assert np.array_equal(v.conj().T @ v, np.eye(4))
+    assert np.array_equal(QUBIT_HADAMARD @ QUBIT_HADAMARD, np.eye(4))
 
 
 def test_dressed_basis_diagonalizes_x_operators():
@@ -158,8 +172,16 @@ def test_gate_fidelity_rejects_non_unitary():
 
 def test_phase_distance_zero_iff_phase_equivalent():
     u = eq_phase_form(0.5)
-    assert phase_distance(np.exp(0.4j) * u, u) < 1e-7
+    assert phase_distance(np.exp(0.4j) * u, u) < 1e-14
     assert phase_distance(eq_phase_form(0.8), u) > 0.1
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+def test_phase_distance_resolves_small_angles(eps):
+    # min over phi of ||diag(e^{i eps}, 1, 1, 1) - e^{i phi}|| = eps sqrt(3)/2 to
+    # first order; sqrt(2d - 2|Tr|) cancels to 0 at eps = 1e-9
+    got = phase_distance(np.diag(np.exp(1j * np.array([eps, 0.0, 0.0, 0.0]))), np.eye(4))
+    assert got == pytest.approx(eps * math.sqrt(3.0) / 2.0, rel=1e-6)
 
 
 # ----------------------------------------------------------------------

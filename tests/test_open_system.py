@@ -19,7 +19,6 @@ from hcps.open_system import (
     gate_fidelity_open,
     pure_dephasing_rate,
     standard_input_states,
-    write_lindblad_csv,
 )
 from hcps.propagation import PropagationSettings, evolve_state
 from hcps.wei_norman import commensurate_time, oracle_at_periods
@@ -303,11 +302,3 @@ def test_open_fidelity_leg_converges_on_a_coarse_order_4_grid(preset_params, pre
     assert res.converged
     assert len(grids) == 1 and grids[0] <= 256
 
-
-def test_lindblad_csv_format(tmp_path):
-    path = tmp_path / "lind.csv"
-    write_lindblad_csv(path, [(0.0, 1.0, 1e-12), (1.0, 0.9976, 2e-12)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "scale_factor,fidelity_avg,trace_defect"
-    assert len(lines) == 3
-    assert float(lines[2].split(",")[1]) == pytest.approx(0.9976)

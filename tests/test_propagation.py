@@ -21,7 +21,6 @@ from hcps.propagation import (
     evolve_state,
     frame_rotate,
     step_doubling,
-    write_trajectory_csv,
 )
 from hcps.wei_norman import coefficients_closed_form, factorized_propagator
 
@@ -241,17 +240,3 @@ def test_midpoint_rule_matches_inline_eigh_reference():
     assert res.steps_used == steps
     assert np.abs(res.unitary.entries - want).max() <= 1e-12
 
-
-def test_trajectory_csv_format(tmp_path):
-    lay = SpaceLayout(2)
-    psi0 = basis_state(lay, 0, 1, 0)
-    times = np.linspace(0.0, 1.0, 5)
-    trajectory = np.exp(-0.5j * times)[:, None] * psi0.amplitudes[None, :]
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, times, trajectory)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("t_ns,re_amp_0,im_amp_0")
-    assert len(lines[0].split(",")) == 1 + 2 * lay.total_dim
-    assert len(lines) == 1 + len(times)
-    ts = [float(row.split(",")[0]) for row in lines[1:]]
-    assert ts == sorted(ts)

@@ -13,7 +13,6 @@ from hcps.hilbert import (
 from hcps import wei_norman
 from hcps.propagation import PropagationSettings, midpoint_steps
 from hcps.wei_norman import (
-    CSV_HEADER,
     CommensurabilityError,
     WNCoefficients,
     closed_form_A,
@@ -23,7 +22,6 @@ from hcps.wei_norman import (
     factorized_propagator,
     oracle_at_periods,
     oracle_grid,
-    write_coefficients_csv,
 )
 
 from test_acceptance import _random_parameter_set
@@ -320,18 +318,13 @@ def test_extraction_guards_against_large_displacement():
         coefficients_oracle(params, math.pi, 64, settings=coarse)
 
 
-def test_coefficients_csv_round_trip(tmp_path, preset_params):
+def test_oracle_grid_B_vanishes_at_the_period_marks(preset_params):
     period = TWO_PI / preset_params.omega
     ts = np.linspace(period / 4, 2 * period, 8)   # includes both period marks
     rows = oracle_grid(preset_params, ts, 8, settings=TIGHT)
-    path = tmp_path / "coeffs.csv"
-    write_coefficients_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 9
-    data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    # B column pairs vanish exactly at the period marks (rows 3 and 7)
-    b_mag = np.hypot(data[:, 2], data[:, 3])
+    assert len(rows) == 8
+    b_mag = np.array([abs(row.coeffs.B) for row in rows])
+    # B vanishes exactly at the period marks (rows 3 and 7)
     assert b_mag[3] < 3e-8 and b_mag[7] < 3e-8
     assert b_mag[1] > 1e-2
 
