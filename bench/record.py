@@ -12,18 +12,20 @@ commit and source digest of the checkout, the run length declared in
 <root>/BENCHMARK.json, and per workload the end-to-end metrics, the
 per-layer metrics and the operation counts of both runs, plus the measured
 (uncorrected) wall_s median read back from the untraced run's output
-file.  It then times each CLI command on paper_preset once, and `gate
---trajectory` under the key gate_trajectory, again one process at a time,
-with the checkout's src/ on PYTHONPATH and a scratch output directory.  It
-is written to --out (default: the root of the repository holding this
-script).
+file.  It then times once each run of compare_outputs.RUNS (every CLI
+command on paper_preset, and `gate --trajectory` under the key
+gate_trajectory) through compare_outputs.run_cli, again one process at a
+time, with the checkout's src/ on PYTHONPATH, a scratch output directory
+and OPENBLAS_NUM_THREADS=1.  These CLI timings are single-threaded, so they
+do not compare with the cli_paper_preset figures of the earlier BENCH_*.json
+records, which ran at the default BLAS thread count.  The record is written
+to --out (default: the root of the repository holding this script).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -31,9 +33,9 @@ import tempfile
 import time
 from pathlib import Path
 
+from compare_outputs import RUNS, run_cli
+
 WORKLOADS = ("gate_preset", "oracle_random", "open_gate_period", "fullspace_period")
-CLI_RUNS = {command: [command] for command in ("gate", "validate", "coeffs", "sweep", "lindblad")}
-CLI_RUNS["gate_trajectory"] = ["gate", "--trajectory"]
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -57,15 +59,12 @@ def measured_wall_s(root: Path, workload: str, seed: int) -> float:
 
 
 def time_cli(root: Path, args: list[str]) -> dict:
-    """Wall seconds and exit code of one `hcps <args> --config paper_preset`."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    """Wall seconds and exit code of one compare_outputs.run_cli."""
     with tempfile.TemporaryDirectory() as out_dir:
         start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "hcps.cli", *args, "--config", "paper_preset",
-             "--out", out_dir], cwd=root, env=env, capture_output=True, text=True)
+        code, _ = run_cli(root, args, Path(out_dir))
         wall = time.perf_counter() - start
-    return {"wall_s": wall, "exit_code": done.returncode}
+    return {"wall_s": wall, "exit_code": code}
 
 
 def source_modified(root: Path) -> bool | None:
@@ -91,7 +90,7 @@ def record(root: Path, label: str) -> dict:
         entry["measured_wall_s"] = measured_wall_s(root, workload, out["environment"]["seed"])
         out["workloads"][workload] = entry
     out["cli_paper_preset"] = {}
-    for key, args in CLI_RUNS.items():
+    for key, args in RUNS.items():
         out["cli_paper_preset"][key] = time_cli(root, args)
         print(f"hcps {' '.join(args)}: {json.dumps(out['cli_paper_preset'][key])}",
               file=sys.stderr)

@@ -35,7 +35,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _eta, load_config
 from .gates import GateReport, ScheduleConditionError, schedule_for_eta, synthesize_gate, u1, u2, u3
 from .hamiltonians import h_charge_qubit, h_drive, h_eff, h_interaction, h_nv, h_T, h_total_lab
 from .hilbert import Operator, SpaceLayout, basis_state, commutator, matrix_exponential
@@ -129,20 +129,16 @@ def cmd_gate(cfg: RunConfig, out_dir, trajectory: bool = False) -> int:
         print(f"discrepancy[{note['code']}]: {note['detail']}")
     print(f"wrote {out_dir}/gate_report.json")
 
-    converged = report.converged
     if trajectory:
-        layout = SpaceLayout(cfg.fock_cutoff)
-        psi0 = basis_state(layout, 0, 0, 0)
-        times, states, traj_converged = oracle_trajectory(
-            cfg.system, layout, psi0.amplitudes, comm, periods, settings=_prop_settings(cfg, 1.0))
+        psi0 = basis_state(SpaceLayout(cfg.fock_cutoff), 0, 0, 0).amplitudes
+        times, states = oracle_trajectory(report.oracle, psi0, periods)
         # t_ns, then one (re, im) column pair per basis index
         header = ",".join(["t_ns"] + [f"{part}_amp_{j}" for j in range(states.shape[1])
                                       for part in ("re", "im")])
         _write_csv(f"{out_dir}/trajectory.csv", header,
                    np.column_stack([times, np.ascontiguousarray(states).view(np.float64)]))
         print(f"wrote {out_dir}/trajectory.csv")
-        converged &= traj_converged
-    return EXIT_OK if converged else EXIT_NUMERICAL
+    return EXIT_OK if report.oracle.converged else EXIT_NUMERICAL
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +296,7 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     trend = _fidelity_trend([rep.fidelity_avg for _, rep in results])
     print(f"wrote {path} ({len(results)} rows); fidelity trend over "
           f"{cfg.sweep.parameter}: {trend}")
-    return EXIT_OK if all(rep.converged for _, rep in results) else EXIT_NUMERICAL
+    return EXIT_OK if all(rep.oracle.converged for _, rep in results) else EXIT_NUMERICAL
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +383,7 @@ def main(argv=None) -> int:
         if args.fock is not None:
             cfg = replace(cfg, fock_cutoff=args.fock)
         if getattr(args, "eta", None) is not None:
-            eta = None if args.eta == "auto" else float(args.eta)
+            eta = _eta(args.eta if args.eta == "auto" else float(args.eta), "--eta")
             cfg = replace(cfg, gate=replace(cfg.gate, eta=eta))
         if args.command != "validate":  # validate only prints
             try:

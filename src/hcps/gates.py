@@ -83,8 +83,8 @@ class PulseSchedule:
     periods: int = 1
 
     def __post_init__(self):
-        if self.tau1 <= 0 or self.tau2 <= 0 or self.window.t <= 0:
-            raise ValueError("all schedule durations must be positive")
+        if not all(0.0 < x < math.inf for x in (self.tau1, self.tau2, self.window.t)):
+            raise ValueError("all schedule durations must be finite and positive")
         if self.periods < 1:
             raise ValueError("periods must be >= 1")
 
@@ -103,7 +103,8 @@ class EtaCalibration(NamedTuple):
 
 @dataclass(frozen=True)
 class GateReport:
-    """Synthesized two-qubit block, its score against the target, diagnostics."""
+    """Synthesized two-qubit block, its score against the target, diagnostics,
+    and the interaction-leg oracle it was scored with (its converged flag is the run's)."""
 
     synthesized: np.ndarray = field(repr=False)
     fidelity_avg: float
@@ -117,7 +118,7 @@ class GateReport:
     schedule: PulseSchedule
     fidelity_paper_eta: float
     top_level_population: float
-    converged: bool
+    oracle: OracleResult = field(repr=False)
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +438,7 @@ def compose_sequence(schedule: PulseSchedule, params: SystemParams, layout: Spac
         schedule=schedule,
         fidelity_paper_eta=calibration.fidelity_paper,
         top_level_population=top_pop,
-        converged=oracle.converged,
+        oracle=oracle,
     )
 
 

@@ -119,6 +119,8 @@ class OracleResult:
     PROPAGATED; numeric_unitary is assembled from them and their parity
     images, and :func:`oracle_power` raises them.  factorized_unitary is the
     six-factor product of coeffs the residuals were scored with.
+    window_unitaries holds them at window_times, the checkpoints of their pass up
+    to coeffs.t; an :func:`oracle_power` result keeps its base window's.
     """
 
     coeffs: WNCoefficients
@@ -131,6 +133,8 @@ class OracleResult:
     numeric_unitary: np.ndarray = field(repr=False)
     factorized_unitary: np.ndarray = field(repr=False)
     sector_unitaries: dict = field(repr=False)
+    window_times: np.ndarray = field(repr=False)
+    window_unitaries: dict = field(repr=False)
 
 
 class CoefficientRow(NamedTuple):
@@ -453,10 +457,10 @@ def _assemble_lab_unitary(blocks: Sequence[np.ndarray], layout: SpaceLayout) -> 
 
 
 def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
-                   steps: int) -> OracleResult:
+                   steps: int, window_times: np.ndarray, window_mats: dict) -> OracleResult:
     """coeffs scored against the sector blocks they were read from: the
     numeric and factorized lab propagators, and the windowed and full
-    residuals between them."""
+    residuals between them.  The window's checkpoint blocks ride along."""
     layout = SpaceLayout(sector_mats[PROPAGATED[0]].shape[0])
     fock_window = _default_fock_window(layout.fock_cutoff)
     numeric = _assemble_lab_unitary(_sector_blocks(*(sector_mats[k] for k in PROPAGATED)), layout)
@@ -467,15 +471,8 @@ def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
     return OracleResult(coeffs=coeffs, residual=residual, residual_full=float(diff.max()),
                         flagged=residual > RESIDUAL_THRESHOLD, fock_window=fock_window,
                         converged=converged, steps_used=steps, numeric_unitary=numeric,
-                        factorized_unitary=factorized, sector_unitaries=sector_mats)
-
-
-def _oracle_settings(params: SystemParams, t: float,
-                     settings: PropagationSettings | None) -> PropagationSettings:
-    if settings is not None:
-        return settings.replace(t0=0.0, t1=t)
-    steps = max(256, 64 * _oscillations(params, t))
-    return PropagationSettings(t0=0.0, t1=t, steps=steps, tolerance=1e-8)
+                        factorized_unitary=factorized, sector_unitaries=sector_mats,
+                        window_times=window_times, window_unitaries=window_mats)
 
 
 def _propagate_sectors(params: SystemParams, times: Sequence[float], fock_cutoff: int,
@@ -506,17 +503,21 @@ def _oracle_pass(params: SystemParams, times: np.ndarray, fock_cutoff: int,
 
     The sectors are propagated on the union of the times and the last one's
     checkpoint grid, so however sparse the times, the phases behind A and D
-    are unwrapped along that grid.
+    are unwrapped along that grid.  Each result keeps the grid's blocks up to its time.
     """
     t_end = float(times[-1])
-    checkpoints = max(48, 8 * _oscillations(params, t_end))
-    grid = np.union1d(times, np.linspace(0.0, t_end, checkpoints + 1)[1:])
+    oscillations = _oscillations(params, t_end)
+    grid = np.union1d(times, np.linspace(0.0, t_end, max(48, 8 * oscillations) + 1)[1:])
+    if settings is None:
+        settings = PropagationSettings(t0=0.0, t1=t_end, steps=max(256, 64 * oscillations),
+                                       tolerance=1e-8)
     snapshots, converged, steps = _propagate_sectors(
-        params, grid, fock_cutoff, _oracle_settings(params, t_end, settings))
+        params, grid, fock_cutoff, settings.replace(t0=0.0, t1=t_end))
     extracted = _extract(snapshots, grid)
     for i in np.searchsorted(grid, times):
         yield _oracle_result(extracted[i], {k: v[i] for k, v in snapshots.items()},
-                             converged, steps)
+                             converged, steps, grid[:i + 1],
+                             {k: v[:i + 1] for k, v in snapshots.items()})
 
 
 def coefficients_oracle(params: SystemParams, t: float, fock_cutoff: int = 20, *,
@@ -555,7 +556,7 @@ def oracle_power(base: OracleResult, periods: int) -> OracleResult:
     the sector blocks are raised to the k-th power and all four coefficients
     are read from that power by :func:`_extract`.  Each sector's phase is
     unwrapped from k times the base window's, which only picks its 2 pi
-    branch.
+    branch.  The result keeps the base window's checkpoint blocks.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
@@ -564,7 +565,8 @@ def oracle_power(base: OracleResult, periods: int) -> OracleResult:
     cross = np.imag(np.conj(b.B) * b.C) - b.A
     start = {(s, c): periods * (s * c * cross - b.D.real) for s, c in PROPAGATED}
     (coeffs,) = _extract({k: [u] for k, u in powered.items()}, [b.t * periods], start)
-    return _oracle_result(coeffs, powered, base.converged, base.steps_used)
+    return _oracle_result(coeffs, powered, base.converged, base.steps_used,
+                          base.window_times, base.window_unitaries)
 
 
 def oracle_at_periods(params: SystemParams, base: CommensurateTime, periods: int,
@@ -579,30 +581,29 @@ def oracle_at_periods(params: SystemParams, base: CommensurateTime, periods: int
     return oracle_power(window, periods)
 
 
-def oracle_trajectory(params: SystemParams, layout: SpaceLayout, psi0: np.ndarray,
-                      window: CommensurateTime, periods: int, *,
-                      settings: PropagationSettings | None = None
-                      ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Lab-basis states U(t) psi0 over `periods` repetitions of a window T.
+def oracle_trajectory(oracle: OracleResult, psi0: np.ndarray, periods: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Lab-basis states U(t) psi0 over `periods` repetitions of the oracle's window T.
 
-    One oracle pass samples the sector blocks at m = ceil(TRAJECTORY_SAMPLES
-    / periods) evenly spaced s in (0, T]; U(jT + s) = U(s) U(T)^j applies them
-    blockwise to the last state of period j - 1.  Returns the 1 + periods * m
-    times from 0 to periods * T, the states as rows, and the converged flag.
+    Nothing is propagated.  Of the C uniformly spaced checkpoints of the
+    window, every (C/m)-th is taken, m the least divisor of C with
+    periods * m >= TRAJECTORY_SAMPLES (m = C when there is none), and
+    U(jT + s) = U(s) U(T)^j applies their blocks to the last state of period
+    j - 1.  Returns the 1 + periods * m times from 0 to periods * T and the
+    states as rows.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    n = layout.fock_cutoff
-    m = -(-TRAJECTORY_SAMPLES // periods)
-    snapshots, converged, _ = _propagate_sectors(params, np.linspace(0.0, window.t, m + 1)[1:],
-                                                 n, _oracle_settings(params, window.t, settings))
-    blocks = np.stack(_sector_blocks(*(np.array(snapshots[k]) for k in PROPAGATED)))
-    phis = [QUBIT_HADAMARD @ np.reshape(psi0, (4, n))]      # sector basis
+    c = len(oracle.window_times)
+    m = next((d for d in range(1, c + 1) if c % d == 0 and periods * d >= TRAJECTORY_SAMPLES), c)
+    blocks = np.stack(_sector_blocks(*(np.array(oracle.window_unitaries[k][c // m - 1::c // m])
+                                       for k in PROPAGATED)))
+    phis = [QUBIT_HADAMARD @ np.reshape(psi0, (4, -1))]     # sector basis
     for _ in range(periods):
         phis.extend(np.einsum("imab,ib->mia", blocks, phis[-1]))
-    states = np.einsum("pi,kia->kpa", QUBIT_HADAMARD, phis[1:]).reshape(-1, 4 * n)
-    times = np.linspace(0.0, window.t * periods, periods * m + 1)
-    return times, np.concatenate([np.reshape(psi0, (1, 4 * n)), states]), converged
+    states = np.einsum("pi,kia->kpa", QUBIT_HADAMARD, phis[1:]).reshape(-1, psi0.size)
+    times = np.linspace(0.0, oracle.window_times[-1] * periods, periods * m + 1)
+    return times, np.concatenate([np.reshape(psi0, (1, -1)), states])
 
 
 # ----------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_rerun_writes_identical_bytes(omega, ratio, g_rel, G_rel, fock, points):
 
 
 def test_gate_trajectory_export(tmp_path):
-    # one window sampled ceil(512 / k) times, repeated over the k periods
+    # every (C/m)-th of the gate oracle's C window checkpoints, repeated over the k periods
     cfg = small_config(tmp_path)
     code = main(["gate", "--config", cfg, "--out", str(tmp_path), "--trajectory"])
     assert code == 0
@@ -237,10 +237,18 @@ def test_gate_trajectory_export(tmp_path):
     width = 1 + 2 * SpaceLayout(6).total_dim    # t, then (re, im) per basis index
     assert all(len(line.split(",")) == width for line in lines)
     ts = np.array([float(r.split(",")[0]) for r in lines[1:]])
-    schedule = cli._run_gate(load_config(cfg)).schedule
-    assert len(ts) == 1 + schedule.periods * math.ceil(512 / schedule.periods)
+    report = cli._run_gate(load_config(cfg))
+    schedule, checkpoints = report.schedule, report.oracle.window_times
+    c = len(checkpoints)    # m: the least divisor of C with k * m >= 512, else C
+    m = next(d for d in range(1, c + 1) if c % d == 0 and (schedule.periods * d >= 512 or d == c))
+    assert len(ts) == 1 + schedule.periods * m
     assert ts[0] == 0.0 and np.all(np.diff(ts) > 0)
     assert abs(ts[-1] - schedule.t_int) < 1e-12
+    # each sample is a checkpoint s of its window j, at jT + s
+    window = checkpoints[-1]
+    for i, t in enumerate(ts[1:]):
+        s = t - (i // m) * window
+        assert np.abs(checkpoints - s).min() < 1e-12, (i, t)
 
 
 def test_gate_trajectory_export_is_deterministic(tmp_path):
@@ -251,30 +259,42 @@ def test_gate_trajectory_export_is_deterministic(tmp_path):
         (tmp_path / "b/trajectory.csv").read_bytes()
 
 
-def test_unconverged_trajectory_exits_numerical(tmp_path, monkeypatch):
-    def unconverged(*args, **kwargs):
-        times, states, _ = wei_norman.oracle_trajectory(*args, **kwargs)
-        return times, states, False
+def test_gate_trajectory_propagates_the_base_window_once(tmp_path, monkeypatch):
+    # the export reads the gate oracle's own window checkpoints
+    calls = []
+    original = wei_norman._propagate_sectors
 
-    monkeypatch.setattr(cli, "oracle_trajectory", unconverged)
-    cfg = small_config(tmp_path)
-    assert main(["gate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wei_norman, "_propagate_sectors", counting)
+    assert main(["gate", "--config", "paper_preset", "--out", str(tmp_path), "--trajectory"]) == 0
+    assert len(calls) == 1
+    # 44 periods of m = 12 of the 48 checkpoints, after t = 0
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 529
+
+
+def test_unconverged_gate_oracle_exits_alike_with_trajectory(tmp_path):
+    # the trajectory has no convergence flag of its own: the gate's decides both
+    cfg = small_config(tmp_path, propagation={"steps": 64, "tolerance": 1e-8,
+                                              "max_refinements": 0})
+    report = cli._run_gate(load_config(cfg))
+    assert not report.oracle.converged
+    assert main(["gate", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert main(["gate", "--config", cfg, "--out", str(tmp_path), "--trajectory"]) == 2
     assert (tmp_path / "trajectory.csv").exists()
 
 
 def test_trajectory_ends_at_the_gate_oracle_state(preset_params):
-    # the export's last state over the gate's t_int is the 44-period oracle's
-    # propagator on the exported initial state
+    # the export's last state over the gate's t_int is the k-period oracle's
+    # propagator, the one the gate was scored with, on the exported initial state
     layout = SpaceLayout(8)
-    schedule = gates.synthesize_gate(preset_params, layout).schedule
+    report = gates.synthesize_gate(preset_params, layout)
     psi0 = basis_state(layout, 0, 0, 0).amplitudes
-    _, states, converged = wei_norman.oracle_trajectory(preset_params, layout, psi0,
-                                                        schedule.window, schedule.periods)
-    want = wei_norman.oracle_at_periods(preset_params, schedule.window, schedule.periods,
-                                        8).numeric_unitary @ psi0
-    assert converged
-    assert np.abs(states[-1] - want).max() < 1e-9
+    times, states = wei_norman.oracle_trajectory(report.oracle, psi0, report.schedule.periods)
+    assert times[-1] == report.schedule.t_int
+    assert np.abs(states[-1] - report.oracle.numeric_unitary @ psi0).max() < 1e-13
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -532,6 +552,26 @@ def test_non_positive_omega_is_config_error_naming_it(tmp_path, capsys, command,
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     assert "system.omega must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gate", "sweep"])
+@pytest.mark.parametrize("flag, config_eta, message", [
+    pytest.param("nan", "auto", "--eta: value must be finite", id="flag-nan"),
+    pytest.param("inf", "auto", "--eta: value must be finite", id="flag-inf"),
+    # finite, but the pulse durations 2 eta / rate overflow
+    pytest.param(None, 1e308, "durations must be finite and positive", id="config-1e308"),
+])
+def test_non_finite_eta_is_config_error_writing_nothing(tmp_path, capsys, command, flag,
+                                                        config_eta, message):
+    doc = paper_preset_dict()
+    doc["gate"]["eta"] = config_eta
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    assert main(argv + (["--eta", flag] if flag else [])) == 1
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*"))
 
 
 def test_non_positive_tolerance_fails_at_load(tmp_path, capsys):

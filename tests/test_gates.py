@@ -90,11 +90,11 @@ def test_u3_eigenphases_follow_sign_pattern():
 
 def test_u3_shift_by_pi_is_global_sign():
     lay = SpaceLayout(2)
-    a = 0.61
-    assert (u3(a + PI, lay) + u3(a, lay)).norm_max() < 1e-13
-    b1, _ = vacuum_block(u3(a + PI, lay))
-    b2, _ = vacuum_block(u3(a, lay))
-    assert phase_distance(b1, b2) < 1e-7
+    for a in (0.61, 0.3, -1.1, 2.0):
+        assert (u3(a + PI, lay) + u3(a, lay)).norm_max() < 1e-13
+        b1, _ = vacuum_block(u3(a + PI, lay))
+        b2, _ = vacuum_block(u3(a, lay))
+        assert phase_distance(b1, b2) < 1e-14
 
 
 def test_pulse_unitaries_mutually_commute():
