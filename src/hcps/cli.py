@@ -383,8 +383,11 @@ def main(argv=None) -> int:
         if args.fock is not None:
             cfg = replace(cfg, fock_cutoff=args.fock)
         if getattr(args, "eta", None) is not None:
-            eta = _eta(args.eta if args.eta == "auto" else float(args.eta), "--eta")
-            cfg = replace(cfg, gate=replace(cfg.gate, eta=eta))
+            try:
+                eta = args.eta if args.eta == "auto" else float(args.eta)
+            except ValueError:
+                raise ConfigError(f"--eta: expected a number or 'auto', got {args.eta!r}") from None
+            cfg = replace(cfg, gate=replace(cfg.gate, eta=_eta(eta, "--eta")))
         if args.command != "validate":  # validate only prints
             try:
                 os.makedirs(args.out, exist_ok=True)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 SLOT_SPIN = 0
 SLOT_CHARGE = 1
@@ -29,8 +28,8 @@ SLOT_RESONATOR = 2
 
 HERMITIAN_TOL = 1e-12
 
-# expm_hermitian sums a Taylor series when ||scale * h||_1 is at most this,
-# the measured crossover with eigh at d = 32 and 80 on one BLAS thread
+# Taylor series are summed at ||scale * h||_1 up to this: expm_hermitian's measured
+# crossover with eigh (d = 32 and 80, one BLAS thread), expm_matrix's scaling target
 TAYLOR_MAX_NORM = 0.5
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -313,9 +312,9 @@ def expm_matrix(mat: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * mat) on a raw square array.
 
     Hermitian inputs go through :func:`expm_hermitian`, which keeps
-    exp(-i t H) numerically unitary; everything else falls back to the
-    scaling-and-squaring Pade routine.  Relative accuracy is at the
-    1e-13 level for ||scale * mat|| up to about 10.
+    exp(-i t H) numerically unitary.  Others are scaled by the least 2^-s with
+    theta = ||2^-s scale * mat||_1 <= TAYLOR_MAX_NORM, summed to the Taylor degree
+    _taylor_degree(theta), then squared s times (Higham, SIMAX 26, 1179 (2005)).
     """
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -325,7 +324,13 @@ def expm_matrix(mat: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     scale = complex(scale)
     if np.abs(mat - mat.conj().T).max() < HERMITIAN_TOL:
         return expm_hermitian(mat, scale)
-    return scipy.linalg.expm(scale * mat)
+    theta, s = abs(scale) * float(np.abs(mat).sum(axis=0).max()), 0
+    while theta > TAYLOR_MAX_NORM:
+        theta, s = theta / 2, s + 1
+    out = _expm_taylor(scale * 2.0 ** -s * mat, _taylor_degree(theta))
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def matrix_exponential(op: Operator, scale: complex = 1.0) -> Operator:

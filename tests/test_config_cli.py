@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -558,6 +559,7 @@ def test_non_positive_omega_is_config_error_naming_it(tmp_path, capsys, command,
 @pytest.mark.parametrize("flag, config_eta, message", [
     pytest.param("nan", "auto", "--eta: value must be finite", id="flag-nan"),
     pytest.param("inf", "auto", "--eta: value must be finite", id="flag-inf"),
+    pytest.param("abc", "auto", "--eta", id="flag-text"),
     # finite, but the pulse durations 2 eta / rate overflow
     pytest.param(None, 1e308, "durations must be finite and positive", id="config-1e308"),
 ])
@@ -715,3 +717,13 @@ def test_console_entry_point_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "hcps" in proc.stdout
+
+
+def test_package_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test reference only
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, hcps.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

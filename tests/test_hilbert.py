@@ -211,3 +211,26 @@ def test_expm_hermitian_both_branches(d, theta, monkeypatch):
         m = hilbert._taylor_degree(theta)
         bound = lambda k: theta ** (k + 1) / math.factorial(k + 1)
         assert bound(m) <= 2.0 ** -53 < bound(m - 1)
+
+
+def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("z", [1e-3, 2.0, 5.0])
+def test_expm_matrix_of_the_ladder_matches_scipy(z):
+    # the nilpotent a and a^dag of the six-factor product at N = 20; at
+    # z = 2 and 5 theta exceeds TAYLOR_MAX_NORM, so the squaring runs
+    a, scale = ladder_matrix(20), -1j * z
+    for mat in (a, a.T):
+        assert (abs(scale) * np.abs(mat).sum(axis=0).max() > hilbert.TAYLOR_MAX_NORM) == (z > 1)
+        got = hilbert.expm_matrix(mat, scale)
+        assert _relative_error(got, scipy.linalg.expm(scale * mat)) < 1e-13
+
+
+def test_expm_matrix_of_a_random_non_normal_matrix_matches_scipy():
+    rng = np.random.default_rng(16)
+    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    assert np.abs(m @ m.conj().T - m.conj().T @ m).max() > 1.0
+    got = hilbert.expm_matrix(m, 0.5)
+    assert _relative_error(got, scipy.linalg.expm(0.5 * m)) < 1e-13

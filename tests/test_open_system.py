@@ -6,14 +6,16 @@ import scipy.linalg
 
 import hcps.open_system
 from hcps.gates import schedule_for_eta
-from hcps.hamiltonians import h_eff
+from hcps.hamiltonians import h_charge_qubit, h_eff, h_nv
 from hcps.hilbert import (
-    SLOT_CHARGE, SLOT_SPIN, SpaceLayout, StateVector, basis_state, build_annihilation,
-    build_spin_ops, identity,
+    SLOT_CHARGE, SLOT_SPIN, TAYLOR_MAX_NORM, SpaceLayout, StateVector, basis_state,
+    build_annihilation, build_spin_ops, expm_matrix, identity,
 )
 from hcps.open_system import (
     DecoherenceParams,
     DensityMatrix,
+    _liouvillian,
+    _local_factors,
     collapse_ops,
     evolve_master,
     gate_fidelity_open,
@@ -21,7 +23,7 @@ from hcps.open_system import (
     standard_input_states,
 )
 from hcps.propagation import PropagationSettings, evolve_state
-from hcps.wei_norman import commensurate_time, oracle_at_periods
+from hcps.wei_norman import QUBIT_HADAMARD, commensurate_time, oracle_at_periods
 
 from test_hamiltonians import make_params
 
@@ -245,6 +247,24 @@ def test_standard_inputs_are_normalized():
     assert len(states) == 6
     for s in states:
         assert abs(s.norm() - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("pulse", [0, 1], ids=["charge", "nv"])
+def test_pulse_liouvillian_exponential_matches_scipy(preset_cfg, preset_schedule, pulse):
+    # the 16 x 16 generator of a qubit pulse under the preset's rates, as
+    # gate_fidelity_open builds it: the charge pulse's theta is about 12.5,
+    # so expm_matrix scales by 2^-5 and squares five times; the NV pulse's
+    # is about 0.1 and needs no squaring
+    params, lay = preset_cfg.system, SpaceLayout(4)
+    qubit, _ = _local_factors(collapse_ops(preset_cfg.decoherence, lay), 4, QUBIT_HADAMARD)
+    pulses, _ = _local_factors(
+        [(h_charge_qubit(params, lay), preset_schedule.tau1),
+         (h_nv(params, lay), preset_schedule.tau2)], 4, QUBIT_HADAMARD)
+    h, tau = pulses[pulse]
+    g = _liouvillian(4, qubit, h)
+    assert (tau * np.abs(g).sum(axis=0).max() > TAYLOR_MAX_NORM) == (pulse == 0)
+    want = scipy.linalg.expm(tau * g)
+    assert np.abs(expm_matrix(g, tau) - want).max() < 1e-13 * np.abs(want).max()
 
 
 def test_open_fidelity_zero_rates_is_exact(preset_params, preset_schedule):
