@@ -293,7 +293,7 @@ def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
     """exp(scale * h) of a Hermitian array.
 
     The caller guarantees Hermiticity; nothing is checked.  A small step,
-    theta = ||scale * h||_1 at most TAYLOR_MAX_NORM (a midpoint step of the
+    theta = ||scale * h||_1 at most TAYLOR_MAX_NORM (a Magnus-4 step of the
     propagators is one), sums the Taylor series by Horner's rule to the
     degree _taylor_degree(theta), whose truncation error is below unit
     roundoff (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); no

@@ -19,11 +19,11 @@ its Hamiltonian in L, and takes no steps.  The one stepped leg
 trace-preserving to rounding: exact dissipator half-step map, unitary step
 by conjugation, half-step map, with the two half maps between consecutive
 steps fused into one full-step map.  Its step unitaries come from
-:func:`hcps.propagation.midpoint_steps` or, for the interaction leg, from
+:func:`hcps.propagation.magnus4_steps` (the generic order-4 Magnus step)
+or, for the interaction leg, from
 :func:`hcps.wei_norman.joint_step_unitaries` (the oracle's order-4
-commutator-free Magnus step, so that leg converges on a grid about 16 times
-coarser than a midpoint one), and the step-doubling driver of
-:mod:`hcps.propagation` refines it.  No d^2 x d^2 matrix is formed.
+commutator-free Magnus step on sector blocks), and the step-doubling
+driver of :mod:`hcps.propagation` refines it.  No d^2 x d^2 matrix is formed.
 
 Dissipators are applied in the frame in which h_eff is written; frame
 corrections to the collapse operators under the strong drive are out of
@@ -46,7 +46,7 @@ from .hilbert import (
     Operator, SLOT_CHARGE, SLOT_SPIN, SpaceLayout, StateVector, build_annihilation,
     build_spin_ops, expm_hermitian, expm_matrix,
 )
-from .propagation import PropagationSettings, _check_hermitian, midpoint_steps, step_doubling
+from .propagation import PropagationSettings, _check_hermitian, magnus4_steps, step_doubling
 from .wei_norman import QUBIT_HADAMARD, dressed_basis, joint_step_unitaries
 
 US_TO_NS = 1.0e3
@@ -277,7 +277,7 @@ def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
     qubit, fock = _local_factors(collapse, n, np.eye(4))
     no_states = np.zeros((0, layout.total_dim), dtype=np.complex128)
     rhos, _, converged, trace_defect, steps = _strang_leg(
-        partial(midpoint_steps, lambda t: h_fun(t).entries, settings.t0, settings.t1),
+        partial(magnus4_steps, lambda t: h_fun(t).entries, settings.t0, settings.t1),
         settings.t1 - settings.t0, rho0.entries[None], no_states, n,
         (_liouvillian(4, qubit), _liouvillian(n, fock)), settings)
 

@@ -34,7 +34,8 @@ Magnus step of two such factors (:func:`_cf4_steps`), drives both the
 checkpointed sector propagation, refined by the step-doubling driver of
 :mod:`hcps.propagation`, and the open-system joint leg
 (:func:`joint_step_unitaries`).  The generic full-space integrator the
-oracle is checked against stays midpoint.  Only sectors (1, 1) and (1, -1)
+oracle is checked against is a different order-4 scheme, one Magnus
+exponential per step with a commutator term.  Only sectors (1, 1) and (1, -1)
 are propagated; sector (-s, -c) is driven by -f, so its propagator is the
 parity image P U(s, c) P, P = (-1)^n_hat.  The six-factor product is built
 per sector too, where sx and Sx are scalars, but on all four (an
@@ -62,7 +63,7 @@ import numpy as np
 
 from .hamiltonians import SystemParams
 from .hilbert import Operator, SpaceLayout, expm_matrix, ladder_matrix
-from .propagation import PropagationSettings, step_doubling
+from .propagation import GAUSS_NODES, PropagationSettings, step_doubling
 
 TWO_PI = 2.0 * math.pi
 
@@ -248,8 +249,7 @@ def sector_amplitude(params: SystemParams, spin_sign: int, charge_sign: int
 
 _CHUNK_ENTRIES = 2_000_000   # cap on factors*n*n per vectorized block
 
-# order-4 commutator-free Magnus step: Gauss nodes and sample weights a_+, a_-
-_CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+# order-4 commutator-free Magnus step: sample weights a_+, a_- at GAUSS_NODES
 _CF4_PLUS = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_MINUS = 0.25 - math.sqrt(3.0) / 6.0
 
@@ -302,7 +302,7 @@ def _cf4_steps(f_fun: Callable, factors: Callable, starts: np.ndarray,
     the module: the oracle's snapshots and the open-system joint leg both
     take it.
     """
-    f1, f2 = (f_fun(starts + c * dt) for c in _CF4_NODES)
+    f1, f2 = (f_fun(starts + c * dt) for c in GAUSS_NODES)
     amps = np.empty(2 * len(starts), dtype=np.complex128)
     amps[0::2] = _CF4_PLUS * f1 + _CF4_MINUS * f2
     amps[1::2] = _CF4_MINUS * f1 + _CF4_PLUS * f2
@@ -315,8 +315,9 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
     """Fixed-grid snapshots of one sector on :func:`_cf4_steps`.
 
     The step unitaries are built in vectorized chunks and pairwise-reduced
-    in step order.  The generic integrator stays midpoint, so the two are
-    independent schemes.  Checkpoint k ends at step
+    in step order.  The generic integrator steps with the Magnus-4 rule
+    of :mod:`hcps.propagation` (one exponential with a commutator term), so
+    the two are independent schemes.  Checkpoint k ends at step
     round(steps_total * t_k / span), so the segments sum to steps_total (a
     segment is never shorter than one step).
     """

@@ -390,6 +390,26 @@ def test_validate_sector_cross_check_fails_with_a_wrong_parity_image(monkeypatch
     assert not check_3()
 
 
+def test_validate_sector_cross_check_holds_the_config_tolerance(monkeypatch):
+    # check 3's bound is 5 x the config's tolerance (5e-8 on the preset), not
+    # 5 x max(1e-6, tolerance): a 1e-7 error on one entry of the oracle's
+    # propagator, which the relaxed bound let through, must turn it to FAIL
+    cfg = replace(paper_preset(), fock_cutoff=6)
+    honest = cli.coefficients_oracle
+
+    def offset(*args, **kwargs):
+        res = honest(*args, **kwargs)
+        u = res.numeric_unitary.copy()
+        u[0, 0] += 1e-7
+        return replace(res, numeric_unitary=u)
+
+    assert _unpatched_checks(6)[2] == ("sector assembly cross-check", True)
+    monkeypatch.setattr(cli, "coefficients_oracle", offset)
+    name, ok, detail = list(itertools.islice(cli._validate_checks(cfg), 3))[-1]
+    assert name == "sector assembly cross-check" and not ok
+    assert detail == "max diff 1.00e-07"
+
+
 @functools.lru_cache(maxsize=None)
 def _unpatched_checks(fock: int) -> tuple:
     """(name, passed) of validate checks 1-8 on the preset at a cutoff."""

@@ -22,7 +22,10 @@ from hcps.propagation import (
     frame_rotate,
     step_doubling,
 )
-from hcps.wei_norman import coefficients_closed_form, factorized_propagator
+from hcps.config import paper_preset
+from hcps.wei_norman import (
+    coefficients_closed_form, commensurate_time, factorized_propagator,
+)
 
 from test_hamiltonians import make_params
 
@@ -119,7 +122,7 @@ def test_propagator_composition():
 
 
 def test_converged_propagator_is_unitary():
-    # every midpoint factor is unitary to rounding (a Taylor polynomial
+    # every Magnus-4 factor is unitary to rounding (a Taylor polynomial
     # truncated below unit roundoff), so the defect stays near the rounding
     # floor, growing with the step count, regardless of the tolerance
     lay = SpaceLayout(6)
@@ -130,8 +133,9 @@ def test_converged_propagator_is_unitary():
     assert res.unitarity_defect < 1e-9
 
 
-def test_second_order_convergence():
-    # halving the step roughly quarters the distance to the converged limit
+def test_fourth_order_convergence():
+    # halving the step divides the distance to the converged limit by about
+    # 16 (Magnus-4); a midpoint rule gives about 4
     lay = SpaceLayout(4)
     p = make_params()
 
@@ -140,10 +144,24 @@ def test_second_order_convergence():
             lambda t: h_eff(p, lay, t),
             PropagationSettings(0.0, 3.0, steps, 1e-30, max_refinements=0)).unitary.entries
 
-    ref = run(16384)
-    e1 = np.abs(run(256) - ref).max()
-    e2 = np.abs(run(512) - ref).max()
-    assert 3.0 < e1 / e2 < 5.0
+    ref = run(4096)
+    e1 = np.abs(run(32) - ref).max()
+    e2 = np.abs(run(64) - ref).max()
+    assert e2 > 1e-10                # far above the rounding floor
+    assert 12.0 < e1 / e2 < 20.0
+
+
+def test_preset_period_converges_at_1024_steps():
+    # one base period of the preset at N = 6 from the config's 512-step start:
+    # the Magnus-4 rule meets 1e-8 at the first doubling
+    cfg = paper_preset()
+    p = cfg.system
+    lay = SpaceLayout(6)
+    comm = commensurate_time(p.omega, p.Delta, cfg.gate.max_n, cfg.commensurability_tol)
+    res = evolve_propagator(lambda t: h_eff(p, lay, t),
+                            PropagationSettings(0.0, comm.t, 512, 1e-8))
+    assert res.converged and res.steps_used == 1024
+    assert res.unitarity_defect < 1e-12
 
 
 def test_h_eff_conserves_x_expectations():
@@ -224,9 +242,10 @@ def test_settings_reject_negative_max_refinements():
         PropagationSettings(0.0, 1.0, 4, max_refinements=-1)
 
 
-def test_midpoint_rule_matches_inline_eigh_reference():
-    # the step exponential against an independent one: the midpoint product
-    # of exp(-i H dt) by eigendecomposition, over one period on a fixed grid
+def test_magnus4_rule_matches_inline_eigh_reference():
+    # the step exponential against an independent one: the Magnus-4 product
+    # of exp(-i dt K), K built here from the two Gauss-node samples and
+    # exponentiated by eigendecomposition, over one period on a fixed grid
     lay = SpaceLayout(6)
     p = make_params()
     steps = 512
@@ -235,8 +254,10 @@ def test_midpoint_rule_matches_inline_eigh_reference():
                             PropagationSettings(0.0, TWO_PI, steps, 1e-30, max_refinements=0))
     want = np.eye(lay.total_dim, dtype=complex)
     for k in range(steps):
-        w, v = np.linalg.eigh(h_eff(p, lay, (k + 0.5) * dt).entries)
+        h1, h2 = (h_eff(p, lay, (k + 0.5 + c) * dt).entries
+                  for c in (-math.sqrt(3) / 6, math.sqrt(3) / 6))
+        kmat = 0.5 * (h1 + h2) - 1j * math.sqrt(3) / 12 * dt * (h2 @ h1 - h1 @ h2)
+        w, v = np.linalg.eigh(kmat)
         want = (v * np.exp(-1j * dt * w)) @ v.conj().T @ want
     assert res.steps_used == steps
     assert np.abs(res.unitary.entries - want).max() <= 1e-12
-

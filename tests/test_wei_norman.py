@@ -11,7 +11,7 @@ from hcps.hilbert import (
     identity, ladder_matrix,
 )
 from hcps import wei_norman
-from hcps.propagation import PropagationSettings, midpoint_steps
+from hcps.propagation import PropagationSettings, magnus4_steps
 from hcps.wei_norman import (
     CommensurabilityError,
     WNCoefficients,
@@ -384,14 +384,15 @@ def test_sector_fourth_order_convergence():
     assert 12.0 < e1 / e2 < 20.0
 
 
-def test_sector_snapshot_matches_fine_midpoint_propagation():
-    # the generic midpoint integrator on the same sector Hamiltonian, an
-    # independent scheme, converges onto the CF4 snapshot
+def test_sector_snapshot_matches_fine_generic_magnus4_propagation():
+    # the generic Magnus-4 integrator (one exponential with a commutator term
+    # per step) on the same sector Hamiltonian, an independent scheme,
+    # converges onto the CF4 snapshot
     n, t = 6, 2.7
     f = wei_norman.sector_amplitude(make_params(), 1, -1)
     a = ladder_matrix(n)
     want = np.eye(n, dtype=np.complex128)
-    for step in midpoint_steps(lambda s: f(s) * a.conj().T + np.conj(f(s)) * a, 0.0, t, 8192):
+    for step in magnus4_steps(lambda s: f(s) * a.conj().T + np.conj(f(s)) * a, 0.0, t, 8192):
         want = step @ want
     got = wei_norman._sector_snapshots(f, [t / 3, t], n, 64)[-1]
     assert np.abs(got - want).max() < 1e-8
