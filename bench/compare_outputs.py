@@ -8,7 +8,8 @@ Runs `gate`, `validate`, `coeffs`, `sweep`, `lindblad` and `gate
 process after another, with OPENBLAS_NUM_THREADS=1, that checkout's src/
 on PYTHONPATH and a scratch --out directory per command.  It prints each
 command's exit codes and whether the stdouts match once the output
-directory is masked, then compares every file the two runs wrote: a file
+directory is masked, and when they do not, the differing lines (at most
+STDOUT_DIFF_LINES of them), then compares every file the two runs wrote: a file
 is byte-identical, or its structure (CSV header, row and column counts,
 text cells; JSON key set, note codes, text values) and the largest
 absolute difference over its numbers are printed.
@@ -20,6 +21,7 @@ differences are reported, not judged.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import subprocess
@@ -29,6 +31,7 @@ from pathlib import Path
 
 RUNS = {command: [command] for command in ("gate", "validate", "coeffs", "sweep", "lindblad")}
 RUNS["gate_trajectory"] = ["gate", "--trajectory"]
+STDOUT_DIFF_LINES = 20
 
 
 def run_cli(root: Path, args: list[str], out_dir: Path) -> tuple[int, str]:
@@ -38,6 +41,16 @@ def run_cli(root: Path, args: list[str], out_dir: Path) -> tuple[int, str]:
         [sys.executable, "-m", "hcps.cli", *args, "--config", "paper_preset",
          "--out", str(out_dir)], cwd=root, env=env, capture_output=True, text=True)
     return done.returncode, done.stdout.replace(str(out_dir), "<out>")
+
+
+def stdout_diff(a: str, b: str, limit: int = STDOUT_DIFF_LINES) -> list[str]:
+    """The lines only one of two stdouts has, "- " parent and "+ " change,
+    in order; past `limit` of them, one line counts the rest."""
+    lines = [line for line in difflib.ndiff(a.splitlines(), b.splitlines())
+             if line.startswith(("- ", "+ "))]
+    if len(lines) > limit:
+        lines[limit:] = [f"... {len(lines) - limit} more differing lines"]
+    return lines
 
 
 def _number(cell: str) -> float | None:
@@ -129,6 +142,8 @@ def main(argv=None) -> int:
             (code_a, stdout_a), (code_b, stdout_b) = results
             same = "stdout identical" if stdout_a == stdout_b else "stdout differs"
             print(f"hcps {' '.join(cli_args)}: exit {code_a} -> {code_b}, {same}")
+            for line in stdout_diff(stdout_a, stdout_b):
+                print(f"    {line}")
             status |= code_a != code_b
             status |= compare_dirs(*outs)
     print("structure matches" if status == 0 else "structure differs")

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonians import SystemParams
-from .hilbert import Operator, SLOT_CHARGE, SLOT_SPIN, SpaceLayout, build_spin_ops
+from .hilbert import Operator, SLOT_CHARGE, SLOT_SPIN, SpaceLayout, build_spin_ops, unitarity_defect
 from .propagation import PropagationSettings
 from .wei_norman import (
     CommensurateTime,
@@ -185,13 +185,8 @@ def relabel_corners(u: np.ndarray) -> np.ndarray:
 # scoring
 # ----------------------------------------------------------------------
 
-def _unitarity_defect(u: np.ndarray) -> float:
-    u = np.asarray(u)
-    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-
-
 def _check_unitary(u: np.ndarray, name: str):
-    defect = _unitarity_defect(u)
+    defect = unitarity_defect(u)
     if defect >= UNITARY_INPUT_TOL:
         raise ValueError(f"{name} is not unitary to {UNITARY_INPUT_TOL} (defect {defect:.3e})")
 
@@ -386,7 +381,7 @@ def compose_sequence(schedule: PulseSchedule, params: SystemParams, layout: Spac
 
     v = dressed_basis()
     dressed = v.conj().T @ block @ v
-    defect = _unitarity_defect(dressed)
+    defect = unitarity_defect(dressed)
     if defect >= UNITARY_INPUT_TOL:
         raise TruncationError(
             f"the composed gate's vacuum block is not unitary to {UNITARY_INPUT_TOL} "

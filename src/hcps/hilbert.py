@@ -28,8 +28,7 @@ SLOT_RESONATOR = 2
 
 HERMITIAN_TOL = 1e-12
 
-# Taylor series are summed at ||scale * h||_1 up to this: expm_hermitian's measured
-# crossover with eigh (d = 32 and 80, one BLAS thread), expm_matrix's scaling target
+# every exponential scales theta = ||scale * mat||_1 down to this before its Taylor sum
 TAYLOR_MAX_NORM = 0.5
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -136,10 +135,6 @@ class Operator:
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return self.hermiticity_defect() < tol
-
-    def unitarity_defect(self) -> float:
-        d = self.layout.total_dim
-        return float(np.abs(self.entries.conj().T @ self.entries - np.eye(d)).max())
 
 
 @dataclass(frozen=True)
@@ -264,6 +259,12 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
 
 
+def unitarity_defect(u: np.ndarray) -> float:
+    """max |u'u - 1| of a raw square array."""
+    u = np.asarray(u)
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
 # ----------------------------------------------------------------------
 # matrix exponential
 # ----------------------------------------------------------------------
@@ -289,42 +290,18 @@ def _expm_taylor(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
-    """exp(scale * h) of a Hermitian array.
+def _expm_scaled(mat: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale * mat) by scaling and squaring (Higham, SIMAX 26, 1179 (2005)).
 
-    The caller guarantees Hermiticity; nothing is checked.  A small step,
-    theta = ||scale * h||_1 at most TAYLOR_MAX_NORM (a Magnus-4 step of the
-    propagators is one), sums the Taylor series by Horner's rule to the
-    degree _taylor_degree(theta), whose truncation error is below unit
-    roundoff (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); no
-    scaling and squaring.  Every other input, non-finite ones included,
-    goes through the eigendecomposition.  With an imaginary scale both
-    branches are unitary to rounding.
+    theta = ||scale * mat||_1 is halved s times to at most TAYLOR_MAX_NORM,
+    the Taylor series of 2^-s scale * mat is summed to the degree
+    _taylor_degree(theta), whose truncation error is below unit roundoff
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and the sum
+    is squared s times.  A theta that is not finite raises ValueError.
     """
-    theta = abs(scale) * float(np.abs(h).sum(axis=0).max())
-    if theta <= TAYLOR_MAX_NORM:
-        return _expm_taylor(scale * h, _taylor_degree(theta))
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
-
-
-def expm_matrix(mat: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * mat) on a raw square array.
-
-    Hermitian inputs go through :func:`expm_hermitian`, which keeps
-    exp(-i t H) numerically unitary.  Others are scaled by the least 2^-s with
-    theta = ||2^-s scale * mat||_1 <= TAYLOR_MAX_NORM, summed to the Taylor degree
-    _taylor_degree(theta), then squared s times (Higham, SIMAX 26, 1179 (2005)).
-    """
-    mat = np.asarray(mat, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)) or not np.isfinite(scale):
-        raise ValueError("matrix exponential of non-finite input")
-    scale = complex(scale)
-    if np.abs(mat - mat.conj().T).max() < HERMITIAN_TOL:
-        return expm_hermitian(mat, scale)
     theta, s = abs(scale) * float(np.abs(mat).sum(axis=0).max()), 0
+    if not np.isfinite(theta):
+        raise ValueError("matrix exponential of non-finite input")
     while theta > TAYLOR_MAX_NORM:
         theta, s = theta / 2, s + 1
     out = _expm_taylor(scale * 2.0 ** -s * mat, _taylor_degree(theta))
@@ -333,6 +310,23 @@ def expm_matrix(mat: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return out
 
 
+def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale * h) of a square Hermitian array, the hot path: only theta's
+    finiteness is checked.  At theta <= TAYLOR_MAX_NORM, as the propagators'
+    converged Magnus-4 steps are, it is one Taylor sum; with an imaginary
+    scale the result is unitary to rounding."""
+    return _expm_scaled(h, scale)
+
+
+def expm_matrix(mat: np.ndarray, scale: complex = 1.0) -> np.ndarray:
+    """exp(scale * mat) of any square array; _expm_scaled rejects non-finite
+    input, as theta is finite only when every entry and the scale are."""
+    mat = np.asarray(mat, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    return _expm_scaled(mat, complex(scale))
+
+
 def matrix_exponential(op: Operator, scale: complex = 1.0) -> Operator:
-    """exp(scale * op) as an Operator; see expm_matrix for method choice."""
+    """exp(scale * op) as an Operator; see expm_matrix."""
     return Operator(op.layout, expm_matrix(op.entries, scale))

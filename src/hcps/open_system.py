@@ -47,7 +47,7 @@ from .hilbert import (
     build_spin_ops, expm_hermitian, expm_matrix,
 )
 from .propagation import PropagationSettings, _check_hermitian, magnus4_steps, step_doubling
-from .wei_norman import QUBIT_HADAMARD, dressed_basis, joint_step_unitaries
+from .wei_norman import QUBIT_HADAMARD, dressed_basis, joint_step_unitaries, sector_states
 
 US_TO_NS = 1.0e3
 
@@ -127,9 +127,10 @@ class DensityMatrix:
         d = self.layout.total_dim
         if entries.shape != (d, d):
             raise ValueError(f"density matrix shape {entries.shape} does not match dim {d}")
-        if np.abs(entries - entries.conj().T).max() > self.HERMITIAN_TOL:
+        # written as not (defect <= tol) so that NaN fails them too
+        if not np.abs(entries - entries.conj().T).max() <= self.HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian to tolerance")
-        if abs(entries.trace() - 1.0) > self.TRACE_TOL:
+        if not abs(entries.trace() - 1.0) <= self.TRACE_TOL:
             raise ValueError(f"density matrix trace {entries.trace()} is not 1")
         if np.linalg.eigvalsh(entries).min() < self.EIGEN_FLOOR:
             raise ValueError("density matrix has an eigenvalue below the PSD floor")
@@ -333,17 +334,16 @@ def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
     psi_closed follows the sequence with every rate at zero: exp(-i tau h)
     for a qubit pulse, whose rho map is exact, and the interaction leg's step
     unitaries.  With an empty dissipator set the two agree to rounding.  The
-    sequence runs in the sector-block basis (inputs and qubit factors are
-    mapped into it once, by QUBIT_HADAMARD on the qubit index); fidelities
-    and traces do not depend on it.
+    sequence runs in the sector-block basis (input states are mapped into it
+    once by :func:`hcps.wei_norman.sector_states`, qubit factors by
+    QUBIT_HADAMARD, and each rho starts as psi psi'); fidelities and traces
+    do not depend on it.
     """
     n = layout.fock_cutoff
     qubit, fock = _local_factors(collapse_ops(dec, layout), n, QUBIT_HADAMARD)
     dissipators = (_liouvillian(4, qubit), _liouvillian(n, fock))
-    inputs = standard_input_states(layout)
-    rhos = _apply_maps(np.stack([DensityMatrix.from_state(s).entries for s in inputs]), n,
-                       np.kron(QUBIT_HADAMARD, QUBIT_HADAMARD), None)   # H rho H, H = H^T
-    psis = np.stack([(QUBIT_HADAMARD @ s.amplitudes.reshape(4, n)).ravel() for s in inputs])
+    psis = sector_states(np.stack([s.amplitudes for s in standard_input_states(layout)]))
+    rhos = psis[:, :, None] * psis[:, None, :].conj()
 
     pulses, on_resonator = _local_factors(
         [(h_charge_qubit(params, layout), schedule.tau1), (h_nv(params, layout), schedule.tau2)],

@@ -28,8 +28,9 @@ step, no commutator, on sector blocks), so this integrator checks them
 with a different scheme; they run on the same driver with their own
 fixed-grid passes.
 
-Each run is single-threaded and deterministic; independent runs may execute
-in parallel with no shared mutable state.
+Runs share no mutable state and may execute in parallel, but no run is
+single-threaded: numpy's BLAS starts a thread per core by default, so parallel
+runs compete for the cores (OPENBLAS_NUM_THREADS=1 keeps a run to one).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .hilbert import Operator, StateVector, expm_hermitian
+from .hilbert import Operator, StateVector, expm_hermitian, unitarity_defect
 
 SAMPLE_HERMITIAN_TOL = 1e-10
 
@@ -191,7 +192,7 @@ def evolve_propagator(h_fun: Callable[[float], Operator],
     op = Operator(layout, u)
     return PropagatorResult(
         unitary=op,
-        unitarity_defect=op.unitarity_defect(),
+        unitarity_defect=unitarity_defect(u),
         converged=converged,
         steps_used=steps,
     )

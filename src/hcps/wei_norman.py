@@ -310,6 +310,15 @@ def _cf4_steps(f_fun: Callable, factors: Callable, starts: np.ndarray,
     return mats[1::2] @ mats[0::2]
 
 
+def _cf4_chunks(f_fun: Callable, factors: Callable, t0: float, dt: float, steps: int,
+                per_chunk: int) -> Iterator[np.ndarray]:
+    """The :func:`_cf4_steps` unitaries of `steps` uniform steps from t0, in
+    order, as stacks of at most per_chunk steps: the one chunk loop over them."""
+    for done in range(0, steps, per_chunk):
+        count = min(steps - done, per_chunk)
+        yield _cf4_steps(f_fun, factors, t0 + (done + np.arange(count)) * dt, dt)
+
+
 def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
                       steps_total: int) -> list[np.ndarray]:
     """Fixed-grid snapshots of one sector on :func:`_cf4_steps`.
@@ -324,6 +333,7 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
     times = list(times)
     span = times[-1]
     factors = _sector_step_factors(n)
+    per_chunk = max(1, _CHUNK_ENTRIES // (2 * n * n))   # two n x n factors per step
 
     snapshots = []
     u = np.eye(n, dtype=np.complex128)
@@ -333,18 +343,13 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
         seg_steps = max(1, round(steps_total * tk / span) - taken)
         taken += seg_steps
         dt = (tk - prev) / seg_steps
-        done = 0
-        while done < seg_steps:
-            # two factors per step, so 2 * count * n * n stays under the cap
-            count = min(seg_steps - done, max(1, _CHUNK_ENTRIES // (2 * n * n)))
-            mats = _cf4_steps(f_fun, factors, prev + (done + np.arange(count)) * dt, dt)
+        for mats in _cf4_chunks(f_fun, factors, prev, dt, seg_steps, per_chunk):
             # ordered pairwise product of the chunk, then fold into u
             while mats.shape[0] > 1:
                 m = mats.shape[0] // 2
                 head = np.matmul(mats[1:2 * m:2], mats[0:2 * m:2])
                 mats = np.concatenate([head, mats[2 * m:]]) if mats.shape[0] % 2 else head
             u = mats[0] @ u
-            done += count
         snapshots.append(u.copy())
         prev = tk
     return snapshots
@@ -374,6 +379,13 @@ def _sector_block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return full
 
 
+def sector_states(psi: np.ndarray) -> np.ndarray:
+    """QUBIT_HADAMARD on the qubit index of full-space states (psi's last axis):
+    lab to sector-block basis and, as the matrix is its own inverse, back."""
+    psi = np.asarray(psi)
+    return (QUBIT_HADAMARD @ psi.reshape(-1, 4, psi.shape[-1] // 4)).reshape(psi.shape)
+
+
 def dressed_basis() -> np.ndarray:
     """Columns map dressed order (gg, ge, eg, ee) to lab (spin x charge) coords.
 
@@ -391,21 +403,17 @@ def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: fl
     Each is the :func:`_cf4_steps` step (the oracle's rule) of the two
     PROPAGATED sectors with their parity images, assembled block-diagonally.
     Its one consumer, the open-system interaction leg, stays in this basis
-    and maps its inputs into it once, by QUBIT_HADAMARD on the qubit index.
+    and maps its inputs into it once, by :func:`sector_states`.
     """
     d = layout.total_dim
     factors = _sector_step_factors(layout.fock_cutoff)
-    dt = duration / steps
-    amps = [sector_amplitude(params, ss, sc) for ss, sc in PROPAGATED]
-
-    done = 0
-    while done < steps:
-        # a dense chunk of d x d step unitaries is kept to about 4 MB
-        count = min(steps - done, max(1, _CHUNK_ENTRIES // (8 * d * d)))
-        starts = (done + np.arange(count)) * dt
-        yield from _sector_block_diagonal(_sector_blocks(
-            *(_cf4_steps(f_fun, factors, starts, dt) for f_fun in amps)))
-        done += count
+    # a chunk's dense d x d step unitaries are kept to about 4 MB
+    per_chunk = max(1, _CHUNK_ENTRIES // (8 * d * d))
+    pp, pm = (_cf4_chunks(sector_amplitude(params, ss, sc), factors, 0.0, duration / steps,
+                          steps, per_chunk) for ss, sc in PROPAGATED)
+    # not zip: its reused result tuple would hold each chunk while the next is built
+    for _ in range(0, steps, per_chunk):
+        yield from _sector_block_diagonal(_sector_blocks(next(pp), next(pm)))
 
 
 def _default_fock_window(fock_cutoff: int) -> int:
@@ -599,10 +607,10 @@ def oracle_trajectory(oracle: OracleResult, psi0: np.ndarray, periods: int
     m = next((d for d in range(1, c + 1) if c % d == 0 and periods * d >= TRAJECTORY_SAMPLES), c)
     blocks = np.stack(_sector_blocks(*(np.array(oracle.window_unitaries[k][c // m - 1::c // m])
                                        for k in PROPAGATED)))
-    phis = [QUBIT_HADAMARD @ np.reshape(psi0, (4, -1))]     # sector basis
+    phis = [sector_states(psi0).reshape(4, -1)]
     for _ in range(periods):
         phis.extend(np.einsum("imab,ib->mia", blocks, phis[-1]))
-    states = np.einsum("pi,kia->kpa", QUBIT_HADAMARD, phis[1:]).reshape(-1, psi0.size)
+    states = sector_states(np.reshape(phis[1:], (-1, psi0.size)))
     times = np.linspace(0.0, oracle.window_times[-1] * periods, periods * m + 1)
     return times, np.concatenate([np.reshape(psi0, (1, -1)), states])
 

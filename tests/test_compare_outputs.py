@@ -57,3 +57,26 @@ def test_a_moved_cell_is_reported_not_judged(tmp_path, capsys):
 def test_a_structural_change_fails(tmp_path, change):
     status = compare_outputs.compare_dirs(_tree(tmp_path / "a"), _tree(tmp_path / "b", **change))
     assert status == 1
+
+
+def _fake_checkout(root: Path, verdict: str) -> Path:
+    # an hcps.cli that names its --out directory and prints 30 verdict lines
+    (root / "src" / "hcps").mkdir(parents=True)
+    (root / "src" / "hcps" / "__init__.py").write_text("")
+    (root / "src" / "hcps" / "cli.py").write_text(
+        "import sys\n"
+        "print('wrote', sys.argv[sys.argv.index('--out') + 1] + '/table.csv')\n"
+        f"for i in range(30):\n    print(f'check {{i}}: {verdict}')\n")
+    return root
+
+
+def test_differing_stdouts_print_their_lines_masked_and_capped(tmp_path, capsys):
+    status = compare_outputs.main([str(_fake_checkout(tmp_path / "a", "PASS")),
+                                   str(_fake_checkout(tmp_path / "b", "FAIL"))])
+    assert status == 0
+    out = capsys.readouterr().out.splitlines()
+    head = out.index("hcps validate: exit 0 -> 0, stdout differs")
+    shown = out[head + 1:head + 2 + compare_outputs.STDOUT_DIFF_LINES]
+    assert shown[:2] == ["    - check 0: PASS", "    + check 0: FAIL"]
+    assert shown[-1] == f"    ... {60 - compare_outputs.STDOUT_DIFF_LINES} more differing lines"
+    assert not any("wrote" in line for line in out)     # the masked out dirs agree

@@ -27,6 +27,7 @@ from hcps.config import (
 from hcps.gates import ScheduleConditionError
 from hcps.hilbert import (
     SLOT_CHARGE, SLOT_SPIN, Operator, SpaceLayout, basis_state, build_spin_ops, expm_matrix,
+    unitarity_defect,
 )
 from hcps.propagation import NonHermitianSampleError
 
@@ -421,7 +422,7 @@ def _scaled_propagator(honest):
     def patched(h_fun, settings):
         res = honest(h_fun, settings)
         u = res.unitary * (1.0 + 1e-6)
-        return replace(res, unitary=u, unitarity_defect=u.unitarity_defect())
+        return replace(res, unitary=u, unitarity_defect=unitarity_defect(u.entries))
     return patched
 
 

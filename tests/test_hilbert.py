@@ -23,6 +23,7 @@ from hcps.hilbert import (
     ladder_matrix,
     matrix_exponential,
     tensor,
+    unitarity_defect,
     vacuum_projector,
 )
 
@@ -149,7 +150,7 @@ def test_expm_anti_hermitian_is_unitary():
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     m = m - m.conj().T
     u = matrix_exponential(Operator(SpaceLayout(2), m))
-    assert u.unitarity_defect() < 1e-12
+    assert unitarity_defect(u.entries) < 1e-12
 
 
 def test_expm_rejects_non_finite():
@@ -157,6 +158,13 @@ def test_expm_rejects_non_finite():
     m[0, 0] = np.inf
     with pytest.raises(ValueError):
         matrix_exponential(Operator(SpaceLayout(2), m))
+    # both raw entries, on a non-finite entry and on a non-finite scale
+    for entry in (expm_hermitian, hilbert.expm_matrix):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                entry(np.diag([1.0, bad, 3.0]).astype(np.complex128), -0.1j)
+            with pytest.raises(ValueError, match="non-finite"):
+                entry(np.eye(3, dtype=np.complex128), bad)
 
 
 def test_basis_state_and_vacuum_projector():
@@ -193,7 +201,8 @@ def test_expm_hermitian_matches_scipy_and_is_unitary(n, seed, t):
                                    1.01 * hilbert.TAYLOR_MAX_NORM, 5.0, 50.0])
 def test_expm_hermitian_both_branches(d, theta, monkeypatch):
     # theta = ||scale * h||_1 picks the branch: a Taylor polynomial at or
-    # below TAYLOR_MAX_NORM, the eigendecomposition above it
+    # below TAYLOR_MAX_NORM, scaling and squaring of one above it; no
+    # eigendecomposition at any theta
     rng = np.random.default_rng(d)
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = 0.5 * (m + m.conj().T)
@@ -203,7 +212,7 @@ def test_expm_hermitian_both_branches(d, theta, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(1) or eigh(a))
     u = expm_hermitian(h, -1j * t)
     taylor = theta <= hilbert.TAYLOR_MAX_NORM
-    assert len(eigh_calls) == (0 if taylor else 1)
+    assert not eigh_calls
     assert np.abs(u - scipy.linalg.expm(-1j * t * h)).max() < 1e-12
     assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-13
     if taylor:

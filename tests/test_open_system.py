@@ -94,6 +94,16 @@ def test_density_matrix_validation():
         DensityMatrix(lay, bad)                       # not Hermitian
 
 
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), slice(None)])
+def test_density_matrix_rejects_nan_by_its_own_check(where):
+    # the Hermiticity check itself must fail on NaN, not the eigensolver
+    lay = SpaceLayout(2)
+    rho = DensityMatrix.from_state(basis_state(lay, 0, 0, 0)).entries.copy()
+    rho[where] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian to tolerance"):
+        DensityMatrix(lay, rho)
+
+
 # ----------------------------------------------------------------------
 # master equation
 # ----------------------------------------------------------------------

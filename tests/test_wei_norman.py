@@ -437,6 +437,28 @@ def test_joint_steps_multiply_to_the_oracle_sector_snapshots(preset_params):
     assert np.abs(product - want).max() < 1e-13
 
 
+@pytest.mark.parametrize("per_chunk", [1, 3, 7, 100])
+def test_cf4_chunks_concatenate_to_the_unchunked_steps(preset_params, per_chunk):
+    n, t0, dt, steps = 4, 0.3, 0.05, 7
+    f = wei_norman.sector_amplitude(preset_params, 1, -1)
+    factors = wei_norman._sector_step_factors(n)
+    stacks = list(wei_norman._cf4_chunks(f, factors, t0, dt, steps, per_chunk))
+    assert [len(s) for s in stacks[:-1]] == [per_chunk] * (len(stacks) - 1)
+    want = wei_norman._cf4_steps(f, factors, t0 + np.arange(steps) * dt, dt)
+    assert np.abs(np.concatenate(stacks) - want).max() < 1e-14
+
+
+def test_sector_states_is_the_hadamard_on_the_qubit_index_both_ways():
+    n = 3
+    rng = np.random.default_rng(5)
+    psis = rng.normal(size=(2, 4 * n)) + 1j * rng.normal(size=(2, 4 * n))
+    mapped = wei_norman.sector_states(psis)
+    want = psis @ np.kron(wei_norman.QUBIT_HADAMARD, np.eye(n)).T
+    assert np.abs(mapped - want).max() < 1e-15
+    assert np.array_equal(wei_norman.sector_states(psis[0]), mapped[0])
+    assert np.abs(wei_norman.sector_states(mapped) - psis).max() < 1e-15
+
+
 def test_wrong_parity_image_is_flagged(monkeypatch, preset_params):
     assert not coefficients_oracle(preset_params, 1.9, 10).flagged
     monkeypatch.setattr(wei_norman, "_parity_image", lambda u: u)
