@@ -243,3 +243,50 @@ def test_expm_matrix_of_a_random_non_normal_matrix_matches_scipy():
     assert np.abs(m @ m.conj().T - m.conj().T @ m).max() > 1.0
     got = hilbert.expm_matrix(m, 0.5)
     assert _relative_error(got, scipy.linalg.expm(0.5 * m)) < 1e-13
+
+
+def _explicit_taylor_sum(a: np.ndarray, m: int) -> np.ndarray:
+    term = np.eye(a.shape[0], dtype=a.dtype)
+    total = term.copy()
+    for k in range(1, m + 1):
+        term = term @ a / k
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("d", [4, 25, 80])
+def test_expm_taylor_is_the_truncated_series(d):
+    # the Paterson-Stockmeyer sum against the partial sum built term by
+    # term, over degrees with a folded top block (s divides m), a partial
+    # one, and the trivial m = 0 and m = 1
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a *= hilbert.TAYLOR_MAX_NORM / np.abs(a).sum(axis=0).max()
+    for m in range(17):
+        got = hilbert._expm_taylor(a, m)
+        assert got.dtype == a.dtype
+        assert _relative_error(got, _explicit_taylor_sum(a, m)) < 1e-14, m
+    assert np.array_equal(hilbert._expm_taylor(a, 0), np.eye(d))
+
+
+class _MatmulCounter(np.ndarray):
+    calls = 0
+
+    def __matmul__(self, other):
+        _MatmulCounter.calls += 1
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        _MatmulCounter.calls += 1
+        return super().__rmatmul__(other)
+
+
+@pytest.mark.parametrize("m, products", [(1, 0), (2, 1), (6, 3), (9, 4), (12, 5), (13, 6)])
+def test_expm_taylor_product_count(m, products):
+    # Paterson-Stockmeyer: s - 1 powers and (m-1)//s Horner steps in a^s,
+    # against m - 1 products for Horner's rule in a
+    a = (0.01 * np.arange(64.0).reshape(8, 8)).astype(np.complex128).view(_MatmulCounter)
+    _MatmulCounter.calls = 0
+    got = hilbert._expm_taylor(a, m)
+    assert _MatmulCounter.calls == products
+    assert _relative_error(np.asarray(got), _explicit_taylor_sum(np.asarray(a), m)) < 1e-14

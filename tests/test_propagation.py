@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,15 +226,28 @@ def test_non_hermitian_sample_raises():
         evolve_propagator(lambda t: bad, PropagationSettings(0.0, 1.0, 4))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_sample_raises(bad):
-    # a NaN defect compares false against any tolerance; without its own
-    # check the sample would be exponentiated and every refinement run
+_NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "1j*inf": complex(0.0, np.inf)}
+
+
+@pytest.mark.parametrize(
+    "bad, where",
+    [(v, (0, 0)) for v in _NON_FINITE.values()] + [(v, (0, 5)) for v in _NON_FINITE.values()],
+    ids=list(_NON_FINITE) + [f"{k}-off-diagonal" for k in _NON_FINITE])
+def test_non_finite_sample_raises(bad, where):
+    # a non-finite entry makes the Hermiticity defect NaN or inf, which
+    # fails the comparison against any tolerance; off the diagonal the
+    # mirror entry is its conjugate, so the defect there is inf - inf.
+    # The rejection itself must not warn.
     lay = SpaceLayout(2)
     entries = np.zeros((8, 8), dtype=complex)
-    entries[0, 0] = bad
-    with pytest.raises(NonHermitianSampleError):
-        evolve_propagator(lambda t: Operator(lay, entries), PropagationSettings(0.0, 1.0, 4))
+    i, j = where
+    entries[j, i] = np.conj(bad)
+    entries[i, j] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonHermitianSampleError):
+            evolve_propagator(lambda t: Operator(lay, entries),
+                              PropagationSettings(0.0, 1.0, 4))
 
 
 def test_settings_reject_negative_max_refinements():
