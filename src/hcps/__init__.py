@@ -51,6 +51,7 @@ from .wei_norman import (
     oracle_grid,
 )
 from .gates import (
+    GateOptions,
     GateReport,
     PulseSchedule,
     ScheduleConditionError,

@@ -42,7 +42,7 @@ from .hilbert import (
     Operator, SpaceLayout, basis_state, commutator, matrix_exponential, unitarity_defect,
 )
 from .open_system import gate_fidelity_open
-from .propagation import NonHermitianSampleError, PropagationSettings, evolve_propagator
+from .propagation import NonHermitianSampleError, evolve_propagator
 from .wei_norman import (
     CommensurabilityError,
     closed_form_A,
@@ -57,12 +57,6 @@ from .wei_norman import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
-
-
-def _prop_settings(cfg: RunConfig, t1: float) -> PropagationSettings:
-    return PropagationSettings(t0=0.0, t1=t1, steps=cfg.propagation.steps,
-                               tolerance=cfg.propagation.tolerance,
-                               max_refinements=cfg.propagation.max_refinements)
 
 
 def report_to_json(report: GateReport) -> dict:
@@ -95,15 +89,9 @@ def _write_csv(path, header: str, rows):
 
 
 def _run_gate(cfg: RunConfig) -> GateReport:
-    return synthesize_gate(
-        cfg.system, SpaceLayout(cfg.fock_cutoff),
-        target_name=cfg.gate.target,
-        eta=cfg.gate.eta,
-        max_n=cfg.gate.max_n,
-        max_periods=cfg.gate.max_periods,
-        settings=_prop_settings(cfg, 1.0),
-        commensurability_tol=cfg.commensurability_tol,
-    )
+    return synthesize_gate(cfg.system, SpaceLayout(cfg.fock_cutoff), cfg.gate,
+                           settings=cfg.propagation,
+                           commensurability_tol=cfg.commensurability_tol)
 
 
 # ----------------------------------------------------------------------
@@ -168,8 +156,8 @@ def _validate_checks(cfg: RunConfig):
     #    and the converged flag measures the step error
     comm = commensurate_time(params.omega, params.Delta, cfg.gate.max_n,
                              cfg.commensurability_tol)
-    settings = _prop_settings(cfg, comm.t)
-    res = evolve_propagator(lambda t: h_eff(params, layout, t), settings)
+    settings = cfg.propagation
+    res = evolve_propagator(lambda t: h_eff(params, layout, t), settings.replace(t1=comm.t))
     yield ("propagator unitary", res.converged and res.unitarity_defect < 1e-9,
            f"defect {res.unitarity_defect:.2e}, converged {res.converged}")
 
@@ -185,7 +173,7 @@ def _validate_checks(cfg: RunConfig):
     worst = 0.0
     ts = np.linspace(comm.t / 12, 1.5 * comm.t, 12)
     for variant, label in ((params.replace(G=0.0), "B"), (params.replace(g=0.0), "C")):
-        rows = oracle_grid(variant, ts, min(fock, 16), settings=_prop_settings(cfg, ts[-1]))
+        rows = oracle_grid(variant, ts, min(fock, 16), settings=settings)
         for row in rows:
             ref = coefficients_closed_form(variant, row.t)
             got = row.coeffs.B if label == "B" else row.coeffs.C
@@ -217,8 +205,7 @@ def _validate_checks(cfg: RunConfig):
 
     # 9. doubling the Fock cutoff leaves the trusted-window sector blocks
     #    unchanged, on the grid the check-3 oracle converged to
-    fixed = PropagationSettings(t0=0.0, t1=comm.t, steps=oracle.steps_used,
-                                tolerance=cfg.propagation.tolerance, max_refinements=0)
+    fixed = settings.replace(steps=oracle.steps_used, max_refinements=0)
     doubled = coefficients_oracle(params, comm.t, 2 * fock, settings=fixed)
     cols = oracle.fock_window + 1
     drift = max(float(np.abs(doubled.sector_unitaries[key][:fock, :cols] - u[:, :cols]).max())
@@ -247,7 +234,7 @@ def cmd_coeffs(cfg: RunConfig, out_dir) -> int:
     t_max = cfg.coeffs.t_max_periods * 2.0 * math.pi / params.omega
     pts = cfg.coeffs.points
     times = np.linspace(t_max / pts, t_max, pts)
-    rows = oracle_grid(params, times, cfg.fock_cutoff, settings=_prop_settings(cfg, t_max))
+    rows = oracle_grid(params, times, cfg.fock_cutoff, settings=cfg.propagation)
     path = f"{out_dir}/coefficients.csv"
     # A_printed is the literal closed-form A, printed beside the oracle's
     _write_csv(path, COEFFS_CSV_HEADER,
@@ -317,7 +304,7 @@ def cmd_lindblad(cfg: RunConfig, out_dir) -> int:
     layout = SpaceLayout(fock_dm)
     comm = commensurate_time(params.omega, params.Delta, cfg.gate.max_n,
                              cfg.commensurability_tol)
-    oracle = oracle_at_periods(params, comm, 1, fock_dm, settings=_prop_settings(cfg, comm.t))
+    oracle = oracle_at_periods(params, comm, 1, fock_dm, settings=cfg.propagation)
     schedule = schedule_for_eta(params, oracle.coeffs.A, comm, 1)
     print(f"scoring the one-period sequence: t_int {schedule.t_int:.6f} ns, gate time "
           f"{schedule.tau1 + schedule.tau2 + schedule.t_int:.6f} ns, Fock cutoff {fock_dm}")
@@ -327,7 +314,7 @@ def cmd_lindblad(cfg: RunConfig, out_dir) -> int:
     dm_tol = max(cfg.propagation.tolerance, 1e-7)   # density runs do not need 1e-8
     for factor in cfg.lindblad.scale_factors:
         res = gate_fidelity_open(params, schedule, cfg.decoherence.scaled(factor), layout,
-                                 settings=_prop_settings(cfg, 1.0).replace(tolerance=dm_tol))
+                                 settings=cfg.propagation.replace(tolerance=dm_tol))
         rows.append((factor, res.fidelity_avg, res.trace_defect))
         converged &= res.converged
         print(f"scale {factor:g}: fidelity {res.fidelity_avg:.9f} "

@@ -20,9 +20,12 @@ Decoherence times are plain microseconds (their own key names say so);
 null means infinite (channel off).  Every number must be finite: JSON's
 NaN and Infinity are rejected naming the key.
 
-Each key has one reader and one default, the field default of its options
-dataclass; a key that no reader declares is an error naming it, so a
-misspelt setting cannot run silently at its default.
+Each section parses into the type its consumer takes (`gate` into
+gates.GateOptions, `propagation` into propagation.PropagationSettings with
+no window, `decoherence` into open_system.DecoherenceParams), and each key
+has one reader and one default, that type's field default; a key that no
+reader declares is an error naming it, so a misspelt setting cannot run
+silently at its default.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .gates import GateOptions
 from .hamiltonians import SystemParams
 from .open_system import DecoherenceParams
+from .propagation import PropagationSettings
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,29 +145,6 @@ def _at_least(options, **bounds):
 
 
 @dataclass(frozen=True)
-class GateOptions:
-    target: str = "cz"
-    eta: float | None = None          # None means auto-calibrate
-    max_n: int = 8
-    max_periods: int = 64
-
-    def __post_init__(self):
-        _at_least(self, max_n=1, max_periods=1)
-
-
-@dataclass(frozen=True)
-class PropagationDefaults:
-    steps: int = 512
-    tolerance: float = 1e-8
-    max_refinements: int = 12
-
-    def __post_init__(self):
-        _at_least(self, steps=1, max_refinements=0)
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
-
-
-@dataclass(frozen=True)
 class LindbladOptions:
     scale_factors: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, 4.0)
 
@@ -201,7 +183,7 @@ class RunConfig:
     system: SystemParams
     fock_cutoff: int = 20
     gate: GateOptions = field(default_factory=GateOptions)
-    propagation: PropagationDefaults = field(default_factory=PropagationDefaults)
+    propagation: PropagationSettings = field(default_factory=PropagationSettings)
     commensurability_tol: float = 1e-9
     decoherence: DecoherenceParams | None = None
     lindblad: LindbladOptions = field(default_factory=LindbladOptions)
@@ -233,7 +215,7 @@ _SECTIONS = {
                                    "kappa_res": _number}),
     "gate": (GateOptions, {"target": _text, "eta": _eta, "max_n": _integer,
                            "max_periods": _integer}),
-    "propagation": (PropagationDefaults, {"steps": _integer, "tolerance": _number,
+    "propagation": (PropagationSettings, {"steps": _integer, "tolerance": _number,
                                           "max_refinements": _integer}),
     "lindblad": (LindbladOptions, {"scale_factors": _numbers}),
     "sweep": (SweepOptions, {"parameter": _text, "factors": _numbers}),

@@ -177,6 +177,25 @@ TARGETS = {
 _RELABEL = np.eye(4)[[3, 2, 1, 0]].astype(np.complex128)   # g <-> e on both qubits
 
 
+@dataclass(frozen=True)
+class GateOptions:
+    """The config's `gate` section: synthesize_gate's target (a TARGETS key),
+    eta (None calibrates it), and the bounds of its two searches, max_n on
+    the disentangling time (commensurate_time) and max_periods on its repeats."""
+
+    target: str = "cz"
+    eta: float | None = None
+    max_n: int = 8
+    max_periods: int = 64
+
+    def __post_init__(self):
+        if self.target not in TARGETS:
+            raise ValueError(f"unknown target {self.target!r}; choose from {sorted(TARGETS)}")
+        for name in ("max_n", "max_periods"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
+
 def relabel_corners(u: np.ndarray) -> np.ndarray:
     return _RELABEL @ u @ _RELABEL
 
@@ -455,34 +474,32 @@ def _pick_periods(a_base: float, eta_target: float, max_periods: int,
     return best_k
 
 
-def synthesize_gate(params: SystemParams, layout: SpaceLayout, *,
-                    target_name: str = "cz",
-                    eta: float | None = None,
-                    max_n: int = 64,
-                    max_periods: int = 64,
+def synthesize_gate(params: SystemParams, layout: SpaceLayout,
+                    options: GateOptions = GateOptions(), *,
                     settings: PropagationSettings | None = None,
                     commensurability_tol: float = 1e-9) -> GateReport:
     """End-to-end pipeline: disentangling time, oracle phase, composition.
 
-    With eta = None the schedule phase is the accumulated joint phase at the
-    best integer number of disentangling periods (up to max_periods), judged
-    against the calibrated eta* modulo the pi/2 equivalence of the target
-    pattern.  A forced eta fixes the qubit rotations to that value and the
-    run is scored as-is, letting condition violations surface in the report.
+    With options.eta = None the schedule phase is the accumulated joint phase
+    at the best integer number of disentangling periods (up to
+    options.max_periods), judged against the calibrated eta* modulo the pi/2
+    equivalence of the target pattern.  A forced eta fixes the qubit rotations
+    to that value and the run is scored as-is, letting condition violations
+    surface in the report.  Given a config's gate, propagation and
+    commensurability_tol, this is the gate that `hcps gate` builds.
     """
-    if target_name not in TARGETS:
-        raise ValueError(f"unknown target {target_name!r}; choose from {sorted(TARGETS)}")
-    target = TARGETS[target_name]()
-    comm = commensurate_time(params.omega, params.Delta, max_n=max_n,
+    target = TARGETS[options.target]()
+    comm = commensurate_time(params.omega, params.Delta, max_n=options.max_n,
                              tol=commensurability_tol)
     calibration = calibrate_eta(target)
 
     window = coefficients_oracle(params, comm.t, layout.fock_cutoff, settings=settings)
+    eta = options.eta
     if eta is None:
-        periods = _pick_periods(window.coeffs.A, calibration.eta_star, max_periods,
+        periods = _pick_periods(window.coeffs.A, calibration.eta_star, options.max_periods,
                                 grid_period=math.pi / 2.0)
     else:
-        periods = _pick_periods(window.coeffs.A, eta, max_periods, grid_period=TWO_PI)
+        periods = _pick_periods(window.coeffs.A, eta, options.max_periods, grid_period=TWO_PI)
     oracle = oracle_power(window, periods)
     eta_used = oracle.coeffs.A if eta is None else float(eta)
 

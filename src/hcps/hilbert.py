@@ -27,8 +27,6 @@ SLOT_SPIN = 0
 SLOT_CHARGE = 1
 SLOT_RESONATOR = 2
 
-HERMITIAN_TOL = 1e-12
-
 # every exponential scales theta = ||scale * mat||_1 down to this before its Taylor sum
 TAYLOR_MAX_NORM = 0.5
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -132,10 +130,7 @@ class Operator:
         return float(np.abs(self.entries).max()) if self.entries.size else 0.0
 
     def hermiticity_defect(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.hermiticity_defect() < tol
+        return hermiticity_defect(self.entries)
 
 
 @dataclass(frozen=True)
@@ -264,6 +259,14 @@ def unitarity_defect(u: np.ndarray) -> float:
     """max |u'u - 1| of a raw square array."""
     u = np.asarray(u)
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
+def hermiticity_defect(a: np.ndarray) -> float:
+    """max |a - a'| of a raw square array; NaN or inf when an entry is not finite,
+    so it fails every `defect < tol` (inf - inf gives NaN here, without a warning)."""
+    a = np.asarray(a)
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(a - a.conj().T).max())
 
 
 # ----------------------------------------------------------------------

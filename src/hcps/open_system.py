@@ -44,7 +44,7 @@ from .gates import PulseSchedule
 from .hamiltonians import SystemParams, h_charge_qubit, h_nv
 from .hilbert import (
     Operator, SLOT_CHARGE, SLOT_SPIN, SpaceLayout, StateVector, build_annihilation,
-    build_spin_ops, expm_hermitian, expm_matrix,
+    build_spin_ops, expm_hermitian, expm_matrix, hermiticity_defect,
 )
 from .propagation import PropagationSettings, _check_hermitian, magnus4_steps, step_doubling
 from .wei_norman import QUBIT_HADAMARD, dressed_basis, joint_step_unitaries, sector_states
@@ -128,7 +128,7 @@ class DensityMatrix:
         if entries.shape != (d, d):
             raise ValueError(f"density matrix shape {entries.shape} does not match dim {d}")
         # written as not (defect <= tol) so that NaN fails them too
-        if not np.abs(entries - entries.conj().T).max() <= self.HERMITIAN_TOL:
+        if not hermiticity_defect(entries) <= self.HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian to tolerance")
         if not abs(entries.trace() - 1.0) <= self.TRACE_TOL:
             raise ValueError(f"density matrix trace {entries.trace()} is not 1")
@@ -269,17 +269,18 @@ def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
                   settings: PropagationSettings) -> MasterResult:
     """Integrate d rho/dt = -i[H, rho] + sum_k rate_k D[L_k] rho.
 
-    Step-doubled like the closed-system propagator; trace drift beyond 1e-6
-    clears the converged flag rather than raising.  A collapse operator on
-    both the qubits and the resonator raises ValueError.
+    Step-doubled like the closed-system propagator over settings.window();
+    trace drift beyond 1e-6 clears the converged flag rather than raising.
+    A collapse operator on both the qubits and the resonator raises ValueError.
     """
+    t0, t1 = settings.window()
     layout = rho0.layout
     n = layout.fock_cutoff
     qubit, fock = _local_factors(collapse, n, np.eye(4))
     no_states = np.zeros((0, layout.total_dim), dtype=np.complex128)
     rhos, _, converged, trace_defect, steps = _strang_leg(
-        partial(magnus4_steps, lambda t: h_fun(t).entries, settings.t0, settings.t1),
-        settings.t1 - settings.t0, rho0.entries[None], no_states, n,
+        partial(magnus4_steps, lambda t: h_fun(t).entries, t0, t1),
+        t1 - t0, rho0.entries[None], no_states, n,
         (_liouvillian(4, qubit), _liouvillian(n, fock)), settings)
 
     rho = 0.5 * (rhos[0] + rhos[0].conj().T)    # strip rounding-level asymmetry

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .hilbert import Operator, StateVector, expm_hermitian, unitarity_defect
+from .hilbert import Operator, StateVector, expm_hermitian, hermiticity_defect, unitarity_defect
 
 SAMPLE_HERMITIAN_TOL = 1e-10
 
@@ -59,31 +59,39 @@ class NonHermitianSampleError(ValueError):
 
 @dataclass(frozen=True)
 class PropagationSettings:
-    """Integration window and convergence control.
+    """Convergence control, and the window [t0, t1] of the integrators that
+    take one; the config's `propagation` section parses into it.
 
     steps is the initial grid; the grid is doubled until two successive
-    propagators differ by less than tolerance in entrywise max-norm, up to
-    max_refinements doublings.
+    results differ by less than tolerance in entrywise max-norm, up to
+    max_refinements doublings.  Only evolve_propagator, evolve_state and
+    open_system.evolve_master read the window, through window(); a config
+    sets none (t1 = None).
     """
 
-    t0: float
-    t1: float
-    steps: int = 256
+    t0: float = 0.0
+    t1: float | None = None
+    steps: int = 512
     tolerance: float = 1e-8
     max_refinements: int = 12
 
     def __post_init__(self):
-        if not (self.t1 > self.t0):
+        if self.t1 is not None and not (self.t1 > self.t0):
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
+            raise ValueError("tolerance must be > 0")
         if self.max_refinements < 0:
             raise ValueError("max_refinements must be >= 0")
 
     def replace(self, **changes) -> "PropagationSettings":
         return replace(self, **changes)
+
+    def window(self) -> tuple[float, float]:
+        if self.t1 is None:
+            raise ValueError("propagation settings without an integration window (t1 is None)")
+        return self.t0, self.t1
 
 
 @dataclass(frozen=True)
@@ -106,11 +114,7 @@ class StateResult:
 # ----------------------------------------------------------------------
 
 def _check_hermitian(h: np.ndarray, t: float):
-    # a NaN or infinite entry makes the defect NaN or inf, which fails the
-    # comparison; inf - inf is NaN by design here, not a warning
-    with np.errstate(invalid="ignore"):
-        defect = np.abs(h - h.conj().T).max()
-    if not defect < SAMPLE_HERMITIAN_TOL:
+    if not hermiticity_defect(h) < SAMPLE_HERMITIAN_TOL:
         raise NonHermitianSampleError(
             f"Hamiltonian sample at t={t} is not finite and Hermitian")
 
@@ -170,9 +174,11 @@ def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
 def _evolve(h_mat: Callable[[float], np.ndarray], start: np.ndarray,
             settings: PropagationSettings) -> tuple[np.ndarray, bool, int]:
     """Step-doubled Magnus-4 product U(t1, t0) @ start, start a propagator or a state."""
+    t0, t1 = settings.window()
+
     def run(steps: int) -> np.ndarray:
         out = start
-        for step in magnus4_steps(h_mat, settings.t0, settings.t1, steps):
+        for step in magnus4_steps(h_mat, t0, t1, steps):
             out = step @ out
         return out
 
@@ -190,7 +196,7 @@ def evolve_propagator(h_fun: Callable[[float], Operator],
     Non-convergence is reported through the converged flag, not raised; a
     non-finite or non-Hermitian sample raises NonHermitianSampleError.
     """
-    layout = h_fun(settings.t0).layout
+    layout = h_fun(settings.window()[0]).layout
     u, converged, steps = _evolve(lambda t: h_fun(t).entries,
                                   np.eye(layout.total_dim, dtype=np.complex128), settings)
     op = Operator(layout, u)
@@ -218,9 +224,9 @@ def frame_rotate(u: Operator, generator: Operator, angle_fun: Callable[[float], 
     """Rotate a propagator into the frame exp(+i angle(t) generator).
 
     Used to compare dynamics generated with and without a co-rotating term:
-    exp(+i angle_fun(t) G) @ U.
+    exp(+i angle_fun(t) G) @ U; G must be finite and Hermitian.
     """
-    if not generator.is_hermitian(SAMPLE_HERMITIAN_TOL):
+    if not hermiticity_defect(generator.entries) < SAMPLE_HERMITIAN_TOL:
         raise ValueError("frame generator must be Hermitian")
     rot = expm_hermitian(generator.entries, 1j * float(angle_fun(t)))
     return Operator(u.layout, rot @ u.entries)

@@ -518,10 +518,8 @@ def _oracle_pass(params: SystemParams, times: np.ndarray, fock_cutoff: int,
     oscillations = _oscillations(params, t_end)
     grid = np.union1d(times, np.linspace(0.0, t_end, max(48, 8 * oscillations) + 1)[1:])
     if settings is None:
-        settings = PropagationSettings(t0=0.0, t1=t_end, steps=max(256, 64 * oscillations),
-                                       tolerance=1e-8)
-    snapshots, converged, steps = _propagate_sectors(
-        params, grid, fock_cutoff, settings.replace(t0=0.0, t1=t_end))
+        settings = PropagationSettings(steps=max(256, 64 * oscillations))
+    snapshots, converged, steps = _propagate_sectors(params, grid, fock_cutoff, settings)
     extracted = _extract(snapshots, grid)
     for i in np.searchsorted(grid, times):
         yield _oracle_result(extracted[i], {k: v[i] for k, v in snapshots.items()},

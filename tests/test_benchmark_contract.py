@@ -12,12 +12,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hcps.cli  # noqa: F401  (imports every hcps module)
 import hcps.wei_norman as wn
 from hcps.config import paper_preset
-from hcps.propagation import PropagationSettings
+from hcps.hilbert import SpaceLayout, build_number
+from hcps.propagation import PropagationSettings, evolve_propagator
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -84,7 +86,22 @@ def test_pass_tuple_reports_the_oracle_grid(monkeypatch):
         return result
 
     monkeypatch.setattr(wn, "_propagate_sectors", recording)
-    settings = PropagationSettings(t0=0.0, t1=1.0, steps=64, tolerance=1e-4, max_refinements=4)
+    settings = PropagationSettings(steps=64, tolerance=1e-4, max_refinements=4)
     res = wn.coefficients_oracle(paper_preset().system, 1.3, 4, settings=settings)
     assert len(seen) == 1
     assert type(seen[0]) is int and seen[0] == res.steps_used > 64
+
+
+def test_keyword_settings_with_a_window_drive_evolve_propagator():
+    # the workloads build settings by keyword, window included, from the
+    # config's propagation section, and integrate over that window
+    cfg = paper_preset()
+    settings = PropagationSettings(
+        t0=0.2, t1=1.5, steps=cfg.propagation.steps, tolerance=cfg.propagation.tolerance,
+        max_refinements=cfg.propagation.max_refinements)
+    layout = SpaceLayout(3)
+    res = evolve_propagator(lambda t: 0.7 * build_number(layout), settings)
+    phases = np.exp(-1j * 0.7 * 1.3 * np.tile(np.arange(3), 4))
+    assert res.converged
+    assert np.abs(res.unitary.entries - np.diag(phases)).max() < 1e-12
+    assert isinstance(cfg.gate.max_n, int)

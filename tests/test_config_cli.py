@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hcps import cli, gates, wei_norman
+from hcps import cli, gates, open_system, wei_norman
 from hcps.cli import main, report_to_json
 from hcps.config import (
     ConfigError,
@@ -29,7 +29,7 @@ from hcps.hilbert import (
     SLOT_CHARGE, SLOT_SPIN, Operator, SpaceLayout, basis_state, build_spin_ops, expm_matrix,
     unitarity_defect,
 )
-from hcps.propagation import NonHermitianSampleError
+from hcps.propagation import NonHermitianSampleError, PropagationSettings
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +121,46 @@ def test_documented_configs_parse_strictly():
     cfg = parse_config(_readme_config_example(), "README")
     assert cfg.gate.max_n == 8 and cfg.lindblad.scale_factors == (0.0, 0.5, 1.0, 2.0, 4.0)
     assert parse_config(paper_preset_dict()) == paper_preset()
+
+
+def test_sections_parse_into_the_library_settings_types():
+    cfg = paper_preset()
+    prop = cfg.propagation
+    assert type(prop) is PropagationSettings and prop.t1 is None
+    assert (prop.steps, prop.tolerance, prop.max_refinements) == (512, 1e-8, 12)
+    assert type(cfg.gate) is gates.GateOptions
+
+
+def test_propagation_window_is_not_a_config_key():
+    doc = paper_preset_dict()
+    doc["propagation"]["t1"] = 1.0
+    with pytest.raises(ConfigError, match="unknown key propagation.t1"):
+        parse_config(doc)
+
+
+def test_windowless_config_settings_drive_the_oracle_and_the_open_leg():
+    # neither reads a window: the oracle spans its time, the leg the schedule
+    cfg = paper_preset()
+    params = cfg.system
+    comm = wei_norman.commensurate_time(params.omega, params.Delta, cfg.gate.max_n,
+                                        cfg.commensurability_tol)
+    oracle = wei_norman.coefficients_oracle(params, comm.t, 4, settings=cfg.propagation)
+    assert oracle.converged
+    schedule = gates.schedule_for_eta(params, oracle.coeffs.A, comm, 1)
+    res = open_system.gate_fidelity_open(params, schedule, cfg.decoherence, SpaceLayout(4),
+                                         settings=cfg.propagation)
+    assert res.converged and 0.0 < res.fidelity_loss < 0.01
+
+
+def test_library_call_builds_the_gate_of_the_gate_command(tmp_path):
+    # the README's library example, on the loaded config's three settings
+    cfg = paper_preset()
+    report = gates.synthesize_gate(cfg.system, SpaceLayout(cfg.fock_cutoff), cfg.gate,
+                                   settings=cfg.propagation,
+                                   commensurability_tol=cfg.commensurability_tol)
+    assert main(["gate", "--config", "paper_preset", "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "gate_report.json").read_text()
+    assert written == json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -525,6 +565,8 @@ def test_validate_ignores_out(tmp_path, monkeypatch, capsys):
     ("coeffs", "coeffs", "t_max_periods", -1.0),
     ("gate", None, "commensurability_tol", 0),
     ("gate", None, "commensurability_tol", -1),
+    ("validate", "gate", "target", "bogus"),      # checked at load, not by synthesis only
+    ("lindblad", "gate", "target", "bogus"),
 ])
 def test_bad_setting_is_config_error_naming_the_key(tmp_path, capsys, command, section,
                                                     key, value):
@@ -723,9 +765,9 @@ def test_lindblad_names_the_sequence_and_cutoff_it_scores(tmp_path, capsys):
 
 def test_report_json_serializable(tmp_path):
     cfg = load_config(small_config(tmp_path))
-    from hcps.gates import synthesize_gate
+    from hcps.gates import GateOptions, synthesize_gate
     from hcps.hilbert import SpaceLayout
-    rep = synthesize_gate(cfg.system, SpaceLayout(6), max_periods=4)
+    rep = synthesize_gate(cfg.system, SpaceLayout(6), GateOptions(max_periods=4))
     payload = report_to_json(rep)
     json.dumps(payload)
     assert set(payload) == {"fidelity_avg", "phase_distance", "leakage", "eta_used",

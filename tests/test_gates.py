@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from hcps.gates import (
+    GateOptions,
     PulseSchedule,
     ScheduleConditionError,
     calibrate_eta,
@@ -266,13 +267,19 @@ def test_eta_eighth_pi_gives_minus_i_corner():
 # schedules and composition
 # ----------------------------------------------------------------------
 
-FAST = PropagationSettings(t0=0.0, t1=1.0, steps=2048, tolerance=1e-8,
-                           max_refinements=8)
+@pytest.mark.parametrize("field, value", [("target", "bogus"), ("max_n", 0),
+                                          ("max_periods", 0)])
+def test_gate_options_reject_a_bad_field_naming_it(field, value):
+    with pytest.raises(ValueError, match=field):
+        GateOptions(**{field: value})
+
+
+FAST = PropagationSettings(steps=2048, tolerance=1e-8, max_refinements=8)
 
 
 @pytest.fixture(scope="module")
 def preset_gate_report(preset_params):
-    return synthesize_gate(preset_params, SpaceLayout(8), max_periods=48,
+    return synthesize_gate(preset_params, SpaceLayout(8), GateOptions(max_periods=48),
                            settings=FAST)
 
 
@@ -333,7 +340,8 @@ def test_synthesize_gate_propagates_base_window_once(preset_params, monkeypatch)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(wn, "_propagate_sectors", counting)
-    rep = synthesize_gate(preset_params, SpaceLayout(6), max_periods=48, settings=FAST)
+    rep = synthesize_gate(preset_params, SpaceLayout(6), GateOptions(max_periods=48),
+                          settings=FAST)
     comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
     assert rep.schedule.t_int > 1.5 * comm.t      # several periods, not just one
     assert calls == [pytest.approx(comm.t)]
@@ -355,15 +363,16 @@ def test_synthesize_gate_builds_the_factorized_propagator_twice(preset_params, m
         if name.split(".")[0] == "hcps" and getattr(module, "factorized_propagator",
                                                     None) is original:
             monkeypatch.setattr(module, "factorized_propagator", counting)
-    rep = synthesize_gate(preset_params, SpaceLayout(6), max_periods=48, settings=FAST)
+    rep = synthesize_gate(preset_params, SpaceLayout(6), GateOptions(max_periods=48),
+                          settings=FAST)
     comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
     assert rep.schedule.t_int > 1.5 * comm.t      # several periods, not just one
     assert calls == [pytest.approx(comm.t), pytest.approx(rep.schedule.t_int)]
 
 
 def test_forced_paper_eta_misses_cz(preset_params):
-    rep = synthesize_gate(preset_params, SpaceLayout(8), eta=PI / 8,
-                          max_periods=8, settings=FAST)
+    rep = synthesize_gate(preset_params, SpaceLayout(8), GateOptions(eta=PI / 8, max_periods=8),
+                          settings=FAST)
     assert rep.eta_used == pytest.approx(PI / 8)
     assert rep.phase_distance > 0.01
     assert rep.fidelity_avg < 0.999
@@ -399,7 +408,7 @@ def test_compose_sequence_accepts_consistent_schedule(preset_params):
 
 def test_no_entangling_phase_note_off_matched_detuning():
     params = make_params(omega_r=-1.0)    # Delta = 2 omega: no joint phase
-    rep = synthesize_gate(params, SpaceLayout(8), max_periods=4, settings=FAST)
+    rep = synthesize_gate(params, SpaceLayout(8), GateOptions(max_periods=4), settings=FAST)
     codes = {n["code"] for n in rep.discrepancy_notes}
     assert "no_entangling_phase" in codes
     assert rep.fidelity_avg < 0.6

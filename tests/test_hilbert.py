@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hcps.hilbert import (
     commutator,
     embed,
     expm_hermitian,
+    hermiticity_defect,
     identity,
     ladder_matrix,
     matrix_exponential,
@@ -113,6 +115,27 @@ def test_tensor_matches_explicit_kron():
     got = tensor(*blocks, lay).entries
     want = np.kron(np.kron(blocks[0], blocks[1]), blocks[2])
     np.testing.assert_allclose(got, want, atol=1e-15)
+
+
+def test_hermiticity_defect_is_max_entry_of_a_minus_its_adjoint():
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 2] = 0.25j
+    assert hermiticity_defect(a) == 0.25
+    assert Operator(SpaceLayout(2), np.diag(np.arange(8.0))).hermiticity_defect() == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "-1j*inf"])
+@pytest.mark.parametrize("where", [(1, 1), (0, 2), slice(None)],
+                         ids=["diagonal", "off_diagonal", "everywhere"])
+def test_hermiticity_defect_of_a_non_finite_entry_fails_without_warning(value, where):
+    # NaN or inf, never a number a tolerance accepts; inf - inf must not warn
+    a = np.eye(3, dtype=complex)
+    a[where] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        defect = hermiticity_defect(a)
+    assert not defect < 1.0
 
 
 def test_dagger_involution():

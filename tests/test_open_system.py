@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from test_hamiltonians import make_params
 
 TWO_PI = 2.0 * math.pi
 
-OPEN_SETTINGS = PropagationSettings(0.0, 1.0, 64, 1e-7, max_refinements=10)
+OPEN_SETTINGS = PropagationSettings(steps=64, tolerance=1e-7, max_refinements=10)
 
 
 # ----------------------------------------------------------------------
@@ -102,6 +103,17 @@ def test_density_matrix_rejects_nan_by_its_own_check(where):
     rho[where] = np.nan
     with pytest.raises(ValueError, match="not Hermitian to tolerance"):
         DensityMatrix(lay, rho)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), slice(None)])
+def test_density_matrix_rejects_inf_by_its_own_check_without_warning(where):
+    lay = SpaceLayout(2)
+    rho = DensityMatrix.from_state(basis_state(lay, 0, 0, 0)).entries.copy()
+    rho[where] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not Hermitian to tolerance"):
+            DensityMatrix(lay, rho)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +260,7 @@ def test_collapse_operator_on_qubits_and_resonator_is_rejected():
 def preset_schedule(preset_params):
     comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
     oracle = oracle_at_periods(preset_params, comm, 1, 6,
-                               settings=PropagationSettings(0.0, comm.t, 2048, 1e-8))
+                               settings=PropagationSettings(steps=2048, tolerance=1e-8))
     return schedule_for_eta(preset_params, oracle.coeffs.A, comm, 1)
 
 

@@ -24,6 +24,7 @@ from hcps.propagation import (
     step_doubling,
 )
 from hcps.config import paper_preset
+from hcps.open_system import DensityMatrix, evolve_master
 from hcps.wei_norman import (
     coefficients_closed_form, commensurate_time, factorized_propagator,
 )
@@ -185,19 +186,20 @@ def test_h_eff_conserves_x_expectations():
 def test_charge_only_limit_matches_factorized_form():
     # with the spin coupling off, the propagator is the two displacement
     # factors plus the scalar, with closed-form coefficients; compared on
-    # the truncation-trusted input columns at a fixed fine grid
+    # the truncation-trusted input columns on a converged order-4 grid.
+    # From 256 steps it converges at 512, where the error is about 3e-14
+    # (3e-13 at 256 steps; finer grids only add rounding)
     n = 25
     lay = SpaceLayout(n)
     p = make_params(G=0.0, omega=1.0, g=0.12, omega_r=0.0)
     t = 1.9
-    res = evolve_propagator(
-        lambda s: h_eff(p, lay, s),
-        PropagationSettings(0.0, t, 8192, 1e-30, max_refinements=0))
+    res = evolve_propagator(lambda s: h_eff(p, lay, s), PropagationSettings(0.0, t, 256, 1e-10))
+    assert res.converged
     coeffs = coefficients_closed_form(p, t)
     fact = factorized_propagator(coeffs, lay)
     cols = [lay.index(s, c, k) for s in range(2) for c in range(2) for k in range(7)]
     diff = np.abs(fact.entries[:, cols] - res.unitary.entries[:, cols]).max()
-    assert diff < 1e-7
+    assert diff < 2e-13
 
 
 def test_frame_rotate_zero_angle_is_noop():
@@ -207,6 +209,23 @@ def test_frame_rotate_zero_angle_is_noop():
                           PropagationSettings(0.0, 1.0, 64, 1e-7))
     rotated = frame_rotate(u.unitary, build_spin_ops(lay, SLOT_SPIN).x, lambda t: 0.0, 1.0)
     assert (rotated - u.unitary).norm_max() < 1e-14
+
+
+@pytest.mark.parametrize("entries", [((0, 1), 0.5), ((0, 0), np.inf), ((2, 3), np.inf)],
+                         ids=["non_hermitian", "inf_diagonal", "inf_mirrored"])
+def test_frame_rotate_rejects_a_bad_generator(entries):
+    # an infinite entry is rejected by the same check, without a warning;
+    # mirrored, the defect there is inf - inf
+    lay = SpaceLayout(2)
+    gen = build_spin_ops(lay, SLOT_SPIN).x.entries.copy()
+    (i, j), value = entries
+    if np.isinf(value):
+        gen[j, i] = value
+    gen[i, j] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Hermitian"):
+            frame_rotate(identity(lay), Operator(lay, gen), lambda t: 0.3, 1.0)
 
 
 def test_frame_rotate_inverts_bare_rotation():
@@ -248,6 +267,25 @@ def test_non_finite_sample_raises(bad, where):
         with pytest.raises(NonHermitianSampleError):
             evolve_propagator(lambda t: Operator(lay, entries),
                               PropagationSettings(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("integrator", ["evolve_propagator", "evolve_state", "evolve_master"])
+def test_integrators_refuse_settings_without_a_window(integrator):
+    lay = SpaceLayout(2)
+    psi = basis_state(lay, 0, 0, 0)
+    h = lambda t: 0.0 * identity(lay)
+    settings = PropagationSettings(steps=4)
+    run = {"evolve_propagator": lambda: evolve_propagator(h, settings),
+           "evolve_state": lambda: evolve_state(h, psi, settings),
+           "evolve_master": lambda: evolve_master(h, DensityMatrix.from_state(psi), [],
+                                                  settings)}[integrator]
+    with pytest.raises(ValueError, match="window"):
+        run()
+
+
+def test_settings_reject_an_empty_window():
+    with pytest.raises(ValueError, match="t1 > t0"):
+        PropagationSettings(t0=1.0, t1=1.0)
 
 
 def test_settings_reject_negative_max_refinements():

@@ -32,8 +32,7 @@ TWO_PI = 2.0 * math.pi
 # integration budget tuned so coefficient errors sit near 1e-9 without
 # chasing the rounding floor; matrix norms grow with sqrt(fock_cutoff), so
 # the precision tests run at small cutoffs where the displacement converges
-TIGHT = PropagationSettings(t0=0.0, t1=1.0, steps=4096, tolerance=3e-9,
-                            max_refinements=8)
+TIGHT = PropagationSettings(steps=4096, tolerance=3e-9, max_refinements=8)
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +311,7 @@ def test_extraction_guards_against_large_displacement():
     # displacement 2g/omega = 6 empties the vacuum amplitude well below the
     # guard threshold once the cutoff is large enough to hold the excursion
     params = make_params(g=3.0, G=0.0, omega=1.0, omega_r=0.0)
-    coarse = PropagationSettings(t0=0.0, t1=1.0, steps=2048, tolerance=1e-3,
-                                 max_refinements=2)
+    coarse = PropagationSettings(steps=2048, tolerance=1e-3, max_refinements=2)
     with pytest.raises(RuntimeError):
         coefficients_oracle(params, math.pi, 64, settings=coarse)
 
@@ -346,8 +344,7 @@ def test_kernel_takes_exactly_steps_used(monkeypatch, preset_params, grid):
         return count
 
     monkeypatch.setattr(wei_norman, "_sector_step_factors", counting)
-    one_pass = PropagationSettings(t0=0.0, t1=1.0, steps=512, tolerance=1e-8,
-                                   max_refinements=0)
+    one_pass = PropagationSettings(steps=512, tolerance=1e-8, max_refinements=0)
     period = TWO_PI / preset_params.omega
     if grid == "base_window":
         assert coefficients_oracle(preset_params, period, 6, settings=one_pass).steps_used == 512
