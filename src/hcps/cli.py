@@ -41,7 +41,7 @@ from .hamiltonians import h_charge_qubit, h_drive, h_eff, h_interaction, h_nv, h
 from .hilbert import (
     Operator, SpaceLayout, basis_state, commutator, matrix_exponential, unitarity_defect,
 )
-from .open_system import gate_fidelity_open
+from .open_system import OpenGateResult, gate_fidelity_open
 from .propagation import NonHermitianSampleError, evolve_propagator
 from .wei_norman import (
     CommensurabilityError,
@@ -292,6 +292,19 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
 # ----------------------------------------------------------------------
 
 LINDBLAD_CSV_HEADER = "scale_factor,fidelity_avg,trace_defect"
+# a loss or trace defect below this is rounding, printed as "< 1e-10" so that a
+# last-bit move of the leg leaves stdout unchanged; lindblad.csv keeps every digit
+LINDBLAD_PRINT_FLOOR = 1e-10
+
+
+def _lindblad_line(factor: float, res: OpenGateResult) -> str:
+    """The stdout line of one scale factor's open-gate result."""
+    def small(x: float, spec: str) -> str:
+        return f"< {LINDBLAD_PRINT_FLOOR:g}" if abs(x) < LINDBLAD_PRINT_FLOOR else format(x, spec)
+
+    return (f"scale {factor:g}: fidelity {res.fidelity_avg:.9f} "
+            f"(loss {small(res.fidelity_loss, '.3e')}), "
+            f"trace defect {small(res.trace_defect, '.2e')}")
 
 
 def cmd_lindblad(cfg: RunConfig, out_dir) -> int:
@@ -317,8 +330,7 @@ def cmd_lindblad(cfg: RunConfig, out_dir) -> int:
                                  settings=cfg.propagation.replace(tolerance=dm_tol))
         rows.append((factor, res.fidelity_avg, res.trace_defect))
         converged &= res.converged
-        print(f"scale {factor:g}: fidelity {res.fidelity_avg:.9f} "
-              f"(loss {res.fidelity_loss:.3e}), trace defect {res.trace_defect:.2e}")
+        print(_lindblad_line(factor, res))
     path = f"{out_dir}/lindblad.csv"
     _write_csv(path, LINDBLAD_CSV_HEADER, rows)
     print(f"wrote {path}")

@@ -284,7 +284,8 @@ def _taylor_degree(theta: float) -> int:
 
 def _expm_taylor(a: np.ndarray, m: int) -> np.ndarray:
     """I + a + ... + a^m / m! by Paterson-Stockmeyer (SIAM J. Comput. 2, 60
-    (1973); Higham, Functions of Matrices, sec. 4.2).
+    (1973); Higham, Functions of Matrices, sec. 4.2), of one (n, n) matrix or
+    of each matrix of a (k, n, n) stack.
 
     The powers a^2 ... a^s are formed once and the sum is Horner's rule in
     a^s over the blocks B_j = sum_{i<s} a^i / (js+i)!; the top block takes
@@ -294,10 +295,9 @@ def _expm_taylor(a: np.ndarray, m: int) -> np.ndarray:
     Horner's rule in a takes m - 1).  Each block is added into the running
     sum in place.
     """
-    diag = np.s_[:: a.shape[0] + 1]
     if not m:
         out = np.zeros_like(a)
-        out.flat[diag] = 1.0
+        _add_to_diagonals(out, 1.0)
         return out
     s = min(range(1, m + 1), key=lambda b: b - 1 + (m - 1) // b)
     coef = [1.0 / math.factorial(k) for k in range(m + 1)]
@@ -311,20 +311,32 @@ def _expm_taylor(a: np.ndarray, m: int) -> np.ndarray:
             out = out @ powers[s]
         for i in range(min(s, m - lo) - 1, 0, -1):
             out += coef[lo + i] * powers[i]
-        out.flat[diag] += coef[lo]
+        _add_to_diagonals(out, coef[lo])
     return out
 
 
+def _add_to_diagonals(a: np.ndarray, c: float):
+    """a += c I in place, on an (n, n) matrix or on each matrix of a (k, n, n) stack."""
+    if a.ndim == 2:
+        a.flat[:: a.shape[0] + 1] += c
+    else:
+        np.einsum("...ii->...i", a)[...] += c    # a writable view of the diagonals
+
+
 def _expm_scaled(mat: np.ndarray, scale: complex) -> np.ndarray:
-    """exp(scale * mat) by scaling and squaring (Higham, SIMAX 26, 1179 (2005)).
+    """exp(scale * mat) by scaling and squaring (Higham, SIMAX 26, 1179 (2005)),
+    of one (n, n) matrix or of each matrix of a (k, n, n) stack.
 
     theta = ||scale * mat||_1 is halved s times to at most TAYLOR_MAX_NORM,
     the Taylor series of 2^-s scale * mat is summed by _expm_taylor to the
     degree _taylor_degree(theta), whose truncation error is below unit
     roundoff (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and
-    the sum is squared s times.  A theta that is not finite raises ValueError.
+    the sum is squared s times.  A stack shares one degree and one s, from
+    the largest 1-norm in it: each matrix is then summed at least as finely
+    as it would be alone, and the stack of a block-diagonal matrix's diagonal
+    blocks has that matrix's theta exactly.  A theta that is not finite raises ValueError.
     """
-    theta, s = abs(scale) * float(np.abs(mat).sum(axis=0).max()), 0
+    theta, s = abs(scale) * float(np.abs(mat).sum(axis=-2).max()), 0
     if not np.isfinite(theta):
         raise ValueError("matrix exponential of non-finite input")
     while theta > TAYLOR_MAX_NORM:
@@ -336,10 +348,10 @@ def _expm_scaled(mat: np.ndarray, scale: complex) -> np.ndarray:
 
 
 def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
-    """exp(scale * h) of a square Hermitian array, the hot path: only theta's
-    finiteness is checked.  At theta <= TAYLOR_MAX_NORM, as the propagators'
-    converged Magnus-4 steps are, it is one Taylor sum; with an imaginary
-    scale the result is unitary to rounding."""
+    """exp(scale * h) of a Hermitian (n, n) array or (k, n, n) stack, the hot
+    path: only theta's finiteness is checked.  At theta <= TAYLOR_MAX_NORM, as
+    the propagators' converged Magnus-4 steps are, it is one Taylor sum; with
+    an imaginary scale the result is unitary to rounding."""
     return _expm_scaled(h, scale)
 
 

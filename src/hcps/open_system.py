@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -278,9 +277,14 @@ def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
     n = layout.fock_cutoff
     qubit, fock = _local_factors(collapse, n, np.eye(4))
     no_states = np.zeros((0, layout.total_dim), dtype=np.complex128)
+    whole_space = [np.arange(layout.total_dim)[None]]      # the Strang leg needs the dense u
+
+    def step_unitaries(steps: int):
+        for (u,), in magnus4_steps(lambda t: h_fun(t).entries, t0, t1, steps, whole_space):
+            yield u
+
     rhos, _, converged, trace_defect, steps = _strang_leg(
-        partial(magnus4_steps, lambda t: h_fun(t).entries, t0, t1),
-        t1 - t0, rho0.entries[None], no_states, n,
+        step_unitaries, t1 - t0, rho0.entries[None], no_states, n,
         (_liouvillian(4, qubit), _liouvillian(n, fock)), settings)
 
     rho = 0.5 * (rhos[0] + rhos[0].conj().T)    # strip rounding-level asymmetry

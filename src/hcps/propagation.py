@@ -10,12 +10,25 @@ two-node Gauss-Legendre Magnus integrator of order 4 (Blanes, Casas, Oteo
 
 with h1, h2 the Hamiltonian at the Gauss nodes t_k + (1/2 -+ sqrt(3)/6) dt,
 and step-doubling until two successive resolutions agree to the requested
-max-norm tolerance.  No cleverness that could share a failure mode with
-the factorized propagator it is meant to audit.
+max-norm tolerance.
 
-:func:`magnus4_steps` yields the checked step factors of a uniform grid;
-propagators, states and the generic master-equation leg of
-:mod:`hcps.open_system` run on them.  Each factor is
+Each pass steps every connected component of the samples' coupling graph
+on its own (h_eff, which never connects states of different excitation
+parity (-1)^(n+s+c), as two blocks of 2N states).  The split is exact: when
+h1 and h2 are block-diagonal, so are K and every power of it, and the
+exponential of K is the blocks' exponentials.  It is read from the exact
+zeros of the first step's two samples in the lab basis, never assumed from
+the model, so it shares nothing with the sigma_x / S_x sectors of the
+factorized propagator this integrator audits.  Every sample is checked on
+the whole space, then for a nonzero or non-finite entry outside its blocks;
+a sample that couples two blocks restarts the pass on the whole space, where
+the later passes stay, so the result is the whole-space one for any
+Hamiltonian.
+
+:func:`magnus4_steps` yields the checked step factors of a uniform grid,
+one stack per component size; propagators and states multiply them per
+block, and the generic master-equation leg of :mod:`hcps.open_system`, which
+needs the dense step, runs them on the whole space.  Each factor is
 :func:`hcps.hilbert.expm_hermitian` of dt K_k, which on these grids' small
 steps is a Taylor polynomial with its truncation error below unit
 roundoff: unitary to rounding, not by construction, so the unitarity
@@ -125,26 +138,76 @@ def _checked_sample(h_mat: Callable[[float], np.ndarray], t: float) -> np.ndarra
     return h
 
 
+def _coupling_blocks(*samples: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the coupling graph of the samples (i ~ j when an
+    entry (i, j) or (j, i) of any sample is nonzero), as index arrays stacked
+    by component size: one (count, size) array per size, ascending, each row
+    one component's indices in ascending order."""
+    coupled = np.logical_or.reduce([h != 0 for h in samples])
+    coupled |= coupled.T
+    label = np.full(coupled.shape[0], -1)
+    components = []
+    for root in range(label.size):
+        if label[root] >= 0:
+            continue
+        frontier = [root]
+        while len(frontier):             # breadth-first, one layer at a time
+            label[frontier] = root
+            frontier = np.flatnonzero(coupled[frontier].any(axis=0) & (label < 0))
+        components.append(np.flatnonzero(label == root))
+    sizes = sorted({len(c) for c in components})
+    return [np.array([c for c in components if len(c) == n]) for n in sizes]
+
+
+class _BlockCoupling(Exception):
+    """A sample has a nonzero or non-finite entry outside the blocks it is stepped on."""
+
+
 def magnus4_steps(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
-                  steps: int) -> Iterator[np.ndarray]:
-    """Order-4 Magnus step unitaries exp(-i dt K) of a uniform grid on [t0, t1].
+                  steps: int, blocks: list[np.ndarray]) -> Iterator[list[np.ndarray]]:
+    """Order-4 Magnus step unitaries exp(-i dt K) of a uniform grid on [t0, t1],
+    on the diagonal blocks of the space named by blocks.
 
     K = (h1 + h2)/2 - i (sqrt(3)/12) dt [h2, h1] from the samples at the two
     Gauss nodes of each step; [h2, h1] = X - X' with X = h2 h1 is exactly
-    anti-Hermitian, so K is Hermitian.  Every sample is checked to be finite
-    and Hermitian before it is used.
+    anti-Hermitian, so K is Hermitian.  blocks holds index stacks, one
+    (count, size) array per component size as _coupling_blocks returns them,
+    [np.arange(d)[None]] for the whole space; each step yields one
+    (count, size, size) stack of factors per index stack.  Every sample is
+    checked to be finite and Hermitian on the whole space before it is used,
+    and _BlockCoupling is raised when it has a nonzero or non-finite entry
+    outside the blocks.  Past that check h1 and h2 are block-diagonal, so K
+    and every power of it are too, and the factors are exactly the blocks of
+    the whole-space step's.
     """
     dt = (t1 - t0) / steps
     weight = -2j * _MAGNUS4_COMMUTATOR * dt
+    d = sum(idx.size for idx in blocks)
+    flat = [idx[:, :, None] * d + idx[:, None, :] for idx in blocks]
+    outside = np.ones(d * d, dtype=bool)
+    for f in flat:
+        outside[f] = False
+    outside = np.flatnonzero(outside)
+
+    def on_blocks(h: np.ndarray) -> list[np.ndarray]:
+        if not outside.size:
+            return [h]                   # the whole space, stepped as one matrix
+        if h.ravel().take(outside).any():            # NaN and inf are nonzero too
+            raise _BlockCoupling
+        return [h.ravel().take(f) for f in flat]
+
     for k in range(steps):
         start = t0 + k * dt
-        h1, h2 = (_checked_sample(h_mat, start + c * dt) for c in GAUSS_NODES)
-        two_k = h2 @ h1                  # 2K, built in place on X
-        two_k -= two_k.conj().T
-        two_k *= weight
-        two_k += h1
-        two_k += h2
-        yield expm_hermitian(two_k, -0.5j * dt)
+        h1, h2 = (on_blocks(_checked_sample(h_mat, start + c * dt)) for c in GAUSS_NODES)
+        factors = []
+        for idx, b1, b2 in zip(blocks, h1, h2):
+            two_k = b2 @ b1              # 2K, built in place on X
+            two_k -= two_k.conj().swapaxes(-1, -2)
+            two_k *= weight
+            two_k += b1
+            two_k += b2
+            factors.append(expm_hermitian(two_k, -0.5j * dt).reshape(idx.shape + idx.shape[1:]))
+        yield factors
 
 
 def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
@@ -173,14 +236,35 @@ def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
 
 def _evolve(h_mat: Callable[[float], np.ndarray], start: np.ndarray,
             settings: PropagationSettings) -> tuple[np.ndarray, bool, int]:
-    """Step-doubled Magnus-4 product U(t1, t0) @ start, start a propagator or a state."""
+    """Step-doubled Magnus-4 product U(t1, t0) @ start, start a propagator or a state.
+
+    Each pass steps the components of the first step's two samples
+    (_coupling_blocks) on their own and scatters their products into U; a
+    sample that couples two of them restarts the pass on the whole space,
+    where every later pass stays.
+    """
     t0, t1 = settings.window()
+    d = start.shape[0]
+    blocks = _coupling_blocks(*(_checked_sample(h_mat, t0 + c * (t1 - t0) / settings.steps)
+                                for c in GAUSS_NODES))
+
+    def product(steps: int) -> list[np.ndarray]:
+        prods = None
+        for factors in magnus4_steps(h_mat, t0, t1, steps, blocks):
+            prods = factors if prods is None else [f @ p for f, p in zip(factors, prods)]
+        return prods
 
     def run(steps: int) -> np.ndarray:
-        out = start
-        for step in magnus4_steps(h_mat, t0, t1, steps):
-            out = step @ out
-        return out
+        nonlocal blocks
+        try:
+            prods = product(steps)
+        except _BlockCoupling:
+            blocks = [np.arange(d)[None]]
+            prods = product(steps)
+        u = np.zeros((d, d), dtype=np.complex128)
+        for idx, p in zip(blocks, prods):
+            u[idx[:, :, None], idx[:, None, :]] = p
+        return u @ start
 
     return step_doubling(run, lambda out: out, settings)
 

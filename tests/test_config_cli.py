@@ -25,6 +25,7 @@ from hcps.config import (
     parse_config,
 )
 from hcps.gates import ScheduleConditionError
+from hcps.open_system import OpenGateResult
 from hcps.hilbert import (
     SLOT_CHARGE, SLOT_SPIN, Operator, SpaceLayout, basis_state, build_spin_ops, expm_matrix,
     unitarity_defect,
@@ -761,6 +762,21 @@ def test_lindblad_names_the_sequence_and_cutoff_it_scores(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "one-period sequence: t_int 6.283185 ns" in out
     assert "Fock cutoff 12" in out
+
+
+@pytest.mark.parametrize("loss, defect, line", [
+    (-5.174e-12, 3.3e-15, "fidelity 1.000000000 (loss < 1e-10), trace defect < 1e-10"),
+    (2.3905334181768545e-3, 2.5e-9,
+     "fidelity 0.997609467 (loss 2.391e-03), trace defect 2.50e-09"),
+], ids=["rounding_level", "above_the_floor"])
+def test_lindblad_line_is_unchanged_by_a_rounding_move(loss, defect, line):
+    # a scale-0 row's loss and trace defect are rounding; printed to four
+    # digits, a 1e-15 move of the leg would change stdout
+    res = OpenGateResult(fidelity_avg=1.0 - loss, fidelity_per_input=(1.0 - loss,),
+                         trace_defect=defect, converged=True)
+    moved = replace(res, fidelity_avg=res.fidelity_avg + 1e-15, trace_defect=defect + 1e-15)
+    assert cli._lindblad_line(0.0, res) == f"scale 0: {line}"
+    assert cli._lindblad_line(0.0, moved) == cli._lindblad_line(0.0, res)
 
 
 def test_report_json_serializable(tmp_path):

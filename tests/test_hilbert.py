@@ -7,6 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from hcps import hilbert
+from hcps.config import paper_preset
+from hcps.hamiltonians import h_eff
 from hcps.hilbert import (
     Operator,
     SLOT_CHARGE,
@@ -28,6 +30,8 @@ from hcps.hilbert import (
     unitarity_defect,
     vacuum_projector,
 )
+
+from test_propagation import _parity_classes
 
 
 def test_layout_dims():
@@ -313,3 +317,54 @@ def test_expm_taylor_product_count(m, products):
     got = hilbert._expm_taylor(a, m)
     assert _MatmulCounter.calls == products
     assert _relative_error(np.asarray(got), _explicit_taylor_sum(np.asarray(a), m)) < 1e-14
+
+
+
+def _h_eff_and_parity_blocks() -> tuple[np.ndarray, np.ndarray]:
+    # h_eff on the preset at N = 20 and its two 40 x 40 excitation-parity blocks
+    lay = SpaceLayout(20)
+    h = h_eff(paper_preset().system, lay, 0.3).entries
+    parity = _parity_classes(lay)
+    idx = np.stack([np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)])
+    return h, h[idx[:, :, None], idx[:, None, :]]
+
+
+def _stack_case(name: str) -> tuple[np.ndarray, complex]:
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
+    scales = np.array([0.1, 1.0, 10.0])[:, None, None]
+    return {"h_eff_grid_step": lambda: (_h_eff_and_parity_blocks()[1], -2j * math.pi / 1024),
+            "h_eff_squared": lambda: (_h_eff_and_parity_blocks()[1], -0.8j),
+            "hermitian": lambda: (0.5 * (m + m.conj().swapaxes(-1, -2)) * scales, -0.3j),
+            "non_normal": lambda: (0.2 * m * scales, 0.5)}[name]()
+
+
+_STACK_CASES = ["h_eff_grid_step", "h_eff_squared", "hermitian", "non_normal"]
+
+
+def test_parity_blocks_share_the_dense_theta():
+    h, blocks = _h_eff_and_parity_blocks()
+    assert np.abs(blocks).sum(axis=-2).max() == np.abs(h).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("name", _STACK_CASES)
+def test_expm_of_a_stack_matches_scipy_slice_by_slice(name):
+    # one degree and one scaling from the largest 1-norm in the stack; each
+    # slice still matches its own exponential
+    stack, scale = _stack_case(name)
+    got = hilbert._expm_scaled(stack, scale)
+    assert got.shape == stack.shape
+    for g, mat in zip(got, stack):
+        assert _relative_error(g, scipy.linalg.expm(scale * mat)) < 1e-13
+
+
+@pytest.mark.parametrize("name", _STACK_CASES)
+def test_expm_of_a_one_matrix_stack_is_the_matrix_call(name):
+    stack, scale = _stack_case(name)
+    for mat in stack:
+        assert np.array_equal(hilbert._expm_scaled(mat[None], scale)[0],
+                              hilbert._expm_scaled(mat, scale))
+    # the Taylor sums alone, at every degree, m = 0 included
+    a = 0.01 * stack[0]
+    for m in range(14):
+        assert np.array_equal(hilbert._expm_taylor(a[None], m)[0], hilbert._expm_taylor(a, m))

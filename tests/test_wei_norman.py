@@ -374,7 +374,7 @@ def test_sector_fourth_order_convergence():
     def run(steps):
         return wei_norman._sector_snapshots(f, [2.7], 6, steps)[-1]
 
-    ref = run(4096)
+    ref = run(1024)                  # within 1.1e-11 of 8 192 steps, 1e-2 of e2
     e1 = np.abs(run(32) - ref).max()
     e2 = np.abs(run(64) - ref).max()
     assert e2 > 1e-10                # far above the rounding floor
@@ -384,12 +384,14 @@ def test_sector_fourth_order_convergence():
 def test_sector_snapshot_matches_fine_generic_magnus4_propagation():
     # the generic Magnus-4 integrator (one exponential with a commutator term
     # per step) on the same sector Hamiltonian, an independent scheme,
-    # converges onto the CF4 snapshot
+    # converges onto the CF4 snapshot; the gap, 4.4e-10 on every generic grid
+    # from 256 to 8 192 steps, is the 64-step CF4 snapshot's own error
     n, t = 6, 2.7
     f = wei_norman.sector_amplitude(make_params(), 1, -1)
     a = ladder_matrix(n)
     want = np.eye(n, dtype=np.complex128)
-    for step in magnus4_steps(lambda s: f(s) * a.conj().T + np.conj(f(s)) * a, 0.0, t, 8192):
+    for (step,), in magnus4_steps(lambda s: f(s) * a.conj().T + np.conj(f(s)) * a, 0.0, t,
+                                  512, [np.arange(n)[None]]):
         want = step @ want
     got = wei_norman._sector_snapshots(f, [t / 3, t], n, 64)[-1]
     assert np.abs(got - want).max() < 1e-8
