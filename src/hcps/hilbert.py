@@ -262,11 +262,12 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """max |a - a'| of a raw square array; NaN or inf when an entry is not finite,
-    so it fails every `defect < tol` (inf - inf gives NaN here, without a warning)."""
+    """max |a - a'| of a raw square array, or the largest over a (k, n, n) stack;
+    NaN or inf when an entry is not finite, so it fails every `defect < tol`
+    (inf - inf gives NaN here, without a warning)."""
     a = np.asarray(a)
     with np.errstate(invalid="ignore"):
-        return float(np.abs(a - a.conj().T).max())
+        return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
 
 
 # ----------------------------------------------------------------------

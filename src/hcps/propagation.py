@@ -19,15 +19,15 @@ h1 and h2 are block-diagonal, so are K and every power of it, and the
 exponential of K is the blocks' exponentials.  It is read from the exact
 zeros of the first step's two samples in the lab basis, never assumed from
 the model, so it shares nothing with the sigma_x / S_x sectors of the
-factorized propagator this integrator audits.  Every sample is checked on
-the whole space, then for a nonzero or non-finite entry outside its blocks;
-a sample that couples two blocks restarts the pass on the whole space, where
-the later passes stay, so the result is the whole-space one for any
-Hamiltonian.
+factorized propagator this integrator audits.  Every sample is first read
+outside its blocks: a nonzero or non-finite entry there couples two blocks
+and restarts the pass on the whole space, where the later passes stay, so
+the result is the whole-space one for any Hamiltonian.  Its blocks are then
+checked to be finite and Hermitian, so each entry is read by one check.
 
 :func:`magnus4_steps` yields the checked step factors of a uniform grid,
-one stack per component size; propagators and states multiply them per
-block, and the generic master-equation leg of :mod:`hcps.open_system`, which
+one stack per component size; propagators multiply them per block, a state
+is U applied once, and the master-equation leg of :mod:`hcps.open_system`, which
 needs the dense step, runs them on the whole space.  Each factor is
 :func:`hcps.hilbert.expm_hermitian` of dt K_k, which on these grids' small
 steps is a Taylor polynomial with its truncation error below unit
@@ -132,12 +132,6 @@ def _check_hermitian(h: np.ndarray, t: float):
             f"Hamiltonian sample at t={t} is not finite and Hermitian")
 
 
-def _checked_sample(h_mat: Callable[[float], np.ndarray], t: float) -> np.ndarray:
-    h = np.asarray(h_mat(t), dtype=np.complex128)
-    _check_hermitian(h, t)
-    return h
-
-
 def _coupling_blocks(*samples: np.ndarray) -> list[np.ndarray]:
     """Connected components of the coupling graph of the samples (i ~ j when an
     entry (i, j) or (j, i) of any sample is nonzero), as index arrays stacked
@@ -173,12 +167,12 @@ def magnus4_steps(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
     anti-Hermitian, so K is Hermitian.  blocks holds index stacks, one
     (count, size) array per component size as _coupling_blocks returns them,
     [np.arange(d)[None]] for the whole space; each step yields one
-    (count, size, size) stack of factors per index stack.  Every sample is
-    checked to be finite and Hermitian on the whole space before it is used,
-    and _BlockCoupling is raised when it has a nonzero or non-finite entry
-    outside the blocks.  Past that check h1 and h2 are block-diagonal, so K
-    and every power of it are too, and the factors are exactly the blocks of
-    the whole-space step's.
+    (count, size, size) stack of factors per index stack.  Each sample is
+    read once: _BlockCoupling is raised when it has a nonzero or non-finite
+    entry outside the blocks, and NonHermitianSampleError when a block stack
+    (the whole space: the sample) is not finite and Hermitian.  Past these
+    checks h1 and h2 are block-diagonal, so K and every power of it are too,
+    and the factors are exactly the blocks of the whole-space step's.
     """
     dt = (t1 - t0) / steps
     weight = -2j * _MAGNUS4_COMMUTATOR * dt
@@ -189,16 +183,21 @@ def magnus4_steps(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
         outside[f] = False
     outside = np.flatnonzero(outside)
 
-    def on_blocks(h: np.ndarray) -> list[np.ndarray]:
+    def on_blocks(t: float) -> list[np.ndarray]:
+        h = np.asarray(h_mat(t), dtype=np.complex128)
         if not outside.size:
-            return [h]                   # the whole space, stepped as one matrix
-        if h.ravel().take(outside).any():            # NaN and inf are nonzero too
+            stacks = [h]                 # the whole space, stepped as one matrix
+        elif h.ravel().take(outside).any():          # NaN and inf are nonzero too
             raise _BlockCoupling
-        return [h.ravel().take(f) for f in flat]
+        else:
+            stacks = [h.ravel().take(f) for f in flat]
+        for b in stacks:
+            _check_hermitian(b, t)
+        return stacks
 
     for k in range(steps):
         start = t0 + k * dt
-        h1, h2 = (on_blocks(_checked_sample(h_mat, start + c * dt)) for c in GAUSS_NODES)
+        h1, h2 = (on_blocks(start + c * dt) for c in GAUSS_NODES)
         factors = []
         for idx, b1, b2 in zip(blocks, h1, h2):
             two_k = b2 @ b1              # 2K, built in place on X
@@ -211,17 +210,16 @@ def magnus4_steps(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
 
 
 def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
-                  settings: PropagationSettings, *,
-                  steps: int | None = None) -> tuple[T, bool, int]:
-    """Run run(steps) on doubling grids until two resolutions agree.
+                  settings: PropagationSettings) -> tuple[T, bool, int]:
+    """Run run(steps) on doubling grids from settings.steps until two resolutions agree.
 
     Two successive results agree when their final arrays, final(result),
     differ by less than settings.tolerance in entrywise max-norm; at most
     settings.max_refinements doublings are tried.  Returns the finest result,
-    whether it converged, and its step count.  steps overrides the initial
-    grid settings.steps.
+    whether it converged, and its step count.  A caller that needs a finer
+    initial grid passes settings.replace(steps=...).
     """
-    steps = settings.steps if steps is None else steps
+    steps = settings.steps
     result = run(steps)
     converged = False
     for _ in range(settings.max_refinements):
@@ -234,23 +232,24 @@ def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
     return result, converged, steps
 
 
-def _evolve(h_mat: Callable[[float], np.ndarray], start: np.ndarray,
-            settings: PropagationSettings) -> tuple[np.ndarray, bool, int]:
-    """Step-doubled Magnus-4 product U(t1, t0) @ start, start a propagator or a state.
+def _evolve(h_fun: Callable[[float], Operator],
+            settings: PropagationSettings) -> tuple[Operator, bool, int]:
+    """Step-doubled Magnus-4 propagator U(t1, t0) of h_fun on settings.window().
 
     Each pass steps the components of the first step's two samples
-    (_coupling_blocks) on their own and scatters their products into U; a
-    sample that couples two of them restarts the pass on the whole space,
-    where every later pass stays.
+    (_coupling_blocks; the pass checks them like every other sample) on their
+    own and scatters their products into U; a sample that couples two of them
+    restarts the pass on the whole space, where every later pass stays.
     """
     t0, t1 = settings.window()
-    d = start.shape[0]
-    blocks = _coupling_blocks(*(_checked_sample(h_mat, t0 + c * (t1 - t0) / settings.steps)
-                                for c in GAUSS_NODES))
+    first = [h_fun(t0 + c * (t1 - t0) / settings.steps) for c in GAUSS_NODES]
+    layout = first[0].layout
+    d = layout.total_dim
+    blocks = _coupling_blocks(*(h.entries for h in first))
 
     def product(steps: int) -> list[np.ndarray]:
         prods = None
-        for factors in magnus4_steps(h_mat, t0, t1, steps, blocks):
+        for factors in magnus4_steps(lambda t: h_fun(t).entries, t0, t1, steps, blocks):
             prods = factors if prods is None else [f @ p for f, p in zip(factors, prods)]
         return prods
 
@@ -264,9 +263,10 @@ def _evolve(h_mat: Callable[[float], np.ndarray], start: np.ndarray,
         u = np.zeros((d, d), dtype=np.complex128)
         for idx, p in zip(blocks, prods):
             u[idx[:, :, None], idx[:, None, :]] = p
-        return u @ start
+        return u
 
-    return step_doubling(run, lambda out: out, settings)
+    u, converged, steps = step_doubling(run, lambda u: u, settings)
+    return Operator(layout, u), converged, steps
 
 
 # ----------------------------------------------------------------------
@@ -280,27 +280,20 @@ def evolve_propagator(h_fun: Callable[[float], Operator],
     Non-convergence is reported through the converged flag, not raised; a
     non-finite or non-Hermitian sample raises NonHermitianSampleError.
     """
-    layout = h_fun(settings.window()[0]).layout
-    u, converged, steps = _evolve(lambda t: h_fun(t).entries,
-                                  np.eye(layout.total_dim, dtype=np.complex128), settings)
-    op = Operator(layout, u)
-    return PropagatorResult(
-        unitary=op,
-        unitarity_defect=unitarity_defect(u),
-        converged=converged,
-        steps_used=steps,
-    )
+    u, converged, steps = _evolve(h_fun, settings)
+    return PropagatorResult(unitary=u, unitarity_defect=unitarity_defect(u.entries),
+                            converged=converged, steps_used=steps)
 
 
 def evolve_state(h_fun: Callable[[float], Operator], psi0: StateVector,
                  settings: PropagationSettings) -> StateResult:
-    """Evolve a normalized state; non-convergence is reported, not raised."""
+    """Evolve a normalized state: evolve_propagator's U applied once to psi0,
+    so converged and steps_used are the propagator's; non-convergence is
+    reported, not raised."""
     if abs(psi0.norm() - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {psi0.norm()} is not 1")
-
-    psi, converged, steps = _evolve(lambda t: h_fun(t).entries, psi0.amplitudes, settings)
-    return StateResult(state=StateVector(psi0.layout, psi), converged=converged,
-                       steps_used=steps)
+    u, converged, steps = _evolve(h_fun, settings)
+    return StateResult(state=u @ psi0, converged=converged, steps_used=steps)
 
 
 def frame_rotate(u: Operator, generator: Operator, angle_fun: Callable[[float], float],

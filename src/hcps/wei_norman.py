@@ -425,6 +425,16 @@ def _oscillations(params: SystemParams, t: float) -> int:
     return math.ceil(abs(t) * (abs(params.omega) + abs(params.Delta)) / TWO_PI)
 
 
+def _vacuum_amplitudes(snaps: Sequence[np.ndarray]) -> np.ndarray:
+    """<0|U|0> of each snapshot; RuntimeError when one is too small to read a
+    phase and a displacement from."""
+    c0 = np.array([u[0, 0] for u in snaps])
+    if np.abs(c0).min() < 1e-6:
+        raise RuntimeError("vacuum survival amplitude too small for phase extraction; "
+                           "displacement exceeds the extraction method's domain")
+    return c0
+
+
 def _extract(snapshots: dict, times: Sequence[float], start: dict | None = None
              ) -> list[WNCoefficients]:
     """Coefficients at every snapshot of the propagated sectors.
@@ -440,11 +450,8 @@ def _extract(snapshots: dict, times: Sequence[float], start: dict | None = None
     """
     alphas, phis = {}, {}
     for key, snaps in snapshots.items():
-        c0 = np.array([u[0, 0] for u in snaps])
+        c0 = _vacuum_amplitudes(snaps)
         c1 = np.array([u[1, 0] for u in snaps])
-        if np.abs(c0).min() < 1e-6:
-            raise RuntimeError("vacuum survival amplitude too small for phase extraction; "
-                               "displacement exceeds the extraction method's domain")
         alphas[key] = c1 / c0
         phi0 = 0.0 if start is None else start[key]
         phis[key] = np.unwrap(np.concatenate(([phi0], np.angle(c0))))[1:]
@@ -490,16 +497,23 @@ def _propagate_sectors(params: SystemParams, times: Sequence[float], fock_cutoff
     """Checkpointed, step-doubled propagation of the PROPAGATED sector blocks.
 
     The other two sectors are their parity images and are not propagated.
-    The reported step count is the finest grid either sector needed.
+    The reported step count is the finest grid either sector needed.  Each
+    pass's snapshots are checked by _vacuum_amplitudes as the pass ends, so
+    a displacement too large to extract raises before the grid is refined.
     """
+    def checked(snaps: list[np.ndarray]) -> list[np.ndarray]:
+        _vacuum_amplitudes(snaps)
+        return snaps
+
     snapshots = {}
     converged_all = True
     steps_max = 0
+    grid = settings.replace(steps=max(settings.steps, len(times)))
     for ss, sc in PROPAGATED:
         f = sector_amplitude(params, ss, sc)
         snaps, converged, steps = step_doubling(
-            lambda steps, f=f: _sector_snapshots(f, times, fock_cutoff, steps),
-            lambda snaps: snaps[-1], settings, steps=max(settings.steps, len(times)))
+            lambda steps, f=f: checked(_sector_snapshots(f, times, fock_cutoff, steps)),
+            lambda snaps: snaps[-1], grid)
         snapshots[(ss, sc)] = snaps
         converged_all &= converged
         steps_max = max(steps_max, steps)

@@ -484,7 +484,7 @@ def _u3_about_z(honest):
 
 
 def _scaled_exponential(honest):
-    return lambda op, scale=1.0: honest(op, scale) * 1.001
+    return lambda mat, scale=1.0: honest(mat, scale) * 1.001
 
 
 @pytest.mark.parametrize("number, name, module, attr, patch, fock", [
@@ -497,7 +497,7 @@ def _scaled_exponential(honest):
     (6, "closed-form A discrepancy fires", cli, "closed_form_A",
      lambda honest: lambda *args: 1.0, 6),
     (7, "pulse unitaries commute", cli, "u3", _u3_about_z, 6),
-    (8, "matrix exponential unitary", cli, "matrix_exponential", _scaled_exponential, 6),
+    (8, "matrix exponential unitary", cli, "expm_matrix", _scaled_exponential, 6),
 ])
 def test_validate_check_fails_when_its_invariant_breaks(monkeypatch, number, name, module,
                                                         attr, patch, fock):

@@ -128,6 +128,18 @@ def test_hermiticity_defect_is_max_entry_of_a_minus_its_adjoint():
     assert Operator(SpaceLayout(2), np.diag(np.arange(8.0))).hermiticity_defect() == 0.0
 
 
+def test_hermiticity_defect_of_a_stack_is_the_largest_per_matrix_defect():
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[0, 0, 1] = 0.25
+    stack[2, 1, 0] = 0.5j
+    assert [hermiticity_defect(a) for a in stack] == [0.25, 0.0, 0.5]
+    assert hermiticity_defect(stack) == 0.5
+    stack[1, 1, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(hermiticity_defect(stack))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)],
                          ids=["nan", "inf", "-1j*inf"])
 @pytest.mark.parametrize("where", [(1, 1), (0, 2), slice(None)],

@@ -62,7 +62,7 @@ def test_step_doubling_driver():
     # an explicit starting grid, and agreement judged on the final array only
     calls.clear()
     (noise, _), converged, steps = step_doubling(
-        lambda n: (np.array([float(n)]), run(n)), lambda r: r[1], settings, steps=16)
+        lambda n: (np.array([float(n)]), run(n)), lambda r: r[1], settings.replace(steps=16))
     assert calls == [16, 32, 64, 128]
     assert converged and steps == 128 and noise[0] == 128.0
 
@@ -256,20 +256,28 @@ _INTEGRATORS = ["evolve_propagator", "evolve_state", "evolve_master"]
     "bad, where, onset, integrator",
     [(v, (0, 0), 0.0, _INTEGRATORS[0]) for v in _NON_FINITE.values()]
     + [(v, (0, 5), 0.0, _INTEGRATORS[0]) for v in _NON_FINITE.values()]
-    + [(v, (0, 5), 0.5, name) for v in _NON_FINITE.values() for name in _INTEGRATORS],
+    + [(v, (0, 5), 0.5, name) for v in _NON_FINITE.values() for name in _INTEGRATORS]
+    + [(0.5, (0, 5), onset, name) for onset in (0.0, 0.5) for name in _INTEGRATORS],
     ids=list(_NON_FINITE) + [f"{k}-off-diagonal" for k in _NON_FINITE]
-    + [f"{k}-off-block-{name}" for k in _NON_FINITE for name in _INTEGRATORS])
-def test_non_finite_sample_raises(bad, where, onset, integrator):
+    + [f"{k}-off-block-{name}" for k in _NON_FINITE for name in _INTEGRATORS]
+    + [f"0.5-one-sided-{kind}-{name}" for kind in ("in-block", "off-block")
+       for name in _INTEGRATORS])
+def test_non_finite_sample_raises(monkeypatch, bad, where, onset, integrator):
     # a non-finite entry makes the Hermiticity defect NaN or inf, which
     # fails the comparison against any tolerance; off the diagonal the
-    # mirror entry is its conjugate, so the defect there is inf - inf.
+    # mirror entry is its conjugate, so the defect there is inf - inf.  The
+    # finite 0.5 is set on one side only, so its sample is not Hermitian.
     # From mid-window (onset 0.5) the integrators step the diagonal number
-    # operator's singleton blocks, so (0, 5) is off-block.  The rejection
-    # itself must not warn.
+    # operator's singleton blocks, so (0, 5) is off-block: the pass restarts
+    # on the whole space and the whole-space sample fails.  From the start
+    # the bad entry is read into the split, so (0, 5) is in-block and a block
+    # stack fails.  evolve_master always steps the whole space.  The
+    # rejection itself must not warn.
     lay = SpaceLayout(2)
     entries = build_number(lay).entries.copy()
     i, j = where
-    entries[j, i] = np.conj(bad)
+    if not np.isfinite(bad):
+        entries[j, i] = np.conj(bad)
     entries[i, j] = bad
     bad_op = Operator(lay, entries)
     h = lambda t: bad_op if t >= onset else build_number(lay)
@@ -279,10 +287,16 @@ def test_non_finite_sample_raises(bad, where, onset, integrator):
            "evolve_state": lambda: evolve_state(h, psi, settings),
            "evolve_master": lambda: evolve_master(h, DensityMatrix.from_state(psi), [],
                                                   settings)}[integrator]
+    checked = []
+    honest = propagation.hermiticity_defect
+    monkeypatch.setattr(propagation, "hermiticity_defect",
+                        lambda a: checked.append(a.shape) or honest(a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonHermitianSampleError):
             run()
+    whole_space = onset > 0 or integrator == "evolve_master"
+    assert len(checked[-1]) == (2 if whole_space else 3)
 
 
 @pytest.mark.parametrize("integrator", _INTEGRATORS)
@@ -370,6 +384,22 @@ def _whole_space_blocks(*samples):
     return [np.arange(samples[0].shape[0])[None]]
 
 
+def test_block_path_checks_only_the_block_stacks(monkeypatch):
+    # h_eff at N = 4 is stepped as two parity blocks of 8: every Hermiticity
+    # check sees the stack of both, none the whole 16 x 16 sample, and each
+    # sample is checked once (two per step of the passes 8, 16, ..., steps_used)
+    lay = SpaceLayout(4)
+    p = make_params()
+    checked = []
+    honest = propagation.hermiticity_defect
+    monkeypatch.setattr(propagation, "hermiticity_defect",
+                        lambda a: checked.append(a.shape) or honest(a))
+    res = evolve_propagator(lambda t: h_eff(p, lay, t), PropagationSettings(0.0, 1.0, 8))
+    assert res.converged
+    assert set(checked) == {(2, 8, 8)}
+    assert len(checked) == 2 * (2 * res.steps_used - 8)
+
+
 def test_block_steps_equal_the_whole_space_steps(preset_cfg, monkeypatch):
     # one preset period of h_eff on its two parity blocks against the dense
     # whole-space step: the propagator bit for bit, and the state, which is
@@ -387,6 +417,7 @@ def test_block_steps_equal_the_whole_space_steps(preset_cfg, monkeypatch):
     monkeypatch.setattr(propagation, "_coupling_blocks", _whole_space_blocks)
     whole = evolve_propagator(h, settings)
     assert blocked.converged and blocked.steps_used == whole.steps_used == 1024
+    assert (state.converged, state.steps_used) == (blocked.converged, blocked.steps_used)
     assert np.array_equal(blocked.unitary.entries, whole.unitary.entries)
     assert np.array_equal(state.state.amplitudes, (blocked.unitary @ psi0).amplitudes)
     stepped = psi0.amplitudes

@@ -307,13 +307,20 @@ def test_residual_flag_fires_at_inadequate_cutoff(preset_params):
         -2 * preset_params.g * preset_params.G * comm.t / preset_params.omega, abs=1e-6)
 
 
-def test_extraction_guards_against_large_displacement():
+def test_extraction_guards_against_large_displacement(monkeypatch):
     # displacement 2g/omega = 6 empties the vacuum amplitude well below the
-    # guard threshold once the cutoff is large enough to hold the excursion
+    # guard threshold once the cutoff is large enough to hold the excursion;
+    # the guard reads each kernel pass as it ends, so it fires after the
+    # first, before any refinement or the second sector
+    passes = []
+    honest = wei_norman._sector_snapshots
+    monkeypatch.setattr(wei_norman, "_sector_snapshots",
+                        lambda *args: passes.append(args[-1]) or honest(*args))
     params = make_params(g=3.0, G=0.0, omega=1.0, omega_r=0.0)
     coarse = PropagationSettings(steps=2048, tolerance=1e-3, max_refinements=2)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="vacuum survival amplitude"):
         coefficients_oracle(params, math.pi, 64, settings=coarse)
+    assert passes == [2048]
 
 
 def test_oracle_grid_B_vanishes_at_the_period_marks(preset_params):
