@@ -13,17 +13,23 @@ basis, QUBIT_HADAMARD on the qubit index), so the dissipator is a sum of
 two commuting constant maps: a 16 x 16 superoperator on the qubit index
 pair of rho and, with resonator decay, an N^2 x N^2 one on its Fock pair,
 each exponentiated exactly.  A qubit pulse is one such map, exp(tau L) with
-its Hamiltonian in L, and takes no steps.  The one stepped leg
-(:func:`evolve_master`'s, and the interaction leg of
-:func:`gate_fidelity_open`) is a Strang split, second order and
-trace-preserving to rounding: exact dissipator half-step map, unitary step
-by conjugation, half-step map, with the two half maps between consecutive
-steps fused into one full-step map.  Its step unitaries come from
-:func:`hcps.propagation.magnus4_steps` (the generic order-4 Magnus step)
-or, for the interaction leg, from
-:func:`hcps.wei_norman.joint_step_unitaries` (the oracle's order-4
-commutator-free Magnus step on sector blocks), and the step-doubling
-driver of :mod:`hcps.propagation` refines it.  No d^2 x d^2 matrix is formed.
+its Hamiltonian in L, and takes no steps.  No d^2 x d^2 matrix is formed.
+
+The one stepped leg, :func:`_strang_leg`, is a Strang split, second order
+and trace-preserving to rounding: exact dissipator half-step map, unitary
+step by conjugation, half-step map, with the two half maps between
+consecutive steps fused into one full-step map, refined by the
+step-doubling driver of :mod:`hcps.propagation`.  Each step unitary comes
+as a (B, S, S) stack of its diagonal blocks, d = B S:
+:func:`hcps.wei_norman.joint_step_unitaries` gives the gate's interaction
+leg its four sector blocks (the oracle's order-4 commutator-free Magnus
+step), and :func:`hcps.propagation.magnus4_steps` gives :func:`evolve_master`
+one dense block (the generic order-4 Magnus step).  The density stack is
+held as (B, B, S, m, S), entry [b, b', i, a, i'] = rho_a[(b, i), (b', i')],
+so u rho and rho u' are one batched matrix product each on reshapes that
+copy nothing, and so is the qubit map when B = 4 (it copies once when
+B = 1); a stack enters this layout once (:func:`_block_layout`) and leaves
+it once (:func:`_stacked_layout`).
 
 Dissipators are applied in the frame in which h_eff is written; frame
 corrections to the collapse operators under the strong drive are out of
@@ -222,45 +228,75 @@ def _exact_maps(generators: tuple, t: float) -> tuple:
     return tuple(None if g is None else expm_matrix(g, t) for g in generators)
 
 
-def _apply_maps(rhos: np.ndarray, n: int, qubit_map, fock_map) -> np.ndarray:
-    """A qubit-pair and a Fock-pair superoperator (None: identity) on a (m, d, d) stack.
+def _block_layout(rhos: np.ndarray, blocks: int) -> np.ndarray:
+    """A (m, d, d) stack in the leg's (B, B, S, m, S) layout, S = d / B:
+    entry [b, b', i, a, i'] is rhos[a, b S + i, b' S + i']."""
+    m, d, _ = rhos.shape
+    s = d // blocks
+    return np.ascontiguousarray(rhos.reshape(m, blocks, s, blocks, s).transpose(1, 3, 2, 0, 4))
 
-    The stack is viewed as (m, 4, N, 4, N); the two maps commute.
+
+def _stacked_layout(x: np.ndarray) -> np.ndarray:
+    """The (m, d, d) stack of a (B, B, S, m, S) layout; inverse of :func:`_block_layout`."""
+    b, _, s, m, _ = x.shape
+    return x.transpose(3, 0, 2, 1, 4).reshape(m, b * s, b * s)
+
+
+def _apply_maps(x: np.ndarray, n: int, qubit_map, fock_map) -> np.ndarray:
+    """A qubit-pair and a Fock-pair superoperator (None: identity) on a
+    (B, B, S, m, S) stack.
+
+    Seen as (B, B, S/N, N, m, S/N, N), the qubit index is (b, S/N axis) and
+    the Fock index the N axis, on each side.  The qubit map is one 16 x 16
+    product with the qubit pair gathered in front, a view when B = 4 and one
+    copy when B = 1; the two maps commute.
     """
-    r = rhos.reshape(-1, 4, n, 4, n)
+    b, _, s, m, _ = x.shape
+    r = s // n
+    v = x.reshape(b, b, r, n, m, r, n)
     if qubit_map is not None:
-        r = np.tensordot(qubit_map.reshape((4,) * 4), r, ([2, 3], [1, 3])).transpose(2, 0, 3, 1, 4)
+        q = qubit_map @ v.transpose(0, 2, 1, 5, 3, 4, 6).reshape(16, -1)
+        v = q.reshape(b, r, b, r, n, m, n).transpose(0, 2, 1, 4, 5, 3, 6)
     if fock_map is not None:
-        r = np.tensordot(r, fock_map.reshape((n,) * 4), ([2, 4], [2, 3])).transpose(0, 1, 3, 2, 4)
-    return r.reshape(rhos.shape)
+        v = np.tensordot(v, fock_map.reshape((n,) * 4), ([3, 6], [2, 3]))
+        v = v.transpose(0, 1, 2, 5, 3, 4, 6)
+    return v.reshape(x.shape)
 
 
 def _strang_leg(provider: Callable[[int], Iterable[np.ndarray]], duration: float,
-                rhos: np.ndarray, psis: np.ndarray, n: int, dissipators: tuple,
+                x: np.ndarray, psis: np.ndarray, n: int, dissipators: tuple,
                 settings: PropagationSettings
                 ) -> tuple[np.ndarray, np.ndarray, bool, float, int]:
     """The one stepped leg: step-doubled Strang passes over provider(steps).
 
+    provider yields each step unitary as the (B, S, S) stack of its diagonal
+    blocks, and x is the (B, B, S, m, S) density stack of :func:`_block_layout`.
     Each step is the exact dissipator half-step map, the step unitary u by
     conjugation, and the half-step map again.  The trailing half of one step
     and the leading half of the next are one constant map, so a pass applies
     the half map, then the full-step map between consecutive unitaries, and
-    the half map after the last one.  The closed twins psis ride on the same
-    u.  Returns the final stacks, whether the leg converged with a trace
-    defect within TRACE_DRIFT_LIMIT, that defect, and the grid used.
+    the half map after the last one.  u x and x u' are one batched product
+    each, per block pair, on reshapes that copy nothing.  The closed twins
+    psis, a (m, d) stack, ride on the same u.  Returns the final stacks,
+    whether the leg converged with a trace defect within TRACE_DRIFT_LIMIT,
+    that defect, and the grid used.
     """
+    b, _, s, m, _ = x.shape
+    twins = psis.reshape(len(psis), b, 1, s)
+
     def run(steps: int):
         half, full = (_exact_maps(dissipators, k * duration / steps) for k in (0.5, 1.0))
-        r, p, gap = rhos, psis, half
-        for u in provider(steps):
-            r = u @ _apply_maps(r, n, *gap) @ u.conj().T
-            p = p @ u.T
+        r, p, gap = x, twins, half
+        for ub in provider(steps):
+            r = ub[:, None] @ _apply_maps(r, n, *gap).reshape(b, b, s, m * s)
+            r = (r.reshape(b, b, s * m, s) @ ub.conj().swapaxes(-1, -2)).reshape(x.shape)
+            p = p @ ub.swapaxes(-1, -2)
             gap = full
-        return _apply_maps(r, n, *half), p
+        return _apply_maps(r, n, *half), p.reshape(psis.shape)
 
-    (rhos, psis), converged, steps = step_doubling(run, lambda out: out[0], settings)
-    trace_defect = float(np.abs(np.einsum("kii->k", rhos) - 1.0).max())
-    return rhos, psis, converged and trace_defect <= TRACE_DRIFT_LIMIT, trace_defect, steps
+    (r, p), converged, steps = step_doubling(run, lambda out: out[0], settings)
+    trace_defect = float(np.abs(np.einsum("bbiai->a", r) - 1.0).max())
+    return r, p, converged and trace_defect <= TRACE_DRIFT_LIMIT, trace_defect, steps
 
 
 def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
@@ -276,18 +312,20 @@ def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
     layout = rho0.layout
     n = layout.fock_cutoff
     qubit, fock = _local_factors(collapse, n, np.eye(4))
-    no_states = np.zeros((0, layout.total_dim), dtype=np.complex128)
-    whole_space = [np.arange(layout.total_dim)[None]]      # the Strang leg needs the dense u
+    d = layout.total_dim
+    no_states = np.zeros((0, d), dtype=np.complex128)
+    whole_space = [np.arange(d)[None]]      # one block: each step is a (1, d, d) stack
 
     def step_unitaries(steps: int):
-        for (u,), in magnus4_steps(lambda t: h_fun(t).entries, t0, t1, steps, whole_space):
+        for (u,) in magnus4_steps(lambda t: h_fun(t).entries, t0, t1, steps, whole_space):
             yield u
 
-    rhos, _, converged, trace_defect, steps = _strang_leg(
-        step_unitaries, t1 - t0, rho0.entries[None], no_states, n,
+    x, _, converged, trace_defect, steps = _strang_leg(
+        step_unitaries, t1 - t0, _block_layout(rho0.entries[None], 1), no_states, n,
         (_liouvillian(4, qubit), _liouvillian(n, fock)), settings)
 
-    rho = 0.5 * (rhos[0] + rhos[0].conj().T)    # strip rounding-level asymmetry
+    rho = _stacked_layout(x)[0]
+    rho = 0.5 * (rho + rho.conj().T)    # strip rounding-level asymmetry
     return MasterResult(rho=DensityMatrix(layout, rho), converged=converged,
                         trace_defect=trace_defect, steps_used=steps)
 
@@ -348,7 +386,7 @@ def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
     qubit, fock = _local_factors(collapse_ops(dec, layout), n, QUBIT_HADAMARD)
     dissipators = (_liouvillian(4, qubit), _liouvillian(n, fock))
     psis = sector_states(np.stack([s.amplitudes for s in standard_input_states(layout)]))
-    rhos = psis[:, :, None] * psis[:, None, :].conj()
+    x = _block_layout(psis[:, :, None] * psis[:, None, :].conj(), 4)
 
     pulses, on_resonator = _local_factors(
         [(h_charge_qubit(params, layout), schedule.tau1), (h_nv(params, layout), schedule.tau2)],
@@ -357,12 +395,13 @@ def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
         raise ValueError("a qubit pulse Hamiltonian acts on the resonator")
     for h, tau in pulses:
         _check_hermitian(h, 0.0)
-        rhos = _apply_maps(rhos, n, *_exact_maps((_liouvillian(4, qubit, h), dissipators[1]), tau))
+        x = _apply_maps(x, n, *_exact_maps((_liouvillian(4, qubit, h), dissipators[1]), tau))
         psis = (expm_hermitian(h, -1j * tau) @ psis.reshape(-1, 4, n)).reshape(psis.shape)
 
-    rhos, psis, converged, trace_defect, _ = _strang_leg(
+    x, psis, converged, trace_defect, _ = _strang_leg(
         lambda steps: joint_step_unitaries(params, layout, schedule.t_int, steps),
-        schedule.t_int, rhos, psis, n, dissipators, settings)
-    fids = tuple(float(np.real(np.vdot(psi, rho @ psi))) for psi, rho in zip(psis, rhos))
+        schedule.t_int, x, psis, n, dissipators, settings)
+    fids = tuple(float(np.real(np.vdot(psi, rho @ psi)))
+                 for psi, rho in zip(psis, _stacked_layout(x)))
     return OpenGateResult(fidelity_avg=float(np.mean(fids)), fidelity_per_input=fids,
                           trace_defect=trace_defect, converged=converged)

@@ -370,15 +370,6 @@ def _sector_blocks(u_pp: np.ndarray, u_pm: np.ndarray) -> tuple:
     return u_pp, u_pm, _parity_image(u_pm), _parity_image(u_pp)
 
 
-def _sector_block_diagonal(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Block diagonal over SECTORS from (stacks of) their blocks, in order."""
-    n = blocks[0].shape[-1]
-    full = np.zeros(blocks[0].shape[:-2] + (4 * n, 4 * n), dtype=np.complex128)
-    for i, blk in enumerate(blocks):
-        full[..., i * n:(i + 1) * n, i * n:(i + 1) * n] = blk
-    return full
-
-
 def sector_states(psi: np.ndarray) -> np.ndarray:
     """QUBIT_HADAMARD on the qubit index of full-space states (psi's last axis):
     lab to sector-block basis and, as the matrix is its own inverse, back."""
@@ -398,22 +389,23 @@ def dressed_basis() -> np.ndarray:
 
 def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: float,
                          steps: int):
-    """Uniform-grid step unitaries of h_eff, yielded in order, sector-block basis.
+    """Uniform-grid step unitaries of h_eff, yielded in order as (4, N, N)
+    stacks of their SECTORS blocks, the diagonal blocks in the sector-block basis.
 
     Each is the :func:`_cf4_steps` step (the oracle's rule) of the two
-    PROPAGATED sectors with their parity images, assembled block-diagonally.
-    Its one consumer, the open-system interaction leg, stays in this basis
+    PROPAGATED sectors followed by their parity images.  Its one consumer,
+    the open-system interaction leg, conjugates block by block in this basis
     and maps its inputs into it once, by :func:`sector_states`.
     """
-    d = layout.total_dim
-    factors = _sector_step_factors(layout.fock_cutoff)
-    # a chunk's dense d x d step unitaries are kept to about 4 MB
-    per_chunk = max(1, _CHUNK_ENTRIES // (8 * d * d))
+    n = layout.fock_cutoff
+    factors = _sector_step_factors(n)
+    # a chunk's (4, N, N) step blocks are kept to about 4 MB
+    per_chunk = max(1, _CHUNK_ENTRIES // (32 * n * n))
     pp, pm = (_cf4_chunks(sector_amplitude(params, ss, sc), factors, 0.0, duration / steps,
                           steps, per_chunk) for ss, sc in PROPAGATED)
     # not zip: its reused result tuple would hold each chunk while the next is built
     for _ in range(0, steps, per_chunk):
-        yield from _sector_block_diagonal(_sector_blocks(next(pp), next(pm)))
+        yield from np.stack(_sector_blocks(next(pp), next(pm)), axis=1)
 
 
 def _default_fock_window(fock_cutoff: int) -> int:

@@ -15,8 +15,11 @@ from hcps.hilbert import (
 from hcps.open_system import (
     DecoherenceParams,
     DensityMatrix,
+    _block_layout,
     _liouvillian,
     _local_factors,
+    _stacked_layout,
+    _strang_leg,
     collapse_ops,
     evolve_master,
     gate_fidelity_open,
@@ -191,15 +194,18 @@ def test_trace_and_hermiticity_preserved():
     assert np.abs(res.rho.entries - res.rho.entries.conj().T).max() < 1e-10
 
 
-def test_strang_pass_applies_one_dissipator_map_between_unitaries(monkeypatch):
+def test_strang_pass_applies_one_dissipator_map_between_unitaries(
+        monkeypatch, preset_params, preset_schedule):
     # the trailing half step of one step and the leading half of the next are
-    # one constant map, so a fixed-grid pass of n steps applies n + 1 maps
-    calls = []
+    # one constant map, so a fixed-grid pass of n steps applies n + 1 maps;
+    # evolve_master's leg steps one dense block, gate_fidelity_open's four
+    # sector blocks, whose two qubit pulses are one map each before the leg
+    blocks = []
     honest = hcps.open_system._apply_maps
 
-    def counting(*args):
-        calls.append(1)
-        return honest(*args)
+    def counting(x, *args):
+        blocks.append(x.shape[0])
+        return honest(x, *args)
 
     monkeypatch.setattr(hcps.open_system, "_apply_maps", counting)
     lay = SpaceLayout(3)
@@ -209,7 +215,46 @@ def test_strang_pass_applies_one_dissipator_map_between_unitaries(monkeypatch):
                         collapse_ops(DecoherenceParams(), lay),
                         PropagationSettings(0.0, 1.0, 16, 1e-7, max_refinements=0))
     assert res.steps_used == 16
-    assert len(calls) == 16 + 1
+    assert blocks == [1] * (16 + 1)
+
+    blocks.clear()
+    gate_fidelity_open(preset_params, preset_schedule, DecoherenceParams(), lay,
+                       settings=PropagationSettings(steps=16, max_refinements=0))
+    assert blocks == [4] * (2 + 16 + 1)
+
+
+def test_block_stack_leg_matches_the_same_unitaries_given_densely():
+    # random block-diagonal step unitaries, as a (4, N, N) stack and as the
+    # (1, d, d) dense matrix, on mixed states, with qubit and resonator
+    # channels (kappa > 0) so that both maps run; a provider with two sector
+    # blocks swapped must miss, so the comparison can fail
+    n, m, steps, duration = 3, 5, 6, 4.0
+    rng = np.random.default_rng(24)
+    lay = SpaceLayout(n)
+    dec = DecoherenceParams(T1_charge_us=0.01, T2_charge_us=0.015, T2_spin_us=0.02,
+                            T1_spin_us=0.05, kappa_res=0.3)
+    qubit, fock = _local_factors(collapse_ops(dec, lay), n, QUBIT_HADAMARD)
+    assert qubit and fock
+    dissipators = (_liouvillian(4, qubit), _liouvillian(n, fock))
+    a = rng.normal(size=(m, 4 * n, 4 * n)) + 1j * rng.normal(size=(m, 4 * n, 4 * n))
+    rhos = a @ a.conj().swapaxes(-1, -2)
+    rhos /= np.einsum("kii->k", rhos)[:, None, None]
+    psis = rng.normal(size=(m, 4 * n)) + 1j * rng.normal(size=(m, 4 * n))
+    z = rng.normal(size=(steps, 4, n, n)) + 1j * rng.normal(size=(steps, 4, n, n))
+    units = np.linalg.qr(z)[0]                                   # unitary Q factors
+    settings = PropagationSettings(steps=steps, max_refinements=0)
+
+    def leg(stacks, blocks):
+        x, p, *_ = _strang_leg(lambda k: iter(stacks), duration, _block_layout(rhos, blocks),
+                               psis, n, dissipators, settings)
+        return _stacked_layout(x), p
+
+    dense = leg([scipy.linalg.block_diag(*u)[None] for u in units], 1)
+    assert np.abs(dense[0] - rhos).max() > 0.1 * np.abs(rhos).max()   # the states move
+    for got, want in zip(leg(units, 4), dense):
+        assert np.abs(got - want).max() <= 1e-14
+    swapped = leg(units[:, [1, 0, 2, 3]], 4)
+    assert all(np.abs(got - want).max() > 1e-3 for got, want in zip(swapped, dense))
 
 
 def dense_liouvillian(h: np.ndarray, collapse) -> np.ndarray:

@@ -426,21 +426,22 @@ def test_parity_image_matches_direct_propagation(g, G, omega, omega_r, t):
 
 
 def test_joint_steps_multiply_to_the_oracle_sector_snapshots(preset_params):
-    # the joint leg takes the oracle's step rule: its ordered product is the
-    # sector snapshots with their parity images, and nothing off the blocks
+    # the joint leg takes the oracle's step rule: each step is a (4, N, N)
+    # stack of SECTORS blocks, and their ordered product is the sector
+    # snapshots followed by their parity images
     n, duration, steps = 5, 1.9, 7
     units = list(wei_norman.joint_step_unitaries(preset_params, SpaceLayout(n), duration, steps))
     assert len(units) == steps
-    off_blocks = wei_norman._sector_block_diagonal([np.ones((n, n))] * 4) == 0
-    product = np.eye(4 * n, dtype=np.complex128)
+    product = np.eye(n, dtype=np.complex128)
     for u in units:
-        assert not u[off_blocks].any()
+        assert u.shape == (4, n, n)
         product = u @ product
     snaps = [wei_norman._sector_snapshots(wei_norman.sector_amplitude(preset_params, *key),
                                           [duration], n, steps)[-1]
              for key in wei_norman.PROPAGATED]
-    want = wei_norman._sector_block_diagonal(wei_norman._sector_blocks(*snaps))
-    assert np.abs(product - want).max() < 1e-13
+    want = wei_norman._sector_blocks(*snaps)
+    for got, block in zip(product, want):
+        assert np.abs(got - block).max() < 1e-13
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3, 7, 100])
