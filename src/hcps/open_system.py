@@ -277,12 +277,12 @@ def _strang_leg(provider: Callable[[int], Iterable[np.ndarray]], duration: float
     the half map, then the full-step map between consecutive unitaries, and
     the half map after the last one.  u x and x u' are one batched product
     each, per block pair, on reshapes that copy nothing.  The closed twins
-    psis, a (m, d) stack, ride on the same u.  Returns the final stacks,
-    whether the leg converged with a trace defect within TRACE_DRIFT_LIMIT,
-    that defect, and the grid used.
+    psis, a (m, d) stack, ride on the same u as (B, m, S), one product per
+    block.  Returns the final stacks, whether the leg converged with a trace
+    defect within TRACE_DRIFT_LIMIT, that defect, and the grid used.
     """
     b, _, s, m, _ = x.shape
-    twins = psis.reshape(len(psis), b, 1, s)
+    twins = psis.reshape(len(psis), b, s).swapaxes(0, 1)
 
     def run(steps: int):
         half, full = (_exact_maps(dissipators, k * duration / steps) for k in (0.5, 1.0))
@@ -292,7 +292,7 @@ def _strang_leg(provider: Callable[[int], Iterable[np.ndarray]], duration: float
             r = (r.reshape(b, b, s * m, s) @ ub.conj().swapaxes(-1, -2)).reshape(x.shape)
             p = p @ ub.swapaxes(-1, -2)
             gap = full
-        return _apply_maps(r, n, *half), p.reshape(psis.shape)
+        return _apply_maps(r, n, *half), p.swapaxes(0, 1).reshape(psis.shape)
 
     (r, p), converged, steps = step_doubling(run, lambda out: out[0], settings)
     trace_defect = float(np.abs(np.einsum("bbiai->a", r) - 1.0).max())

@@ -31,20 +31,18 @@ The oracle route has one of each moving part.  One kernel builds the sector
 factors exp(-i dt (f a' + f' a)) (the (a + a') eigensystem dressed by
 number-operator phases), and one step rule, an order-4 commutator-free
 Magnus step of two such factors (:func:`_cf4_steps`), drives both the
-checkpointed sector propagation, refined by the step-doubling driver of
-:mod:`hcps.propagation`, and the open-system joint leg
-(:func:`joint_step_unitaries`).  The generic full-space integrator the
-oracle is checked against is a different order-4 scheme, one Magnus
-exponential per step with a commutator term.  Only sectors (1, 1) and (1, -1)
-are propagated; sector (-s, -c) is driven by -f, so its propagator is the
-parity image P U(s, c) P, P = (-1)^n_hat.  The six-factor product is built
-per sector too, where sx and Sx are scalars, but on all four (an
-independent check of those images); blocks reach the lab basis through
-QUBIT_HADAMARD on the qubit index.  One extraction reads every coefficient
-from sector blocks: :func:`coefficients_oracle` and :func:`oracle_grid`
-share one propagation pass over their times and the last one's checkpoint
-grid.  h_eff is periodic, U(kT + s) = U(s) U(T)^k, so :func:`oracle_power`
-and :func:`oracle_trajectory` repeat one window's blocks.
+step-doubled, checkpointed sector propagation and the open-system joint
+leg (:func:`joint_step_unitaries`).  Only sectors (1, 1) and (1, -1), the
+PROPAGATED pair, are propagated; sector (-s, -c) is driven by -f, so its
+propagator is the parity image P U(s, c) P, P = (-1)^n_hat.  The pair is one
+complex array throughout: (2, C, N, N) over a pass's C checkpoints, (2, N, N)
+at one time; :func:`_sector_blocks` adds the images in SECTORS order, and
+QUBIT_HADAMARD on the qubit index takes blocks to the lab basis.  The
+six-factor product is built on all four sectors, where sx and Sx are
+scalars (an independent check of the images).  :func:`coefficients_oracle`
+and :func:`oracle_grid` share one extraction pass over their times and the
+last one's checkpoint grid; h_eff is periodic, U(kT + s) = U(s) U(T)^k, so
+:func:`oracle_power` and :func:`oracle_trajectory` repeat one window's pair.
 
 Gate synthesis consumes only the oracle route; the closed-form route exists
 so the disagreement on A is measured and reported, not papered over.
@@ -116,12 +114,13 @@ class OracleResult:
     fock_window (the truncation-trusted inputs); residual_full is the same
     over all columns and is a truncation diagnostic only, since the top of
     a truncated Fock ladder cannot agree between the two constructions.
-    sector_unitaries holds the two propagated sector blocks, keyed like
-    PROPAGATED; numeric_unitary is assembled from them and their parity
-    images, and :func:`oracle_power` raises them.  factorized_unitary is the
-    six-factor product of coeffs the residuals were scored with.
-    window_unitaries holds them at window_times, the checkpoints of their pass up
-    to coeffs.t; an :func:`oracle_power` result keeps its base window's.
+    sector_unitaries is the (2, N, N) PROPAGATED pair at coeffs.t;
+    numeric_unitary is assembled from it and its parity images, and
+    :func:`oracle_power` raises it.  factorized_unitary is the six-factor
+    product of coeffs the residuals were scored with.  window_unitaries is
+    the (2, C, N, N) pair at window_times, the C checkpoints of its pass up
+    to coeffs.t (a view of the pass's array); an :func:`oracle_power` result
+    keeps its base window's.
     """
 
     coeffs: WNCoefficients
@@ -133,9 +132,9 @@ class OracleResult:
     steps_used: int
     numeric_unitary: np.ndarray = field(repr=False)
     factorized_unitary: np.ndarray = field(repr=False)
-    sector_unitaries: dict = field(repr=False)
+    sector_unitaries: np.ndarray = field(repr=False)
     window_times: np.ndarray = field(repr=False)
-    window_unitaries: dict = field(repr=False)
+    window_unitaries: np.ndarray = field(repr=False)
 
 
 class CoefficientRow(NamedTuple):
@@ -320,8 +319,9 @@ def _cf4_chunks(f_fun: Callable, factors: Callable, t0: float, dt: float, steps:
 
 
 def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
-                      steps_total: int) -> list[np.ndarray]:
-    """Fixed-grid snapshots of one sector on :func:`_cf4_steps`.
+                      steps_total: int) -> np.ndarray:
+    """Fixed-grid snapshots of one sector on :func:`_cf4_steps`, a (C, N, N)
+    array: entry k is the propagator from 0 to times[k].
 
     The step unitaries are built in vectorized chunks and pairwise-reduced
     in step order.  The generic integrator steps with the Magnus-4 rule
@@ -330,16 +330,15 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
     round(steps_total * t_k / span), so the segments sum to steps_total (a
     segment is never shorter than one step).
     """
-    times = list(times)
     span = times[-1]
     factors = _sector_step_factors(n)
     per_chunk = max(1, _CHUNK_ENTRIES // (2 * n * n))   # two n x n factors per step
 
-    snapshots = []
+    snapshots = np.empty((len(times), n, n), dtype=np.complex128)
     u = np.eye(n, dtype=np.complex128)
     prev = 0.0
     taken = 0
-    for tk in times:
+    for tk, snap in zip(times, snapshots):
         seg_steps = max(1, round(steps_total * tk / span) - taken)
         taken += seg_steps
         dt = (tk - prev) / seg_steps
@@ -350,7 +349,7 @@ def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
                 head = np.matmul(mats[1:2 * m:2], mats[0:2 * m:2])
                 mats = np.concatenate([head, mats[2 * m:]]) if mats.shape[0] % 2 else head
             u = mats[0] @ u
-        snapshots.append(u.copy())
+        snap[...] = u
         prev = tk
     return snapshots
 
@@ -365,9 +364,10 @@ def _parity_image(u: np.ndarray) -> np.ndarray:
     return u * (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
 
 
-def _sector_blocks(u_pp: np.ndarray, u_pm: np.ndarray) -> tuple:
-    """All SECTORS blocks from (stacks of) the PROPAGATED ones and their images."""
-    return u_pp, u_pm, _parity_image(u_pm), _parity_image(u_pp)
+def _sector_blocks(pair) -> list[np.ndarray]:
+    """The four SECTORS blocks, in order, from the PROPAGATED pair (a (2, ...)
+    stack, or two equal-shape stacks): pair[0], pair[1] and their parity images."""
+    return [pair[0], pair[1], _parity_image(pair[1]), _parity_image(pair[0])]
 
 
 def sector_states(psi: np.ndarray) -> np.ndarray:
@@ -405,7 +405,7 @@ def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: fl
                           steps, per_chunk) for ss, sc in PROPAGATED)
     # not zip: its reused result tuple would hold each chunk while the next is built
     for _ in range(0, steps, per_chunk):
-        yield from np.stack(_sector_blocks(next(pp), next(pm)), axis=1)
+        yield from np.stack(_sector_blocks((next(pp), next(pm))), axis=1)
 
 
 def _default_fock_window(fock_cutoff: int) -> int:
@@ -417,19 +417,19 @@ def _oscillations(params: SystemParams, t: float) -> int:
     return math.ceil(abs(t) * (abs(params.omega) + abs(params.Delta)) / TWO_PI)
 
 
-def _vacuum_amplitudes(snaps: Sequence[np.ndarray]) -> np.ndarray:
-    """<0|U|0> of each snapshot; RuntimeError when one is too small to read a
-    phase and a displacement from."""
-    c0 = np.array([u[0, 0] for u in snaps])
+def _vacuum_amplitudes(snaps: np.ndarray) -> np.ndarray:
+    """<0|U|0> of each snapshot, snaps[..., 0, 0]; RuntimeError when one is too
+    small to read a phase and a displacement from."""
+    c0 = snaps[..., 0, 0]
     if np.abs(c0).min() < 1e-6:
         raise RuntimeError("vacuum survival amplitude too small for phase extraction; "
                            "displacement exceeds the extraction method's domain")
     return c0
 
 
-def _extract(snapshots: dict, times: Sequence[float], start: dict | None = None
+def _extract(snapshots: np.ndarray, times: Sequence[float], start=(0.0, 0.0)
              ) -> list[WNCoefficients]:
-    """Coefficients at every snapshot of the propagated sectors.
+    """Coefficients at every checkpoint of a (2, C, N, N) PROPAGATED pair.
 
     For a driven oscillator each sector propagator is e^{i phi} D(alpha), so
     <0|U|0> = e^{i phi} e^{-|alpha|^2 / 2} and <1|U|0> / <0|U|0> = alpha.
@@ -437,18 +437,12 @@ def _extract(snapshots: dict, times: Sequence[float], start: dict | None = None
     and phi = -Re D + (Im(B'C) - A) s_spin s_charge, so the charge-odd and
     charge-even parts of (1, 1) and (1, -1) fix all four; the parity images
     carry the opposite displacements and the same phases.  Each sector's
-    phases are unwrapped along the snapshots from start[sector], or from
-    phi(0) = 0 when start is None.
+    phases are unwrapped along its C checkpoints from its entry of start.
     """
-    alphas, phis = {}, {}
-    for key, snaps in snapshots.items():
-        c0 = _vacuum_amplitudes(snaps)
-        c1 = np.array([u[1, 0] for u in snaps])
-        alphas[key] = c1 / c0
-        phi0 = 0.0 if start is None else start[key]
-        phis[key] = np.unwrap(np.concatenate(([phi0], np.angle(c0))))[1:]
-    a_pp, a_pm = alphas[(1, 1)], alphas[(1, -1)]
-    p_pp, p_pm = phis[(1, 1)], phis[(1, -1)]
+    c0 = _vacuum_amplitudes(snapshots)
+    a_pp, a_pm = snapshots[..., 1, 0] / c0
+    p_pp, p_pm = np.unwrap(np.concatenate((np.reshape(start, (2, 1)), np.angle(c0)),
+                                          axis=1))[:, 1:]
     B, C = np.conj(0.5j * (a_pp - a_pm)), np.conj(0.5j * (a_pp + a_pm))
     A = np.imag(np.conj(B) * C) - 0.5 * (p_pp - p_pm)
     D = -0.5 * (p_pp + p_pm) + 0.5j * (np.abs(B)**2 + np.abs(C)**2)
@@ -456,22 +450,21 @@ def _extract(snapshots: dict, times: Sequence[float], start: dict | None = None
             for a, b, c, d, tk in zip(A, B, C, D, times)]
 
 
-def _assemble_lab_unitary(blocks: Sequence[np.ndarray], layout: SpaceLayout) -> np.ndarray:
-    """The lab-basis matrix with the given blocks of SECTORS, in order: entry
+def _assemble_lab_unitary(blocks) -> np.ndarray:
+    """The lab-basis matrix with the given four blocks of SECTORS, in order: entry
     ((p, a), (q, b)) is sum_i H[p, i] blocks[i][a, b] H[i, q], H = QUBIT_HADAMARD."""
-    n = layout.fock_cutoff
-    return np.einsum("pi,iab,iq->paqb", QUBIT_HADAMARD, np.asarray(blocks),
-                     QUBIT_HADAMARD).reshape(4 * n, 4 * n)
+    u = np.einsum("pi,iab,iq->paqb", QUBIT_HADAMARD, blocks, QUBIT_HADAMARD)
+    return u.reshape(4 * u.shape[1], -1)
 
 
-def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
-                   steps: int, window_times: np.ndarray, window_mats: dict) -> OracleResult:
-    """coeffs scored against the sector blocks they were read from: the
-    numeric and factorized lab propagators, and the windowed and full
-    residuals between them.  The window's checkpoint blocks ride along."""
-    layout = SpaceLayout(sector_mats[PROPAGATED[0]].shape[0])
+def _oracle_result(coeffs: WNCoefficients, pair: np.ndarray, converged: bool, steps: int,
+                   window_times: np.ndarray, window_pair: np.ndarray) -> OracleResult:
+    """coeffs scored against the (2, N, N) PROPAGATED pair they were read from:
+    the numeric and factorized lab propagators, and the windowed and full
+    residuals between them.  The window's (2, C', N, N) checkpoints ride along."""
+    layout = SpaceLayout(pair.shape[-1])
     fock_window = _default_fock_window(layout.fock_cutoff)
-    numeric = _assemble_lab_unitary(_sector_blocks(*(sector_mats[k] for k in PROPAGATED)), layout)
+    numeric = _assemble_lab_unitary(_sector_blocks(pair))
     factorized = factorized_propagator(coeffs, layout).entries
     diff = np.abs(factorized - numeric)
     cols = [q * layout.fock_cutoff + k for q in range(4) for k in range(fock_window + 1)]
@@ -479,58 +472,68 @@ def _oracle_result(coeffs: WNCoefficients, sector_mats: dict, converged: bool,
     return OracleResult(coeffs=coeffs, residual=residual, residual_full=float(diff.max()),
                         flagged=residual > RESIDUAL_THRESHOLD, fock_window=fock_window,
                         converged=converged, steps_used=steps, numeric_unitary=numeric,
-                        factorized_unitary=factorized, sector_unitaries=sector_mats,
-                        window_times=window_times, window_unitaries=window_mats)
+                        factorized_unitary=factorized, sector_unitaries=pair,
+                        window_times=window_times, window_unitaries=window_pair)
 
 
 def _propagate_sectors(params: SystemParams, times: Sequence[float], fock_cutoff: int,
                        settings: PropagationSettings
-                       ) -> tuple[dict, bool, int]:
-    """Checkpointed, step-doubled propagation of the PROPAGATED sector blocks.
+                       ) -> tuple[np.ndarray, bool, int]:
+    """The PROPAGATED pair at the checkpoints, each sector step-doubled on its own.
 
-    The other two sectors are their parity images and are not propagated.
-    The reported step count is the finest grid either sector needed.  Each
-    pass's snapshots are checked by _vacuum_amplitudes as the pass ends, so
-    a displacement too large to extract raises before the grid is refined.
+    Returns the (2, C, N, N) array whose entry [i, k] is sector PROPAGATED[i]
+    from 0 to times[k], whether both converged, and the finer final grid.
+    Each kernel pass is checked by _vacuum_amplitudes as it ends, so a
+    displacement too large to extract raises before the grid is refined.
     """
-    def checked(snaps: list[np.ndarray]) -> list[np.ndarray]:
+    def checked(snaps: np.ndarray) -> np.ndarray:
         _vacuum_amplitudes(snaps)
         return snaps
 
-    snapshots = {}
-    converged_all = True
-    steps_max = 0
+    pair = np.empty((len(PROPAGATED), len(times), fock_cutoff, fock_cutoff), dtype=np.complex128)
+    converged_all, steps_max = True, 0
     grid = settings.replace(steps=max(settings.steps, len(times)))
-    for ss, sc in PROPAGATED:
-        f = sector_amplitude(params, ss, sc)
-        snaps, converged, steps = step_doubling(
-            lambda steps, f=f: checked(_sector_snapshots(f, times, fock_cutoff, steps)),
+    for out, key in zip(pair, PROPAGATED):
+        f = sector_amplitude(params, *key)
+        out[...], converged, steps = step_doubling(
+            lambda steps: checked(_sector_snapshots(f, times, fock_cutoff, steps)),
             lambda snaps: snaps[-1], grid)
-        snapshots[(ss, sc)] = snaps
         converged_all &= converged
         steps_max = max(steps_max, steps)
-    return snapshots, converged_all, steps_max
+    return pair, converged_all, steps_max
+
+
+def _pass_times(times) -> np.ndarray:
+    """The sorted times of one oracle pass; ValueError when there is none, or
+    naming the first that is not finite and positive."""
+    times = np.sort(np.asarray(times, dtype=float).reshape(-1))
+    if times.size == 0:
+        raise ValueError("oracle extraction needs at least one time")
+    bad = times[~(np.isfinite(times) & (times > 0.0))]
+    if bad.size:
+        raise ValueError(f"oracle extraction needs finite times t > 0, got t = {bad[0]}")
+    return times
 
 
 def _oracle_pass(params: SystemParams, times: np.ndarray, fock_cutoff: int,
                  settings: PropagationSettings | None) -> Iterator[OracleResult]:
-    """The oracle at each of the sorted, positive times, from one propagation.
+    """The oracle at each of the :func:`_pass_times` times, from one propagation.
 
     The sectors are propagated on the union of the times and the last one's
     checkpoint grid, so however sparse the times, the phases behind A and D
-    are unwrapped along that grid.  Each result keeps the grid's blocks up to its time.
+    are unwrapped along that grid.  Each result keeps views of the pass's
+    (2, C, N, N) array: its time's pair and the checkpoints up to it.
     """
     t_end = float(times[-1])
     oscillations = _oscillations(params, t_end)
     grid = np.union1d(times, np.linspace(0.0, t_end, max(48, 8 * oscillations) + 1)[1:])
     if settings is None:
         settings = PropagationSettings(steps=max(256, 64 * oscillations))
-    snapshots, converged, steps = _propagate_sectors(params, grid, fock_cutoff, settings)
-    extracted = _extract(snapshots, grid)
+    pair, converged, steps = _propagate_sectors(params, grid, fock_cutoff, settings)
+    extracted = _extract(pair, grid)
     for i in np.searchsorted(grid, times):
-        yield _oracle_result(extracted[i], {k: v[i] for k, v in snapshots.items()},
-                             converged, steps, grid[:i + 1],
-                             {k: v[:i + 1] for k, v in snapshots.items()})
+        yield _oracle_result(extracted[i], pair[:, i], converged, steps, grid[:i + 1],
+                             pair[:, :i + 1])
 
 
 def coefficients_oracle(params: SystemParams, t: float, fock_cutoff: int = 20, *,
@@ -538,11 +541,9 @@ def coefficients_oracle(params: SystemParams, t: float, fock_cutoff: int = 20, *
     """Extract (A, B, C, D) at time t from the brute-force propagator.
 
     A residual above RESIDUAL_THRESHOLD flags the result but the
-    coefficients are still returned.
+    coefficients are still returned.  t must be finite and positive.
     """
-    if t <= 0.0:
-        raise ValueError("oracle extraction needs t > 0")
-    (result,) = _oracle_pass(params, np.array([t], dtype=float), fock_cutoff, settings)
+    (result,) = _oracle_pass(params, _pass_times([t]), fock_cutoff, settings)
     return result
 
 
@@ -552,32 +553,30 @@ def oracle_grid(params: SystemParams, times: Sequence[float], fock_cutoff: int =
 
     Much cheaper than calling coefficients_oracle per point; used by the
     coeffs pipeline and the closed-form comparison tests.  It is
-    coefficients_oracle's pass with a row read at each of the given times.
+    coefficients_oracle's pass with a row read at each of the given times,
+    which must be at least one, each finite and positive; rows are sorted by t.
     """
-    times = np.asarray(sorted(times), dtype=float)
-    if times[0] <= 0.0:
-        raise ValueError("grid times must be positive")
     return [CoefficientRow(t=res.coeffs.t, coeffs=res.coeffs, residual=res.residual,
                            converged=res.converged)
-            for res in _oracle_pass(params, times, fock_cutoff, settings)]
+            for res in _oracle_pass(params, _pass_times(times), fock_cutoff, settings)]
 
 
 def oracle_power(base: OracleResult, periods: int) -> OracleResult:
     """The oracle after `periods` repetitions of a base disentangling window.
 
     h_eff is periodic with the base commensurate time, so U(k t) = U(t)^k:
-    the sector blocks are raised to the k-th power and all four coefficients
+    the (2, N, N) pair is raised to the k-th power and all four coefficients
     are read from that power by :func:`_extract`.  Each sector's phase is
     unwrapped from k times the base window's, which only picks its 2 pi
-    branch.  The result keeps the base window's checkpoint blocks.
+    branch.  The result keeps the base window's checkpoints.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    powered = {k: np.linalg.matrix_power(u, periods) for k, u in base.sector_unitaries.items()}
+    powered = np.linalg.matrix_power(base.sector_unitaries, periods)
     b = base.coeffs
     cross = np.imag(np.conj(b.B) * b.C) - b.A
-    start = {(s, c): periods * (s * c * cross - b.D.real) for s, c in PROPAGATED}
-    (coeffs,) = _extract({k: [u] for k, u in powered.items()}, [b.t * periods], start)
+    start = [periods * (s * c * cross - b.D.real) for s, c in PROPAGATED]
+    (coeffs,) = _extract(powered[:, None], [b.t * periods], start)
     return _oracle_result(coeffs, powered, base.converged, base.steps_used,
                           base.window_times, base.window_unitaries)
 
@@ -609,8 +608,7 @@ def oracle_trajectory(oracle: OracleResult, psi0: np.ndarray, periods: int
         raise ValueError("periods must be >= 1")
     c = len(oracle.window_times)
     m = next((d for d in range(1, c + 1) if c % d == 0 and periods * d >= TRAJECTORY_SAMPLES), c)
-    blocks = np.stack(_sector_blocks(*(np.array(oracle.window_unitaries[k][c // m - 1::c // m])
-                                       for k in PROPAGATED)))
+    blocks = np.stack(_sector_blocks(oracle.window_unitaries[:, c // m - 1::c // m]))
     phis = [sector_states(psi0).reshape(4, -1)]
     for _ in range(periods):
         phis.extend(np.einsum("imab,ib->mia", blocks, phis[-1]))
@@ -637,4 +635,4 @@ def factorized_propagator(coeffs: WNCoefficients, layout: SpaceLayout) -> Operat
     spin = {s: ladder(s * coeffs.C) for s in (1, -1)}
     blocks = [np.exp(-1j * (coeffs.D + coeffs.A * s * c)) * charge[c] @ spin[s]
               for s, c in SECTORS]
-    return Operator(layout, _assemble_lab_unitary(blocks, layout))
+    return Operator(layout, _assemble_lab_unitary(blocks))

@@ -76,20 +76,23 @@ def test_benchmark_binding_is_the_owner(module, name, owner):
 
 
 def test_pass_tuple_reports_the_oracle_grid(monkeypatch):
-    # the tracer reads _propagate_sectors(...)[2] as the pass's grid steps
+    # the tracer reads _propagate_sectors(...)[2] as the pass's grid steps;
+    # [0] is the (2, C, N, N) PROPAGATED pair at the pass's C checkpoints
     seen = []
     original = wn._propagate_sectors
 
     def recording(*args, **kwargs):
         result = original(*args, **kwargs)
-        seen.append(result[2])
+        seen.append((result[0].shape, len(args[1]), result[2]))
         return result
 
     monkeypatch.setattr(wn, "_propagate_sectors", recording)
     settings = PropagationSettings(steps=64, tolerance=1e-4, max_refinements=4)
     res = wn.coefficients_oracle(paper_preset().system, 1.3, 4, settings=settings)
     assert len(seen) == 1
-    assert type(seen[0]) is int and seen[0] == res.steps_used > 64
+    (shape, checkpoints, steps), = seen
+    assert shape == (2, checkpoints, 4, 4) and checkpoints == len(res.window_times)
+    assert type(steps) is int and steps == res.steps_used > 64
 
 
 def test_keyword_settings_with_a_window_drive_evolve_propagator():

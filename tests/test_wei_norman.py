@@ -272,6 +272,47 @@ def test_oracle_carries_the_factorized_propagator_it_was_scored_with(preset_para
         assert np.array_equal(res.factorized_unitary, want)
 
 
+def test_oracle_holds_the_propagated_pair_as_one_array(preset_params):
+    # sector_unitaries is the (2, N, N) PROPAGATED pair at t, and
+    # window_unitaries the (2, C, N, N) pair at the C checkpoints up to t
+    n = 6
+    res = coefficients_oracle(preset_params, 2.6, n)
+    c = len(res.window_times)
+    assert res.sector_unitaries.shape == (2, n, n)
+    assert res.window_unitaries.shape == (2, c, n, n)
+    assert np.array_equal(res.window_unitaries[:, -1], res.sector_unitaries)
+    powered = wei_norman.oracle_power(res, 3)
+    assert powered.sector_unitaries.shape == (2, n, n)
+    assert powered.window_unitaries is res.window_unitaries
+
+
+def test_sector_blocks_are_the_pair_then_its_parity_images_in_sector_order():
+    n = 4
+    rng = np.random.default_rng(3)
+    pair = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+    parity = np.diag((-1.0) ** np.arange(n))
+    want = [pair[0], pair[1], parity @ pair[1] @ parity, parity @ pair[0] @ parity]
+    for got in (wei_norman._sector_blocks(pair), wei_norman._sector_blocks((pair[0], pair[1]))):
+        assert len(got) == 4
+        for block, ref in zip(got, want):
+            assert np.array_equal(block, ref)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_oracle_rejects_a_time_that_is_not_finite_and_positive(preset_params, t):
+    with pytest.raises(ValueError, match=f"got t = {t}"):
+        coefficients_oracle(preset_params, t, 4)
+
+
+@pytest.mark.parametrize("times, named", [([], "at least one time"),
+                                          ([1.0, math.nan], "got t = nan"),
+                                          ([math.inf, 2.0], "got t = inf"),
+                                          ([2.0, -0.5], "got t = -0.5")])
+def test_oracle_grid_rejects_times_it_cannot_use(preset_params, times, named):
+    with pytest.raises(ValueError, match=named):
+        oracle_grid(preset_params, times, 4)
+
+
 def test_oracle_grid_on_a_sparse_grid_matches_the_oracle(preset_params):
     # the residual cannot see a 2 pi slip of A (exp(-2 pi i sx Sx) = 1), so
     # a grid of two far-apart times must still unwrap A and Re D as densely
@@ -436,10 +477,10 @@ def test_joint_steps_multiply_to_the_oracle_sector_snapshots(preset_params):
     for u in units:
         assert u.shape == (4, n, n)
         product = u @ product
-    snaps = [wei_norman._sector_snapshots(wei_norman.sector_amplitude(preset_params, *key),
-                                          [duration], n, steps)[-1]
-             for key in wei_norman.PROPAGATED]
-    want = wei_norman._sector_blocks(*snaps)
+    pair = np.array([wei_norman._sector_snapshots(wei_norman.sector_amplitude(preset_params, *key),
+                                                  [duration], n, steps)[-1]
+                     for key in wei_norman.PROPAGATED])
+    want = wei_norman._sector_blocks(pair)
     for got, block in zip(product, want):
         assert np.abs(got - block).max() < 1e-13
 
@@ -491,9 +532,7 @@ def test_oracle_power_matches_a_direct_multi_period_oracle(preset_params, overri
     for k in (2, 3, 5):
         powered = wei_norman.oracle_power(base, k)
         direct = coefficients_oracle(params, k * period, 8)
-        for key in wei_norman.PROPAGATED:
-            diff = powered.sector_unitaries[key] - direct.sector_unitaries[key]
-            assert np.abs(diff).max() < 1e-8
+        assert np.abs(powered.sector_unitaries - direct.sector_unitaries).max() < 1e-8
         assert abs(powered.coeffs.A - direct.coeffs.A) < 1e-8
         assert abs(powered.coeffs.D - direct.coeffs.D) < 1e-8
 
@@ -509,8 +548,6 @@ def test_oracle_power_matches_a_direct_oracle_on_random_commensurate_draws(omega
     period = commensurate_time(params.omega, params.Delta).t
     powered = wei_norman.oracle_power(coefficients_oracle(params, period, 8), k)
     direct = coefficients_oracle(params, k * period, 8)
-    for key in wei_norman.PROPAGATED:
-        diff = powered.sector_unitaries[key] - direct.sector_unitaries[key]
-        assert np.abs(diff).max() < 1e-8
+    assert np.abs(powered.sector_unitaries - direct.sector_unitaries).max() < 1e-8
     assert abs(powered.coeffs.A - direct.coeffs.A) < 1e-8
     assert abs(powered.coeffs.D - direct.coeffs.D) < 1e-8
