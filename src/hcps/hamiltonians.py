@@ -25,9 +25,12 @@ The model, bottom up:
 h_eff commutes with both sigma_x and S_x at all times, which is what makes
 the propagator factorizable (see :mod:`hcps.wei_norman`).
 
-Each time-dependent builder returns H0 + (X(t) + X(t)'): H0 constant, X(t) at
-most two scalar-times-constant terms over one per-layout cache of constant
-matrices, so a sample multiplies no matrices and is Hermitian by construction.
+Each time-dependent builder returns a :class:`~hcps.hilbert.TermOperator`,
+H0 + (X(t) + X(t)'), H0 and X(t) each a sum of scalars times read-only
+matrices of one per-layout cache: H0's scalars real and constant, X(t) at
+most two terms.  Its dense entries are formed only when read; the generic
+integrator of :mod:`hcps.propagation` reads the scalars instead, over
+matrices it gathers and checks once per pass.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .hilbert import (
     SLOT_CHARGE,
     SLOT_SPIN,
     SpaceLayout,
+    TermOperator,
     build_annihilation,
     build_spin_ops,
     identity,
@@ -156,17 +160,11 @@ def _constants(layout: SpaceLayout) -> dict:
     return mats
 
 
-def _hermitian(layout: SpaceLayout, x: np.ndarray, h0: np.ndarray | None = None) -> Operator:
-    """Operator(H0 + (X + X')): the form of every time-dependent builder."""
-    h = x + x.conj().T
-    return Operator(layout, h if h0 is None else h0 + h)
-
-
-def _interaction_x(params: SystemParams, layout: SpaceLayout, t: float) -> np.ndarray:
+def _interaction_terms(params: SystemParams, layout: SpaceLayout, t: float) -> tuple:
     """X(t) of h_interaction: g e^{i omega t} a' sigma_x + G e^{i Delta t} a' S-."""
     m = _constants(layout)
-    return (params.g * np.exp(1j * params.omega * t)) * m["ad_sx"] \
-        + (params.G * np.exp(1j * params.Delta * t)) * m["ad_Sm"]
+    return ((params.g * np.exp(1j * params.omega * t), m["ad_sx"]),
+            (params.G * np.exp(1j * params.Delta * t), m["ad_Sm"]))
 
 
 # ----------------------------------------------------------------------
@@ -195,44 +193,44 @@ def h_nv(params: SystemParams, layout: SpaceLayout) -> Operator:
                     + m["Sx"] * complex(0.5 * params.Omega_mw))
 
 
-def h_total_lab(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
+def h_total_lab(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
     """Full lab-frame Hamiltonian of the coupled system at time t.
 
     omega a'a - (zeta/2) sigma_x - (xi/2) S_x + g (a + a') sigma_x
       + G (a + a') (S+ e^{i omega_r t} + S- e^{-i omega_r t})
     """
     m = _constants(layout)
-    h0 = params.omega * m["n"] - (0.5 * params.zeta) * m["sx"] - (0.5 * params.xi) * m["Sx"]
-    x = params.g * m["ad_sx"] + (params.G * np.exp(1j * params.omega_r * t)) * m["a_plus_ad_Sp"]
-    return _hermitian(layout, x, h0)
+    c = params.G * np.exp(1j * params.omega_r * t)
+    h0 = ((params.omega, m["n"]), (-0.5 * params.zeta, m["sx"]), (-0.5 * params.xi, m["Sx"]))
+    return TermOperator(layout, ((params.g, m["ad_sx"]), (c, m["a_plus_ad_Sp"])), h0)
 
 
-def h_interaction(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
+def h_interaction(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
     """Interaction-picture Hamiltonian after the rotating-wave approximation.
 
     g (a' e^{i omega t} + a e^{-i omega t}) sigma_x
       + G (a' S- e^{i Delta t} + a S+ e^{-i Delta t})
     """
-    return _hermitian(layout, _interaction_x(params, layout, t))
+    return TermOperator(layout, _interaction_terms(params, layout, t))
 
 
-def h_drive(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
+def h_drive(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
     """External resonator drive eps (a' e^{-i omega_d t} + a e^{i omega_d t}).
 
     Kept for validation runs; the default pipeline folds the drive into the
     effective Rabi rate Omega' instead of integrating it directly.
     """
-    x = (params.eps * np.exp(-1j * params.omega_d * t)) * _constants(layout)["ad"]
-    return _hermitian(layout, x)
+    c = params.eps * np.exp(-1j * params.omega_d * t)
+    return TermOperator(layout, ((c, _constants(layout)["ad"]),))
 
 
-def h_T(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
+def h_T(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
     """Driven interaction Hamiltonian: h_interaction + Omega' S_x."""
-    h0 = effective_rabi(params) * _constants(layout)["Sx"]
-    return _hermitian(layout, _interaction_x(params, layout, t), h0)
+    h0 = ((effective_rabi(params), _constants(layout)["Sx"]),)
+    return TermOperator(layout, _interaction_terms(params, layout, t), h0)
 
 
-def h_eff(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
+def h_eff(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
     """Effective generator after averaging over the strong Omega' rotation.
 
     g (a' e^{i omega t} + a e^{-i omega t}) sigma_x
@@ -244,6 +242,5 @@ def h_eff(params: SystemParams, layout: SpaceLayout, t: float) -> Operator:
     driven oscillator.  See :func:`hcps.wei_norman.sector_amplitude`.
     """
     m = _constants(layout)
-    x = (params.g * np.exp(1j * params.omega * t)) * m["ad_sx"] \
-        + (0.5 * params.G * np.exp(1j * params.Delta * t)) * m["ad_Sx"]
-    return _hermitian(layout, x)
+    return TermOperator(layout, ((params.g * np.exp(1j * params.omega * t), m["ad_sx"]),
+                                 (0.5 * params.G * np.exp(1j * params.Delta * t), m["ad_Sx"])))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -131,6 +132,50 @@ class Operator:
 
     def hermiticity_defect(self) -> float:
         return hermiticity_defect(self.entries)
+
+
+class TermOperator(Operator):
+    """H0 + (X + X') with H0 = sum_j r_j N_j and X = sum_k c_k M_k: an Operator
+    given by its scalars over constant read-only matrices, real r_j over
+    Hermitian N_j (h0, possibly empty) and complex c_k over any M_k (terms),
+    its entries formed by hermitian_sum on first read."""
+
+    def __init__(self, layout: SpaceLayout, terms: tuple[tuple[complex, np.ndarray], ...],
+                 h0: tuple[tuple[float, np.ndarray], ...] = ()):
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "h0", h0)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        h = hermitian_sum(self.h0, self.terms)
+        h.setflags(write=False)
+        return h
+
+
+def _linear_sum(terms) -> np.ndarray:
+    (c, m), *rest = terms
+    x = c * m
+    for c, m in rest:
+        x += c * m
+    return x
+
+
+def hermitian_sum(h0, terms) -> np.ndarray:
+    """H0 + (X + X') with H0 = sum_j r_j N_j over the pairs of h0 (none: X + X')
+    and X = sum_k c_k M_k over those of terms, each sum in order, of (n, n)
+    matrices or of each matrix of (k, n, n) stacks.
+
+    Elementwise but for the transpose, so the sum of block stacks is exactly
+    the blocks of the whole matrices' sum.  X + X' is exactly Hermitian, as
+    its entry (j, i), x_ji + conj(x_ij), is the conjugate of its entry (i, j)
+    in IEEE arithmetic; the sum is when H0 is.
+    """
+    x = _linear_sum(terms)
+    h = x + x.conj().swapaxes(-1, -2)
+    if h0:
+        h += _linear_sum(h0)
+    return h
 
 
 @dataclass(frozen=True)

@@ -317,7 +317,7 @@ def evolve_master(h_fun: Callable[[float], Operator], rho0: DensityMatrix,
     whole_space = [np.arange(d)[None]]      # one block: each step is a (1, d, d) stack
 
     def step_unitaries(steps: int):
-        for (u,) in magnus4_steps(lambda t: h_fun(t).entries, t0, t1, steps, whole_space):
+        for (u,) in magnus4_steps(h_fun, t0, t1, steps, whole_space):
             yield u
 
     x, _, converged, trace_defect, steps = _strang_leg(

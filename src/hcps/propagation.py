@@ -19,11 +19,20 @@ h1 and h2 are block-diagonal, so are K and every power of it, and the
 exponential of K is the blocks' exponentials.  It is read from the exact
 zeros of the first step's two samples in the lab basis, never assumed from
 the model, so it shares nothing with the sigma_x / S_x sectors of the
-factorized propagator this integrator audits.  Every sample is first read
-outside its blocks: a nonzero or non-finite entry there couples two blocks
-and restarts the pass on the whole space, where the later passes stay, so
-the result is the whole-space one for any Hamiltonian.  Its blocks are then
-checked to be finite and Hermitian, so each entry is read by one check.
+factorized propagator this integrator audits.
+
+Every sample is read by one reader.  A :class:`hcps.hilbert.TermOperator`,
+which every time-dependent builder of :mod:`hcps.hamiltonians` returns, is
+read as its scalars over constant matrices: each matrix is gathered into
+block stacks and checked once per pass (finite; Hermitian in H0), the
+scalars are checked per sample (finite; real in H0), and the sample is
+formed on the blocks by :func:`hcps.hilbert.hermitian_sum`, exactly
+Hermitian and bit for bit the blocks of its dense entries.  Any other
+sample, an Operator or an array, is gathered and its blocks checked to be
+finite and Hermitian.  A nonzero or non-finite entry outside the blocks, of
+a sample or of a matrix, couples two blocks and restarts the pass on the
+whole space, where the later passes stay, so the result is the whole-space
+one for any Hamiltonian.
 
 :func:`magnus4_steps` yields the checked step factors of a uniform grid,
 one stack per component size; propagators multiply them per block, a state
@@ -48,13 +57,17 @@ runs compete for the cores (OPENBLAS_NUM_THREADS=1 keeps a run to one).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .hilbert import Operator, StateVector, expm_hermitian, hermiticity_defect, unitarity_defect
+from .hilbert import (
+    Operator, StateVector, TermOperator, expm_hermitian, hermiticity_defect, hermitian_sum,
+    unitarity_defect,
+)
 
 SAMPLE_HERMITIAN_TOL = 1e-10
 
@@ -132,6 +145,11 @@ def _check_hermitian(h: np.ndarray, t: float):
             f"Hamiltonian sample at t={t} is not finite and Hermitian")
 
 
+def _check_finite(m: np.ndarray, t: float):
+    if not np.isfinite(m).all():
+        raise NonHermitianSampleError(f"Hamiltonian term matrix at t={t} is not finite")
+
+
 def _coupling_blocks(*samples: np.ndarray) -> list[np.ndarray]:
     """Connected components of the coupling graph of the samples (i ~ j when an
     entry (i, j) or (j, i) of any sample is nonzero), as index arrays stacked
@@ -154,25 +172,30 @@ def _coupling_blocks(*samples: np.ndarray) -> list[np.ndarray]:
 
 
 class _BlockCoupling(Exception):
-    """A sample has a nonzero or non-finite entry outside the blocks it is stepped on."""
+    """A sample or a term matrix has a nonzero or non-finite entry outside the
+    blocks it is stepped on."""
 
 
-def magnus4_steps(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
+def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1: float,
                   steps: int, blocks: list[np.ndarray]) -> Iterator[list[np.ndarray]]:
     """Order-4 Magnus step unitaries exp(-i dt K) of a uniform grid on [t0, t1],
     on the diagonal blocks of the space named by blocks.
 
-    K = (h1 + h2)/2 - i (sqrt(3)/12) dt [h2, h1] from the samples at the two
-    Gauss nodes of each step; [h2, h1] = X - X' with X = h2 h1 is exactly
-    anti-Hermitian, so K is Hermitian.  blocks holds index stacks, one
+    K = (h1 + h2)/2 - i (sqrt(3)/12) dt [h2, h1] from the samples h_fun(t) at
+    the two Gauss nodes of each step; [h2, h1] = X - X' with X = h2 h1 is
+    exactly anti-Hermitian, so K is Hermitian.  blocks holds index stacks, one
     (count, size) array per component size as _coupling_blocks returns them,
     [np.arange(d)[None]] for the whole space; each step yields one
-    (count, size, size) stack of factors per index stack.  Each sample is
-    read once: _BlockCoupling is raised when it has a nonzero or non-finite
-    entry outside the blocks, and NonHermitianSampleError when a block stack
-    (the whole space: the sample) is not finite and Hermitian.  Past these
-    checks h1 and h2 are block-diagonal, so K and every power of it are too,
-    and the factors are exactly the blocks of the whole-space step's.
+    (count, size, size) stack of factors per index stack.
+
+    A TermOperator sample is formed on the blocks by hermitian_sum from the
+    stacks of its matrices, each gathered and checked once for as long as the
+    samples hand over the same object; per sample only its scalars are checked.
+    Any other sample (an Operator or an array) is gathered and checked.
+    _BlockCoupling is raised on a nonzero or non-finite entry outside the
+    blocks, NonHermitianSampleError when a check fails.  Past these checks
+    h1 and h2 are block-diagonal, so K and every power of it are too, and the
+    factors are exactly the blocks of the whole-space step's.
     """
     dt = (t1 - t0) / steps
     weight = -2j * _MAGNUS4_COMMUTATOR * dt
@@ -183,8 +206,9 @@ def magnus4_steps(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
         outside[f] = False
     outside = np.flatnonzero(outside)
 
-    def on_blocks(t: float) -> list[np.ndarray]:
-        h = np.asarray(h_mat(t), dtype=np.complex128)
+    def gather(h: np.ndarray, check: Callable[[np.ndarray, float], None],
+               t: float) -> list[np.ndarray]:
+        h = np.asarray(h, dtype=np.complex128)
         if not outside.size:
             stacks = [h]                 # the whole space, stepped as one matrix
         elif h.ravel().take(outside).any():          # NaN and inf are nonzero too
@@ -192,8 +216,27 @@ def magnus4_steps(h_mat: Callable[[float], np.ndarray], t0: float, t1: float,
         else:
             stacks = [h.ravel().take(f) for f in flat]
         for b in stacks:
-            _check_hermitian(b, t)
+            check(b, t)
         return stacks
+
+    known = {}       # (id, check) -> (matrix, its checked stacks), of the last term sample
+
+    def on_blocks(t: float) -> list[np.ndarray]:
+        nonlocal known
+        h = h_fun(t)
+        if not isinstance(h, TermOperator):
+            return gather(h.entries if isinstance(h, Operator) else h, _check_hermitian, t)
+        if not (all(cmath.isfinite(c) for c, _ in h.terms)
+                and all(cmath.isfinite(r) and not r.imag for r, _ in h.h0)):
+            raise NonHermitianSampleError(
+                f"Hamiltonian sample at t={t} has a non-finite scalar or a complex h0 scalar")
+        mats = [(m, _check_finite) for _, m in h.terms] + [(n, _check_hermitian) for _, n in h.h0]
+        known = {(id(m), check): known.get((id(m), check)) or (m, gather(m, check, t))
+                 for m, check in mats}
+        h0 = [[(r, b) for b in known[id(n), _check_hermitian][1]] for r, n in h.h0]
+        terms = [[(c, b) for b in known[id(m), _check_finite][1]] for c, m in h.terms]
+        return [hermitian_sum([s[i] for s in h0], [s[i] for s in terms])
+                for i in range(len(flat))]
 
     for k in range(steps):
         start = t0 + k * dt
@@ -249,7 +292,7 @@ def _evolve(h_fun: Callable[[float], Operator],
 
     def product(steps: int) -> list[np.ndarray]:
         prods = None
-        for factors in magnus4_steps(lambda t: h_fun(t).entries, t0, t1, steps, blocks):
+        for factors in magnus4_steps(h_fun, t0, t1, steps, blocks):
             prods = factors if prods is None else [f @ p for f, p in zip(factors, prods)]
         return prods
 

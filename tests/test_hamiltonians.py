@@ -20,6 +20,7 @@ from hcps.hilbert import (
     SLOT_CHARGE,
     SLOT_SPIN,
     SpaceLayout,
+    TermOperator,
     basis_state,
     build_annihilation,
     build_number,
@@ -214,6 +215,40 @@ def test_effective_rabi_rejects_zero_detuning():
 # ----------------------------------------------------------------------
 # driven total and effective Hamiltonians
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("builder", [h_total_lab, h_interaction, h_drive, h_T, h_eff],
+                         ids=["h_total_lab", "h_interaction", "h_drive", "h_T", "h_eff"])
+def test_builders_form_their_entries_bit_for_bit(builder):
+    # a builder's entries, formed on first read from its scalars and constant
+    # matrices, against H0 + (X + X') built densely here from the formulas
+    lay = SpaceLayout(5)
+    p = make_params(omega_r=2.1, eps=0.7, omega_d=1.3)
+    t = 0.83
+    a = build_annihilation(lay).entries
+    ad = a.conj().T
+    sx = build_spin_ops(lay, SLOT_CHARGE).x.entries
+    spin = build_spin_ops(lay, SLOT_SPIN)
+    Sx = spin.x.entries
+    interaction = ((p.g * np.exp(1j * p.omega * t)) * (ad @ sx)
+                   + (p.G * np.exp(1j * p.Delta * t)) * (ad @ spin.minus.entries))
+    h0, x = {
+        h_total_lab: (p.omega * (ad @ a) - (0.5 * p.zeta) * sx - (0.5 * p.xi) * Sx,
+                      p.g * (ad @ sx)
+                      + (p.G * np.exp(1j * p.omega_r * t)) * ((a + ad) @ spin.plus.entries)),
+        h_interaction: (None, interaction),
+        h_drive: (None, (p.eps * np.exp(-1j * p.omega_d * t)) * ad),
+        h_T: (effective_rabi(p) * Sx, interaction),
+        h_eff: (None, (p.g * np.exp(1j * p.omega * t)) * (ad @ sx)
+                + (0.5 * p.G * np.exp(1j * p.Delta * t)) * (ad @ Sx)),
+    }[builder]
+    want = x + x.conj().T
+    if h0 is not None:
+        want = h0 + want
+    got = builder(p, lay, t)
+    assert isinstance(got, TermOperator) and "entries" not in vars(got)
+    assert np.array_equal(got.entries, want)
+    assert not got.entries.flags.writeable
+
 
 def test_h_T_reduces_to_interaction_without_drive():
     lay = SpaceLayout(3)

@@ -11,6 +11,7 @@ from hcps.hilbert import (
     SLOT_CHARGE,
     SLOT_SPIN,
     SpaceLayout,
+    TermOperator,
     basis_state,
     build_number,
     build_spin_ops,
@@ -299,6 +300,99 @@ def test_non_finite_sample_raises(monkeypatch, bad, where, onset, integrator):
     assert len(checked[-1]) == (2 if whole_space else 3)
 
 
+def _run(integrator, h, lay, settings):
+    """The integrator's result on h from the lab state |0, 1, 0>, as one array."""
+    psi = basis_state(lay, 0, 1, 0)
+    if integrator == "evolve_propagator":
+        return evolve_propagator(h, settings).unitary.entries
+    if integrator == "evolve_state":
+        return evolve_state(h, psi, settings).state.amplitudes
+    return evolve_master(h, DensityMatrix.from_state(psi), [], settings).rho.entries
+
+
+@pytest.mark.parametrize(
+    "bad, where",
+    [(_NON_FINITE[k], "term") for k in ("nan", "inf", "1j*inf")] + [(np.nan, "h0"), (0.5j, "h0")],
+    ids=["nan", "inf", "1j*inf", "nan-h0", "complex-h0"])
+@pytest.mark.parametrize("integrator", _INTEGRATORS)
+def test_non_finite_scalar_raises(bad, where, integrator):
+    # h_eff's samples, plus an h0 of the number operator, carry their terms:
+    # from mid-window the first term's scalar is not finite, or the h0
+    # scalar is not finite or not real, and the sample's scalar check rejects
+    # it, without a warning, before any matrix is formed
+    lay = SpaceLayout(2)
+    p = make_params()
+    n = build_number(lay).entries
+
+    def h(t):
+        (c, m), second = h_eff(p, lay, t).terms
+        r = 0.3
+        if t >= 0.5:
+            c, r = (bad, r) if where == "term" else (c, bad)
+        return TermOperator(lay, ((c, m), second), ((r, n),))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonHermitianSampleError, match="scalar"):
+            _run(integrator, h, lay, PropagationSettings(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("case", ["nan-in-block", "nan-off-block", "h0-not-hermitian"])
+@pytest.mark.parametrize("integrator", _INTEGRATORS)
+def test_a_bad_constant_matrix_raises(case, integrator):
+    # a term matrix with a NaN in the first step's blocks from the start, or
+    # one with a NaN outside them from mid-window, which restarts the pass on
+    # the whole space, where it is read; and an h0 that is not Hermitian
+    lay = SpaceLayout(2)
+    p = make_params()
+    m = h_eff(p, lay, 0.0).terms[0][1].copy()
+    m[(0, 0) if case == "nan-in-block" else (0, 1)] = np.nan
+    onset = 0.5 if case == "nan-off-block" else 0.0
+    h0 = build_number(lay).entries.copy()
+    h0[0, 3] = 0.5
+
+    def h(t):
+        sample = h_eff(p, lay, t)
+        if case == "h0-not-hermitian":
+            return TermOperator(lay, sample.terms, ((1.0, h0),))
+        if t < onset:
+            return sample
+        (c, _), second = sample.terms
+        return TermOperator(lay, ((c, m), second))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonHermitianSampleError):
+            _run(integrator, h, lay, PropagationSettings(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("integrator", _INTEGRATORS)
+def test_a_term_matrix_that_couples_two_blocks_restarts_on_the_whole_space(
+        monkeypatch, integrator):
+    # h_eff's terms plus a spin drive term from a grid node a quarter into
+    # the window: the drive's matrix couples the two parity blocks of the
+    # first step's samples, and the pass restarts on the whole space, where
+    # it gives the whole-space result bit for bit
+    lay = SpaceLayout(6)
+    p = make_params()
+    Sx = build_spin_ops(lay, SLOT_SPIN).x.entries
+    t_on = TWO_PI / 4
+
+    def h(t):
+        sample = h_eff(p, lay, t)
+        return sample if t < t_on else TermOperator(lay, sample.terms + ((0.25, Sx),))
+
+    settings = PropagationSettings(0.0, TWO_PI, 64, 1e-8)
+    res = _run(integrator, h, lay, settings)
+    monkeypatch.setattr(propagation, "_coupling_blocks", _whole_space_blocks)
+    assert np.array_equal(res, _run(integrator, h, lay, settings))
+    # the drive moved the state out of its parity class
+    parity = _parity_classes(lay)
+    start = parity[lay.index(0, 1, 0)]
+    moved = res if integrator != "evolve_propagator" else res[:, lay.index(0, 1, 0)]
+    assert np.abs(moved[parity != start]).max() > 1e-2
+
+
 @pytest.mark.parametrize("integrator", _INTEGRATORS)
 def test_integrators_refuse_settings_without_a_window(integrator):
     lay = SpaceLayout(2)
@@ -385,19 +479,24 @@ def _whole_space_blocks(*samples):
 
 
 def test_block_path_checks_only_the_block_stacks(monkeypatch):
-    # h_eff at N = 4 is stepped as two parity blocks of 8: every Hermiticity
-    # check sees the stack of both, none the whole 16 x 16 sample, and each
-    # sample is checked once (two per step of the passes 8, 16, ..., steps_used)
+    # h_eff at N = 4 is stepped as two parity blocks of 8.  Its samples are
+    # TermOperators without h0, Hermitian by construction, so a pass runs no
+    # Hermiticity check; the same samples as plain Operators are checked once
+    # each (two per step of the passes 8, 16, ..., steps_used), on the stack
+    # of both blocks and never on the whole 16 x 16 sample
     lay = SpaceLayout(4)
     p = make_params()
     checked = []
     honest = propagation.hermiticity_defect
     monkeypatch.setattr(propagation, "hermiticity_defect",
                         lambda a: checked.append(a.shape) or honest(a))
-    res = evolve_propagator(lambda t: h_eff(p, lay, t), PropagationSettings(0.0, 1.0, 8))
-    assert res.converged
+    settings = PropagationSettings(0.0, 1.0, 8)
+    terms = evolve_propagator(lambda t: h_eff(p, lay, t), settings)
+    assert terms.converged and checked == []
+    plain = evolve_propagator(lambda t: Operator(lay, h_eff(p, lay, t).entries), settings)
+    assert plain.converged and plain.steps_used == terms.steps_used
     assert set(checked) == {(2, 8, 8)}
-    assert len(checked) == 2 * (2 * res.steps_used - 8)
+    assert len(checked) == 2 * (2 * plain.steps_used - 8)
 
 
 def test_block_steps_equal_the_whole_space_steps(preset_cfg, monkeypatch):
@@ -425,6 +524,19 @@ def test_block_steps_equal_the_whole_space_steps(preset_cfg, monkeypatch):
                                            _whole_space_blocks(stepped)):
         stepped = u @ stepped
     assert np.abs(state.state.amplitudes - stepped).max() < 1e-14
+
+
+def test_term_samples_step_bit_for_bit_like_their_entries(preset_cfg):
+    # one preset period of h_eff: the samples read through their terms
+    # against the same samples as plain Operators, read through their entries
+    p = preset_cfg.system
+    lay = SpaceLayout(6)
+    comm = commensurate_time(p.omega, p.Delta, preset_cfg.gate.max_n,
+                             preset_cfg.commensurability_tol)
+    settings = PropagationSettings(0.0, comm.t, 512, max_refinements=0)
+    terms = evolve_propagator(lambda t: h_eff(p, lay, t), settings)
+    plain = evolve_propagator(lambda t: Operator(lay, h_eff(p, lay, t).entries), settings)
+    assert np.array_equal(terms.unitary.entries, plain.unitary.entries)
 
 
 def test_a_sample_that_couples_two_blocks_restarts_on_the_whole_space(monkeypatch):
