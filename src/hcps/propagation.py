@@ -21,18 +21,18 @@ zeros of the first step's two samples in the lab basis, never assumed from
 the model, so it shares nothing with the sigma_x / S_x sectors of the
 factorized propagator this integrator audits.
 
-Every sample is read by one reader.  A :class:`hcps.hilbert.TermOperator`,
-which every time-dependent builder of :mod:`hcps.hamiltonians` returns, is
-read as its scalars over constant matrices: each matrix is gathered into
-block stacks and checked once per pass (finite; Hermitian in H0), the
-scalars are checked per sample (finite; real in H0), and the sample is
-formed on the blocks by :func:`hcps.hilbert.hermitian_sum`, exactly
-Hermitian and bit for bit the blocks of its dense entries.  Any other
-sample, an Operator or an array, is gathered and its blocks checked to be
-finite and Hermitian.  A nonzero or non-finite entry outside the blocks, of
-a sample or of a matrix, couples two blocks and restarts the pass on the
-whole space, where the later passes stay, so the result is the whole-space
-one for any Hamiltonian.
+Every sample is read by one reader, as real scalars over Hermitian
+matrices (H0) and complex scalars over matrices (X): a
+:class:`hcps.hilbert.TermOperator`, which every time-dependent builder of
+:mod:`hcps.hamiltonians` returns, by its own pairs, any other sample h (an
+Operator or an array) as H0 = 1 h.  Each matrix is gathered into block
+stacks and checked (finite; Hermitian in H0) once for as long as the
+samples hand it over again, the scalars per sample (finite; real in H0),
+and the sample is formed on the blocks by hermitian_sum of
+:mod:`hcps.hilbert`, bit for bit the blocks of its dense entries.  A nonzero
+or non-finite entry outside the blocks, of a sample or of a matrix, restarts
+the pass on the whole space, one (1, d, d) stack, where the later passes
+stay, so the result is the whole-space one for any Hamiltonian.
 
 :func:`magnus4_steps` yields the checked step factors of a uniform grid,
 one stack per component size; propagators multiply them per block, a state
@@ -172,7 +172,7 @@ def _coupling_blocks(*samples: np.ndarray) -> list[np.ndarray]:
 
 
 class _BlockCoupling(Exception):
-    """A sample or a term matrix has a nonzero or non-finite entry outside the
+    """A matrix of a sample has a nonzero or non-finite entry outside the
     blocks it is stepped on."""
 
 
@@ -188,14 +188,15 @@ def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1
     [np.arange(d)[None]] for the whole space; each step yields one
     (count, size, size) stack of factors per index stack.
 
-    A TermOperator sample is formed on the blocks by hermitian_sum from the
-    stacks of its matrices, each gathered and checked once for as long as the
-    samples hand over the same object; per sample only its scalars are checked.
-    Any other sample (an Operator or an array) is gathered and checked.
-    _BlockCoupling is raised on a nonzero or non-finite entry outside the
-    blocks, NonHermitianSampleError when a check fails.  Past these checks
-    h1 and h2 are block-diagonal, so K and every power of it are too, and the
-    factors are exactly the blocks of the whole-space step's.
+    Every sample is read as its pairs (h0, terms): a TermOperator's own, any
+    other sample h (an Operator or an array) as H0 = 1 h.  Each matrix is
+    gathered into its block stacks and checked (finite; Hermitian in H0) once
+    for as long as the samples hand over the same, unchanged object, the
+    scalars per sample (finite; real in H0), and the sample is formed on the
+    blocks by hermitian_sum.  _BlockCoupling is raised on a nonzero or
+    non-finite entry outside the blocks, NonHermitianSampleError when a check
+    fails or K overflows.  Past these checks h1 and h2 are block-diagonal, so
+    K and its powers are too: the factors are the whole-space step's blocks.
     """
     dt = (t1 - t0) / steps
     weight = -2j * _MAGNUS4_COMMUTATOR * dt
@@ -206,35 +207,32 @@ def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1
         outside[f] = False
     outside = np.flatnonzero(outside)
 
-    def gather(h: np.ndarray, check: Callable[[np.ndarray, float], None],
+    def gather(m: np.ndarray, check: Callable[[np.ndarray, float], None],
                t: float) -> list[np.ndarray]:
-        h = np.asarray(h, dtype=np.complex128)
-        if not outside.size:
-            stacks = [h]                 # the whole space, stepped as one matrix
-        elif h.ravel().take(outside).any():          # NaN and inf are nonzero too
+        m = np.asarray(m, dtype=np.complex128).ravel()
+        if m.take(outside).any():        # NaN and inf are nonzero too
             raise _BlockCoupling
-        else:
-            stacks = [h.ravel().take(f) for f in flat]
+        stacks = [m.take(f) for f in flat]
         for b in stacks:
             check(b, t)
         return stacks
 
-    known = {}       # (id, check) -> (matrix, its checked stacks), of the last term sample
+    known = {}       # (id, check) -> (matrix, its checked stacks), of the last sample
 
     def on_blocks(t: float) -> list[np.ndarray]:
         nonlocal known
         h = h_fun(t)
-        if not isinstance(h, TermOperator):
-            return gather(h.entries if isinstance(h, Operator) else h, _check_hermitian, t)
-        if not (all(cmath.isfinite(c) for c, _ in h.terms)
-                and all(cmath.isfinite(r) and not r.imag for r, _ in h.h0)):
+        h0, terms = ((h.h0, h.terms) if isinstance(h, TermOperator)
+                     else (((1.0, h.entries if isinstance(h, Operator) else h),), ()))
+        if not (all(cmath.isfinite(c) for c, _ in terms)
+                and all(cmath.isfinite(r) and not r.imag for r, _ in h0)):
             raise NonHermitianSampleError(
                 f"Hamiltonian sample at t={t} has a non-finite scalar or a complex h0 scalar")
-        mats = [(m, _check_finite) for _, m in h.terms] + [(n, _check_hermitian) for _, n in h.h0]
+        mats = [(m, _check_finite) for _, m in terms] + [(n, _check_hermitian) for _, n in h0]
         known = {(id(m), check): known.get((id(m), check)) or (m, gather(m, check, t))
                  for m, check in mats}
-        h0 = [[(r, b) for b in known[id(n), _check_hermitian][1]] for r, n in h.h0]
-        terms = [[(c, b) for b in known[id(m), _check_finite][1]] for c, m in h.terms]
+        h0 = [[(r, b) for b in known[id(n), _check_hermitian][1]] for r, n in h0]
+        terms = [[(c, b) for b in known[id(m), _check_finite][1]] for c, m in terms]
         return [hermitian_sum([s[i] for s in h0], [s[i] for s in terms])
                 for i in range(len(flat))]
 
@@ -242,13 +240,16 @@ def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1
         start = t0 + k * dt
         h1, h2 = (on_blocks(start + c * dt) for c in GAUSS_NODES)
         factors = []
-        for idx, b1, b2 in zip(blocks, h1, h2):
+        for b1, b2 in zip(h1, h2):
             two_k = b2 @ b1              # 2K, built in place on X
             two_k -= two_k.conj().swapaxes(-1, -2)
             two_k *= weight
             two_k += b1
             two_k += b2
-            factors.append(expm_hermitian(two_k, -0.5j * dt).reshape(idx.shape + idx.shape[1:]))
+            try:
+                factors.append(expm_hermitian(two_k, -0.5j * dt))
+            except ValueError as err:    # finite scalars and matrices that overflowed
+                raise NonHermitianSampleError(f"Magnus step at t={start} is not finite") from err
         yield factors
 
 

@@ -270,10 +270,10 @@ def test_non_finite_sample_raises(monkeypatch, bad, where, onset, integrator):
     # finite 0.5 is set on one side only, so its sample is not Hermitian.
     # From mid-window (onset 0.5) the integrators step the diagonal number
     # operator's singleton blocks, so (0, 5) is off-block: the pass restarts
-    # on the whole space and the whole-space sample fails.  From the start
-    # the bad entry is read into the split, so (0, 5) is in-block and a block
-    # stack fails.  evolve_master always steps the whole space.  The
-    # rejection itself must not warn.
+    # on the whole space, where its one (1, 8, 8) stack fails.  From the
+    # start the bad entry is read into the split, so (0, 5) is in-block and a
+    # stack of smaller blocks fails.  evolve_master always steps the whole
+    # space.  The rejection itself must not warn.
     lay = SpaceLayout(2)
     entries = build_number(lay).entries.copy()
     i, j = where
@@ -296,8 +296,10 @@ def test_non_finite_sample_raises(monkeypatch, bad, where, onset, integrator):
         warnings.simplefilter("error")
         with pytest.raises(NonHermitianSampleError):
             run()
-    whole_space = onset > 0 or integrator == "evolve_master"
-    assert len(checked[-1]) == (2 if whole_space else 3)
+    if onset > 0 or integrator == "evolve_master":
+        assert checked[-1] == (1, 8, 8)
+    else:
+        assert len(checked[-1]) == 3 and checked[-1][-1] < 8
 
 
 def _run(integrator, h, lay, settings):
@@ -334,6 +336,21 @@ def test_non_finite_scalar_raises(bad, where, integrator):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonHermitianSampleError, match="scalar"):
+            _run(integrator, h, lay, PropagationSettings(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("integrator", _INTEGRATORS)
+def test_an_overflowing_sample_raises(integrator):
+    # a finite scalar over a finite matrix whose product overflows: the
+    # sample passes its scalar and matrix checks, and the step's K, which is
+    # not finite, raises the same error as a plain sample that is not finite
+    lay = SpaceLayout(2)
+    p = make_params()
+    (_, m), second = h_eff(p, lay, 0.0).terms
+    big = 10 * m
+    h = lambda t: TermOperator(lay, ((1e308, big), second))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonHermitianSampleError, match="not finite"):
             _run(integrator, h, lay, PropagationSettings(0.0, 1.0, 4))
 
 
@@ -483,7 +500,8 @@ def test_block_path_checks_only_the_block_stacks(monkeypatch):
     # TermOperators without h0, Hermitian by construction, so a pass runs no
     # Hermiticity check; the same samples as plain Operators are checked once
     # each (two per step of the passes 8, 16, ..., steps_used), on the stack
-    # of both blocks and never on the whole 16 x 16 sample
+    # of both blocks and never on the whole 16 x 16 sample; one constant
+    # plain Operator, handed over by every call, is checked once per pass
     lay = SpaceLayout(4)
     p = make_params()
     checked = []
@@ -497,6 +515,11 @@ def test_block_path_checks_only_the_block_stacks(monkeypatch):
     assert plain.converged and plain.steps_used == terms.steps_used
     assert set(checked) == {(2, 8, 8)}
     assert len(checked) == 2 * (2 * plain.steps_used - 8)
+    checked.clear()
+    const = Operator(lay, h_eff(p, lay, 0.3).entries)
+    fixed = evolve_propagator(lambda t: const, settings)
+    assert fixed.converged and fixed.steps_used > 8
+    assert checked == [(2, 8, 8)] * (fixed.steps_used.bit_length() - 3)
 
 
 def test_block_steps_equal_the_whole_space_steps(preset_cfg, monkeypatch):
@@ -537,6 +560,19 @@ def test_term_samples_step_bit_for_bit_like_their_entries(preset_cfg):
     terms = evolve_propagator(lambda t: h_eff(p, lay, t), settings)
     plain = evolve_propagator(lambda t: Operator(lay, h_eff(p, lay, t).entries), settings)
     assert np.array_equal(terms.unitary.entries, plain.unitary.entries)
+
+
+def test_a_term_operator_without_x_terms_is_its_h0():
+    # terms may be empty: the entries are H0 alone, and the propagator is the
+    # same sample's as a plain Operator, bit for bit
+    lay = SpaceLayout(2)
+    n = build_number(lay).entries
+    op = TermOperator(lay, (), ((0.7, n),))
+    assert op.entries.tobytes() == (0.7 * n).tobytes()
+    settings = PropagationSettings(0.0, 1.0, 8)
+    got = evolve_propagator(lambda t: op, settings).unitary.entries
+    want = evolve_propagator(lambda t: 0.7 * build_number(lay), settings).unitary.entries
+    assert got.tobytes() == want.tobytes()
 
 
 def test_a_sample_that_couples_two_blocks_restarts_on_the_whole_space(monkeypatch):
