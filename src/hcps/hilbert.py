@@ -138,7 +138,7 @@ class TermOperator(Operator):
     """H0 + (X + X') with H0 = sum_j r_j N_j and X = sum_k c_k M_k: an Operator
     given by its scalars over constant read-only matrices, real r_j over
     Hermitian N_j (h0) and complex c_k over any M_k (terms), either possibly
-    empty but not both, its entries formed by hermitian_sum on first read."""
+    empty but not both, its entries formed on first read."""
 
     def __init__(self, layout: SpaceLayout, terms: tuple[tuple[complex, np.ndarray], ...],
                  h0: tuple[tuple[float, np.ndarray], ...] = ()):
@@ -148,7 +148,16 @@ class TermOperator(Operator):
 
     @cached_property
     def entries(self) -> np.ndarray:
-        h = hermitian_sum(self.h0, self.terms)
+        """H0 + (X + X'), each sum in order (no terms: H0).  X + X' is exactly
+        Hermitian, as its entry (j, i), x_ji + conj(x_ij), is the conjugate of
+        its entry (i, j) in IEEE arithmetic; the sum is when H0 is."""
+        if self.terms:
+            x = _linear_sum(self.terms)
+            h = x + x.conj().T
+            if self.h0:
+                h += _linear_sum(self.h0)
+        else:
+            h = _linear_sum(self.h0)
         h.setflags(write=False)
         return h
 
@@ -159,25 +168,6 @@ def _linear_sum(terms) -> np.ndarray:
     for c, m in rest:
         x += c * m
     return x
-
-
-def hermitian_sum(h0, terms) -> np.ndarray:
-    """H0 + (X + X') with H0 = sum_j r_j N_j over the pairs of h0 (none: X + X')
-    and X = sum_k c_k M_k over those of terms (none: H0), each sum in order,
-    of (n, n) matrices or of each matrix of (k, n, n) stacks.
-
-    Elementwise but for the transpose, so the sum of block stacks is exactly
-    the blocks of the whole matrices' sum.  X + X' is exactly Hermitian, as
-    its entry (j, i), x_ji + conj(x_ij), is the conjugate of its entry (i, j)
-    in IEEE arithmetic; the sum is when H0 is.
-    """
-    if not terms:
-        return _linear_sum(h0)
-    x = _linear_sum(terms)
-    h = x + x.conj().swapaxes(-1, -2)
-    if h0:
-        h += _linear_sum(h0)
-    return h
 
 
 @dataclass(frozen=True)

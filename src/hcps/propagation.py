@@ -17,22 +17,22 @@ on its own (h_eff, which never connects states of different excitation
 parity (-1)^(n+s+c), as two blocks of 2N states).  The split is exact: when
 h1 and h2 are block-diagonal, so are K and every power of it, and the
 exponential of K is the blocks' exponentials.  It is read from the exact
-zeros of the first step's two samples in the lab basis, never assumed from
-the model, so it shares nothing with the sigma_x / S_x sectors of the
-factorized propagator this integrator audits.
+zeros of the first step's two samples' matrices in the lab basis, a term
+whose scalar is zero there included, never assumed from the model, so it
+shares nothing with the sigma_x / S_x sectors of the factorized propagator
+this integrator audits.
 
-Every sample is read by one reader, as real scalars over Hermitian
-matrices (H0) and complex scalars over matrices (X): a
+Every sample is read by one reader, as scalars over constant matrices: a
 :class:`hcps.hilbert.TermOperator`, which every time-dependent builder of
 :mod:`hcps.hamiltonians` returns, by its own pairs, any other sample h (an
 Operator or an array) as H0 = 1 h.  Each matrix is gathered into block
-stacks and checked (finite; Hermitian in H0) once for as long as the
-samples hand it over again, the scalars per sample (finite; real in H0),
-and the sample is formed on the blocks by hermitian_sum of
-:mod:`hcps.hilbert`, bit for bit the blocks of its dense entries.  A nonzero
-or non-finite entry outside the blocks, of a sample or of a matrix, restarts
-the pass on the whole space, one (1, d, d) stack, where the later passes
-stay, so the result is the whole-space one for any Hamiltonian.
+stacks and checked once for as long as the samples hand it over again, the
+scalars per sample, and the 2K of a chunk of steps is one product of their
+scalars with a table of the matrices and their commutators
+(:func:`magnus4_steps`), so K is Hermitian to rounding.  A nonzero or
+non-finite entry outside the blocks of a matrix restarts the pass on the
+whole space, one (1, d, d) stack, where the later passes stay, so the
+result is the whole-space one for any Hamiltonian.
 
 :func:`magnus4_steps` yields the checked step factors of a uniform grid,
 one stack per component size; propagators multiply them per block, a state
@@ -65,8 +65,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from .hilbert import (
-    Operator, StateVector, TermOperator, expm_hermitian, hermiticity_defect, hermitian_sum,
-    unitarity_defect,
+    Operator, StateVector, TermOperator, expm_hermitian, hermiticity_defect, unitarity_defect,
 )
 
 SAMPLE_HERMITIAN_TOL = 1e-10
@@ -150,12 +149,20 @@ def _check_finite(m: np.ndarray, t: float):
         raise NonHermitianSampleError(f"Hamiltonian term matrix at t={t} is not finite")
 
 
-def _coupling_blocks(*samples: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the coupling graph of the samples (i ~ j when an
-    entry (i, j) or (j, i) of any sample is nonzero), as index arrays stacked
+def _sample_pairs(h) -> tuple[tuple, tuple]:
+    """A sample's pairs (h0, terms): a TermOperator's own, any other sample h
+    (an Operator or an array) as H0 = 1 h."""
+    if isinstance(h, TermOperator):
+        return h.h0, h.terms
+    return ((1.0, h.entries if isinstance(h, Operator) else h),), ()
+
+
+def _coupling_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the coupling graph of the matrices (i ~ j when an
+    entry (i, j) or (j, i) of any of them is nonzero), as index arrays stacked
     by component size: one (count, size) array per size, ascending, each row
     one component's indices in ascending order."""
-    coupled = np.logical_or.reduce([h != 0 for h in samples])
+    coupled = np.logical_or.reduce([m != 0 for m in matrices])
     coupled |= coupled.T
     label = np.full(coupled.shape[0], -1)
     components = []
@@ -176,27 +183,44 @@ class _BlockCoupling(Exception):
     blocks it is stepped on."""
 
 
+# the 2K stacks of consecutive steps on one table are one product of at most
+# this many complex entries (steps x block entries, 512 KB): 10 steps of h_eff
+# at N = 20, few enough that the peak memory does not move
+_CHUNK_ENTRIES = 1 << 15
+
+
 def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1: float,
                   steps: int, blocks: list[np.ndarray]) -> Iterator[list[np.ndarray]]:
     """Order-4 Magnus step unitaries exp(-i dt K) of a uniform grid on [t0, t1],
     on the diagonal blocks of the space named by blocks.
 
     K = (h1 + h2)/2 - i (sqrt(3)/12) dt [h2, h1] from the samples h_fun(t) at
-    the two Gauss nodes of each step; [h2, h1] = X - X' with X = h2 h1 is
-    exactly anti-Hermitian, so K is Hermitian.  blocks holds index stacks, one
+    the two Gauss nodes of each step.  blocks holds index stacks, one
     (count, size) array per component size as _coupling_blocks returns them,
     [np.arange(d)[None]] for the whole space; each step yields one
     (count, size, size) stack of factors per index stack.
 
-    Every sample is read as its pairs (h0, terms): a TermOperator's own, any
-    other sample h (an Operator or an array) as H0 = 1 h.  Each matrix is
-    gathered into its block stacks and checked (finite; Hermitian in H0) once
-    for as long as the samples hand over the same, unchanged object, the
-    scalars per sample (finite; real in H0), and the sample is formed on the
-    blocks by hermitian_sum.  _BlockCoupling is raised on a nonzero or
-    non-finite entry outside the blocks, NonHermitianSampleError when a check
-    fails or K overflows.  Past these checks h1 and h2 are block-diagonal, so
-    K and its powers are too: the factors are the whole-space step's blocks.
+    Every sample is read as its pairs (h0, terms), a TermOperator's own, any
+    other sample h (an Operator or an array) as H0 = 1 h, so it is
+    sum_a s_a G_a: each term's M with c and M' with conj(c), each H0 matrix
+    N with r.  Each matrix is gathered into block stacks and checked (finite;
+    Hermitian in H0) once for as long as the samples hand over the same,
+    unchanged object, the scalars per sample (finite; real in H0).  A table
+    of the stacks of a step's G_a and of every [G_a, G_b], a < b (h_eff:
+    4 + 6 rows), is kept while the steps hand over the same matrices in the
+    same order (fresh plain samples: (h1, h2, [h1, h2]) per step).  Then
+
+        2K = sum_a sigma_a G_a + sum_{a<b} w_ab [G_a, G_b],
+        sigma_a = s_a(t1) + s_a(t2),
+        w_ab = -i (sqrt(3)/6) dt (s_a(t2) s_b(t1) - s_b(t2) s_a(t1)),
+
+    one product of a chunk's scalar rows (at most _CHUNK_ENTRIES entries of
+    2K) with the table.  K is Hermitian to rounding.
+
+    _BlockCoupling is raised on a nonzero or non-finite entry outside the
+    blocks, NonHermitianSampleError when a check fails or K overflows.  Past
+    these checks every generator is block-diagonal, so K and its powers are
+    too: the factors are the whole-space step's blocks.
     """
     dt = (t1 - t0) / steps
     weight = -2j * _MAGNUS4_COMMUTATOR * dt
@@ -206,6 +230,7 @@ def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1
     for f in flat:
         outside[f] = False
     outside = np.flatnonzero(outside)
+    per_chunk = max(1, _CHUNK_ENTRIES // sum(f.size for f in flat))
 
     def gather(m: np.ndarray, check: Callable[[np.ndarray, float], None],
                t: float) -> list[np.ndarray]:
@@ -217,40 +242,87 @@ def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1
             check(b, t)
         return stacks
 
-    known = {}       # (id, check) -> (matrix, its checked stacks), of the last sample
-
-    def on_blocks(t: float) -> list[np.ndarray]:
-        nonlocal known
-        h = h_fun(t)
-        h0, terms = ((h.h0, h.terms) if isinstance(h, TermOperator)
-                     else (((1.0, h.entries if isinstance(h, Operator) else h),), ()))
+    def sample(t: float) -> tuple[tuple, tuple]:
+        """The pairs (h0, terms) of the sample at t, its scalars checked."""
+        h0, terms = _sample_pairs(h_fun(t))
         if not (all(cmath.isfinite(c) for c, _ in terms)
                 and all(cmath.isfinite(r) and not r.imag for r, _ in h0)):
             raise NonHermitianSampleError(
                 f"Hamiltonian sample at t={t} has a non-finite scalar or a complex h0 scalar")
-        mats = [(m, _check_finite) for _, m in terms] + [(n, _check_hermitian) for _, n in h0]
-        known = {(id(m), check): known.get((id(m), check)) or (m, gather(m, check, t))
-                 for m, check in mats}
-        h0 = [[(r, b) for b in known[id(n), _check_hermitian][1]] for r, n in h0]
-        terms = [[(c, b) for b in known[id(m), _check_finite][1]] for c, m in terms]
-        return [hermitian_sum([s[i] for s in h0], [s[i] for s in terms])
-                for i in range(len(flat))]
+        return h0, terms
 
-    for k in range(steps):
-        start = t0 + k * dt
-        h1, h2 = (on_blocks(start + c * dt) for c in GAUSS_NODES)
-        factors = []
-        for b1, b2 in zip(h1, h2):
-            two_k = b2 @ b1              # 2K, built in place on X
-            two_k -= two_k.conj().swapaxes(-1, -2)
-            two_k *= weight
-            two_k += b1
-            two_k += b2
+    def table(pair: list[tuple[tuple, tuple]], times: list[float], known: dict) -> tuple:
+        """The table of a step's two samples at times.  Returns the checked
+        stacks of their matrices, {(id, check): (matrix, stacks)}, taken from
+        known where it holds them; per sample its term count and the
+        (scalars, generators) matrix that adds each of its scalars
+        (c..., conj(c)..., r...) into its generator's column; and per index
+        stack the (rows, entries) array of the generators G_a, then of each
+        [G_a, G_b], a < b, as G_a G_b - (G_a' G_b')' with G' the adjoint
+        (M for M', N for N): one product for a pair of H0 matrices."""
+        stacks, gens, mats = {}, {}, []
+        for (h0, terms), t in zip(pair, times):
+            mats.append([(m, _check_finite, role) for role in (0, 1) for _, m in terms]
+                        + [(n, _check_hermitian, 2) for _, n in h0])
+            for m, check, role in mats[-1]:
+                key = id(m), check
+                stacks[key] = stacks.get(key) or known.get(key) or (m, gather(m, check, t))
+                gens.setdefault((id(m), role), (role, stacks[key][1]))
+        index = {key: a for a, key in enumerate(gens)}
+        scatter = [(len(terms), np.eye(len(gens))[[index[id(m), role] for m, _, role in own]])
+                   for (_, terms), own in zip(pair, mats)]
+        adjoint = [index[i, (1, 0, 2)[role]] for i, role in gens]
+        pairs = list(zip(*np.triu_indices(len(gens), 1)))
+        rows = []
+        for i, f in enumerate(flat):
+            out = np.empty((len(gens) + len(pairs), *f.shape), dtype=np.complex128)
+            g = out[:len(gens)]
+            for a, (role, b) in enumerate(gens.values()):
+                g[a] = b[i].conj().swapaxes(-1, -2) if role == 1 else b[i]
+            for row, (a, b) in zip(out[len(gens):], pairs):
+                x = g[a] @ g[b]
+                y = x if (adjoint[a], adjoint[b]) == (a, b) else g[adjoint[a]] @ g[adjoint[b]]
+                np.subtract(x, y.conj().swapaxes(-1, -2), out=row)
+            rows.append(out.reshape(len(out), -1))
+        return stacks, scatter, rows
+
+    def chunk_factors(scatter: list[tuple], rows: list[np.ndarray],
+                      chunk: list[tuple]) -> Iterator[list[np.ndarray]]:
+        """The factors of the chunk's steps, (start, scalars at t1, at t2)
+        each, on one table."""
+        starts, *scalars = zip(*chunk)
+        # an overflow leaves a K that is not finite, which expm_hermitian rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            s1, s2 = (np.concatenate([x[:, :nt], x[:, :nt].conj(), x[:, nt:]], axis=1) @ p
+                      for x, (nt, p) in zip(map(np.array, scalars), scatter))
+            a, b = np.triu_indices(s1.shape[1], 1)
+            coef = np.concatenate([s1 + s2, weight * (s2[:, a] * s1[:, b] - s2[:, b] * s1[:, a])],
+                                  axis=1)
+            two_k = [(coef @ r).reshape(len(starts), *f.shape) for r, f in zip(rows, flat)]
+        for start, *step in zip(starts, *two_k):
             try:
-                factors.append(expm_hermitian(two_k, -0.5j * dt))
+                factors = [expm_hermitian(k, -0.5j * dt) for k in step]
             except ValueError as err:    # finite scalars and matrices that overflowed
                 raise NonHermitianSampleError(f"Magnus step at t={start} is not finite") from err
-        yield factors
+            yield factors
+
+    key, known, chunk = None, {}, []
+    for k in range(steps):
+        start = t0 + k * dt
+        times = [start + c * dt for c in GAUSS_NODES]
+        pair = [sample(t) for t in times]
+        # the ids of the pair's matrices; known holds them alive, so an equal
+        # key names the same objects
+        step_key = [(tuple(id(m) for _, m in terms), tuple(id(n) for _, n in h0))
+                    for h0, terms in pair]
+        if chunk and (step_key != key or len(chunk) == per_chunk):
+            yield from chunk_factors(scatter, rows, chunk)
+            chunk = []
+        if step_key != key:
+            known, scatter, rows = table(pair, times, known)
+            key = step_key
+        chunk.append((start, *([c for c, _ in terms] + [r for r, _ in h0] for h0, terms in pair)))
+    yield from chunk_factors(scatter, rows, chunk)
 
 
 def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
@@ -280,16 +352,19 @@ def _evolve(h_fun: Callable[[float], Operator],
             settings: PropagationSettings) -> tuple[Operator, bool, int]:
     """Step-doubled Magnus-4 propagator U(t1, t0) of h_fun on settings.window().
 
-    Each pass steps the components of the first step's two samples
-    (_coupling_blocks; the pass checks them like every other sample) on their
-    own and scatters their products into U; a sample that couples two of them
+    Each pass steps the components of the first step's two samples'
+    matrices (_coupling_blocks over a TermOperator's term and H0 matrices, a
+    plain sample's entries; the pass checks them like every other sample) on
+    their own and scatters their products into U, so a term whose scalar is
+    zero there still counts.  A later matrix that couples two of them
     restarts the pass on the whole space, where every later pass stays.
     """
     t0, t1 = settings.window()
     first = [h_fun(t0 + c * (t1 - t0) / settings.steps) for c in GAUSS_NODES]
     layout = first[0].layout
     d = layout.total_dim
-    blocks = _coupling_blocks(*(h.entries for h in first))
+    blocks = _coupling_blocks(*(m for h in first for pairs in _sample_pairs(h)
+                                for _, m in pairs))
 
     def product(steps: int) -> list[np.ndarray]:
         prods = None

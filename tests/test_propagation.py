@@ -354,6 +354,23 @@ def test_an_overflowing_sample_raises(integrator):
             _run(integrator, h, lay, PropagationSettings(0.0, 1.0, 4))
 
 
+@pytest.mark.parametrize("integrator", _INTEGRATORS)
+def test_an_overflowing_step_raises_without_a_warning(integrator):
+    # the same overflow from mid-window, with warnings as errors: the step's
+    # K is formed without a numpy warning, and the error names the start of
+    # the first step whose second Gauss node (0.5 + 0.106 of 0.25) reaches it,
+    # though that step shares one product with the steps before it
+    lay = SpaceLayout(2)
+    p = make_params()
+    (c, m), second = h_eff(p, lay, 0.0).terms
+    big = 10 * m
+    h = lambda t: TermOperator(lay, ((1e308 if t > 0.6 else c, big), second))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonHermitianSampleError, match=r"Magnus step at t=0\.5 is not finite"):
+            _run(integrator, h, lay, PropagationSettings(0.0, 1.0, 4))
+
+
 @pytest.mark.parametrize("case", ["nan-in-block", "nan-off-block", "h0-not-hermitian"])
 @pytest.mark.parametrize("integrator", _INTEGRATORS)
 def test_a_bad_constant_matrix_raises(case, integrator):
@@ -549,9 +566,12 @@ def test_block_steps_equal_the_whole_space_steps(preset_cfg, monkeypatch):
     assert np.abs(state.state.amplitudes - stepped).max() < 1e-14
 
 
-def test_term_samples_step_bit_for_bit_like_their_entries(preset_cfg):
-    # one preset period of h_eff: the samples read through their terms
-    # against the same samples as plain Operators, read through their entries
+def test_term_samples_step_like_their_entries(preset_cfg):
+    # one preset period of h_eff: the samples read through their terms, one
+    # table of 4 generators and 6 commutators for the pass, against the same
+    # samples as plain Operators, a table of (h1, h2, [h1, h2]) per step.
+    # The two sum 2K in different orders, so they agree to rounding: 2.5e-16
+    # measured over the 512 steps
     p = preset_cfg.system
     lay = SpaceLayout(6)
     comm = commensurate_time(p.omega, p.Delta, preset_cfg.gate.max_n,
@@ -559,7 +579,23 @@ def test_term_samples_step_bit_for_bit_like_their_entries(preset_cfg):
     settings = PropagationSettings(0.0, comm.t, 512, max_refinements=0)
     terms = evolve_propagator(lambda t: h_eff(p, lay, t), settings)
     plain = evolve_propagator(lambda t: Operator(lay, h_eff(p, lay, t).entries), settings)
-    assert np.array_equal(terms.unitary.entries, plain.unitary.entries)
+    assert np.abs(terms.unitary.entries - plain.unitary.entries).max() <= 1e-15
+
+
+@pytest.mark.parametrize("builder", [h_T, h_total_lab])
+def test_term_factors_with_h0_pairs_match_their_entries(builder):
+    # TermOperators with H0 pairs: h_T's table has 5 generators and 10
+    # commutators, h_total_lab's 7 and 21.  Each step factor against the
+    # same samples given as plain arrays; the largest gap measured is
+    # 3.3e-16 (h_total_lab) and 3.5e-18 (h_T)
+    lay = SpaceLayout(6)
+    p = make_params(omega_r=0.6, eps=2.0)
+    h = lambda t: builder(p, lay, t)
+    whole = [np.arange(lay.total_dim)[None]]
+    terms = propagation.magnus4_steps(h, 0.0, 3.0, 64, whole)
+    plain = propagation.magnus4_steps(lambda t: h(t).entries, 0.0, 3.0, 64, whole)
+    gaps = [np.abs(a - b).max() for (a,), (b,) in zip(terms, plain)]
+    assert len(gaps) == 64 and max(gaps) <= 2e-15
 
 
 def test_a_term_operator_without_x_terms_is_its_h0():
@@ -600,3 +636,29 @@ def test_a_sample_that_couples_two_blocks_restarts_on_the_whole_space(monkeypatc
     # the drive moved amplitude between the parity classes
     parity = _parity_classes(lay)
     assert np.abs(res.unitary.entries[np.ix_(parity == 0, parity == 1)]).max() > 1e-2
+
+
+def test_a_coupling_term_with_a_zero_scalar_restarts_no_pass(monkeypatch):
+    # h_eff's terms plus a spin drive term whose scalar is 0 before a grid
+    # node a quarter into the window: the split is read from the first
+    # samples' matrices, the drive's among them, so every pass starts on the
+    # whole space and none restarts.  h_fun is called for the split's two
+    # samples and two per step of each pass (64, 128, ..., steps_used)
+    lay = SpaceLayout(6)
+    p = make_params()
+    Sx = build_spin_ops(lay, SLOT_SPIN).x.entries
+    t_on = TWO_PI / 4
+    calls = []
+
+    def h(t):
+        calls.append(t)
+        sample = h_eff(p, lay, t)
+        return TermOperator(lay, sample.terms + ((0.25 if t >= t_on else 0.0, Sx),))
+
+    settings = PropagationSettings(0.0, TWO_PI, 64, 1e-8)
+    res = evolve_propagator(h, settings)
+    assert res.converged and len(calls) == 2 + 2 * (2 * res.steps_used - 64)
+    monkeypatch.setattr(propagation, "_coupling_blocks", _whole_space_blocks)
+    whole = evolve_propagator(h, settings)
+    assert whole.steps_used == res.steps_used
+    assert np.abs(res.unitary.entries - whole.unitary.entries).max() <= 1e-14
