@@ -26,11 +26,12 @@ h_eff commutes with both sigma_x and S_x at all times, which is what makes
 the propagator factorizable (see :mod:`hcps.wei_norman`).
 
 Each time-dependent builder returns a :class:`~hcps.hilbert.TermOperator`,
-H0 + (X(t) + X(t)'), H0 and X(t) each a sum of scalars times read-only
-matrices of one per-layout cache: H0's scalars real and constant, X(t) at
-most two terms.  Its dense entries are formed only when read; the generic
-integrator of :mod:`hcps.propagation` reads the scalars instead, over
-matrices it gathers and checks once per pass.
+real scalars over constant Hermitian matrices of one per-layout cache.  A
+coupling c M + conj(c) M' (M one of a' sigma_x, a' S_x, a' S-, (a + a') S+,
+a') is two pairs, Re c over M + M' and Im c over i (M - M'): for the charge
+qubit, g cos(omega t) (a + a') sigma_x + g sin(omega t) i (a' - a) sigma_x.
+The dense entries are formed only when read; the generic integrator of
+:mod:`hcps.propagation` reads the pairs instead.
 """
 
 from __future__ import annotations
@@ -144,27 +145,45 @@ def effective_rabi(params: SystemParams) -> float:
 
 @lru_cache(maxsize=8)
 def _constants(layout: SpaceLayout) -> dict:
-    """Read-only constant matrices of one layout, coupling products included."""
+    """Read-only constant matrices of one layout."""
     spin = build_spin_ops(layout, SLOT_SPIN)
     charge = build_spin_ops(layout, SLOT_CHARGE)
     a = build_annihilation(layout).entries
-    ad = a.conj().T
-    mats = {
-        "Sx": spin.x.entries, "up_proj": 0.5 * (spin.z + identity(layout)).entries,
-        "sx": charge.x.entries, "sz": charge.z.entries, "ad": ad, "n": ad @ a,
-        "ad_sx": ad @ charge.x.entries, "ad_Sx": ad @ spin.x.entries,
-        "ad_Sm": ad @ spin.minus.entries, "a_plus_ad_Sp": (a + ad) @ spin.plus.entries,
-    }
+    mats = {"Sx": spin.x.entries, "up_proj": 0.5 * (spin.z + identity(layout)).entries,
+            "sx": charge.x.entries, "sz": charge.z.entries, "n": a.conj().T @ a}
     for m in mats.values():
         m.setflags(write=False)
     return mats
 
 
-def _interaction_terms(params: SystemParams, layout: SpaceLayout, t: float) -> tuple:
-    """X(t) of h_interaction: g e^{i omega t} a' sigma_x + G e^{i Delta t} a' S-."""
-    m = _constants(layout)
-    return ((params.g * np.exp(1j * params.omega * t), m["ad_sx"]),
-            (params.G * np.exp(1j * params.Delta * t), m["ad_Sm"]))
+@lru_cache(maxsize=40)
+def _quadratures(layout: SpaceLayout, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only Hermitian pair (M + M', i (M - M')) of the coupling product
+    M named (a', a' sigma_x, a' S_x, a' S- or (a + a') S+), formed on first use
+    and kept for five products on each of _constants' eight layouts."""
+    spin = build_spin_ops(layout, SLOT_SPIN)
+    a = build_annihilation(layout).entries
+    ad = a.conj().T
+    m = {"ad": ad, "ad_sx": ad @ build_spin_ops(layout, SLOT_CHARGE).x.entries,
+         "ad_Sx": ad @ spin.x.entries, "ad_Sm": ad @ spin.minus.entries,
+         "a_plus_ad_Sp": (a + ad) @ spin.plus.entries}[name]
+    pair = (m + m.conj().T, 1j * (m - m.conj().T))
+    for q in pair:
+        q.setflags(write=False)
+    return pair
+
+
+def _coupling(layout: SpaceLayout, name: str, c: complex) -> tuple:
+    """c M + conj(c) M' of the coupling product name, as the pairs
+    (Re c, M + M') and (Im c, i (M - M'))."""
+    sym, anti = _quadratures(layout, name)
+    return (c.real, sym), (c.imag, anti)
+
+
+def _interaction_pairs(params: SystemParams, layout: SpaceLayout, t: float) -> tuple:
+    """h_interaction's pairs: g e^{i omega t} a' sigma_x + G e^{i Delta t} a' S-, plus h.c."""
+    return (_coupling(layout, "ad_sx", params.g * np.exp(1j * params.omega * t))
+            + _coupling(layout, "ad_Sm", params.G * np.exp(1j * params.Delta * t)))
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +219,10 @@ def h_total_lab(params: SystemParams, layout: SpaceLayout, t: float) -> TermOper
       + G (a + a') (S+ e^{i omega_r t} + S- e^{-i omega_r t})
     """
     m = _constants(layout)
-    c = params.G * np.exp(1j * params.omega_r * t)
-    h0 = ((params.omega, m["n"]), (-0.5 * params.zeta, m["sx"]), (-0.5 * params.xi, m["Sx"]))
-    return TermOperator(layout, ((params.g, m["ad_sx"]), (c, m["a_plus_ad_Sp"])), h0)
+    return TermOperator(layout, (
+        (params.g, _quadratures(layout, "ad_sx")[0]),
+        *_coupling(layout, "a_plus_ad_Sp", params.G * np.exp(1j * params.omega_r * t)),
+        (params.omega, m["n"]), (-0.5 * params.zeta, m["sx"]), (-0.5 * params.xi, m["Sx"])))
 
 
 def h_interaction(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
@@ -211,7 +231,7 @@ def h_interaction(params: SystemParams, layout: SpaceLayout, t: float) -> TermOp
     g (a' e^{i omega t} + a e^{-i omega t}) sigma_x
       + G (a' S- e^{i Delta t} + a S+ e^{-i Delta t})
     """
-    return TermOperator(layout, _interaction_terms(params, layout, t))
+    return TermOperator(layout, _interaction_pairs(params, layout, t))
 
 
 def h_drive(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
@@ -221,13 +241,13 @@ def h_drive(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator
     effective Rabi rate Omega' instead of integrating it directly.
     """
     c = params.eps * np.exp(-1j * params.omega_d * t)
-    return TermOperator(layout, ((c, _constants(layout)["ad"]),))
+    return TermOperator(layout, _coupling(layout, "ad", c))
 
 
 def h_T(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
     """Driven interaction Hamiltonian: h_interaction + Omega' S_x."""
-    h0 = ((effective_rabi(params), _constants(layout)["Sx"]),)
-    return TermOperator(layout, _interaction_terms(params, layout, t), h0)
+    return TermOperator(layout, _interaction_pairs(params, layout, t)
+                        + ((effective_rabi(params), _constants(layout)["Sx"]),))
 
 
 def h_eff(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
@@ -241,6 +261,6 @@ def h_eff(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
     joint eigenbasis; within one (s1, s2) eigensector it is a linearly
     driven oscillator.  See :func:`hcps.wei_norman.sector_amplitude`.
     """
-    m = _constants(layout)
-    return TermOperator(layout, ((params.g * np.exp(1j * params.omega * t), m["ad_sx"]),
-                                 (0.5 * params.G * np.exp(1j * params.Delta * t), m["ad_Sx"])))
+    return TermOperator(layout, (
+        _coupling(layout, "ad_sx", params.g * np.exp(1j * params.omega * t))
+        + _coupling(layout, "ad_Sx", 0.5 * params.G * np.exp(1j * params.Delta * t))))

@@ -135,39 +135,25 @@ class Operator:
 
 
 class TermOperator(Operator):
-    """H0 + (X + X') with H0 = sum_j r_j N_j and X = sum_k c_k M_k: an Operator
-    given by its scalars over constant read-only matrices, real r_j over
-    Hermitian N_j (h0) and complex c_k over any M_k (terms), either possibly
-    empty but not both, its entries formed on first read."""
+    """sum_a s_a G_a: an Operator given by its pairs, real scalars s_a over
+    constant read-only Hermitian matrices G_a (at least one pair), its entries
+    formed on first read."""
 
-    def __init__(self, layout: SpaceLayout, terms: tuple[tuple[complex, np.ndarray], ...],
-                 h0: tuple[tuple[float, np.ndarray], ...] = ()):
+    def __init__(self, layout: SpaceLayout, pairs: tuple[tuple[float, np.ndarray], ...]):
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "pairs", pairs)
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """H0 + (X + X'), each sum in order (no terms: H0).  X + X' is exactly
-        Hermitian, as its entry (j, i), x_ji + conj(x_ij), is the conjugate of
-        its entry (i, j) in IEEE arithmetic; the sum is when H0 is."""
-        if self.terms:
-            x = _linear_sum(self.terms)
-            h = x + x.conj().T
-            if self.h0:
-                h += _linear_sum(self.h0)
-        else:
-            h = _linear_sum(self.h0)
+        """The pairs' sum, in order.  It is exactly Hermitian: a real s times a
+        Hermitian G is, entry by entry in IEEE arithmetic, and so is a sum of
+        such matrices."""
+        (s, g), *rest = self.pairs
+        h = s * g
+        for s, g in rest:
+            h += s * g
         h.setflags(write=False)
         return h
-
-
-def _linear_sum(terms) -> np.ndarray:
-    (c, m), *rest = terms
-    x = c * m
-    for c, m in rest:
-        x += c * m
-    return x
 
 
 @dataclass(frozen=True)

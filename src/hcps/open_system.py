@@ -75,9 +75,14 @@ class DecoherenceParams:
     kappa_res: float = 0.0       # rad/ns
 
     def __post_init__(self):
-        for name in ("T1_charge_us", "T2_charge_us", "T2_spin_us", "T1_spin_us", "kappa_res"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"DecoherenceParams.{name} must be nonnegative")
+        # written so that NaN fails each test
+        for name in ("T1_charge_us", "T2_charge_us", "T2_spin_us", "T1_spin_us"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"DecoherenceParams.{name} must be > 0 (inf for none), "
+                                 f"got {getattr(self, name)!r}")
+        if not 0 <= self.kappa_res < math.inf:
+            raise ValueError(f"DecoherenceParams.kappa_res must be finite and >= 0, "
+                             f"got {self.kappa_res!r}")
         for label, t1, t2 in (("charge", self.T1_charge_us, self.T2_charge_us),
                               ("spin", self.T1_spin_us, self.T2_spin_us)):
             if t2 > 2.0 * t1:
@@ -90,8 +95,8 @@ class DecoherenceParams:
 
     def scaled(self, factor: float) -> "DecoherenceParams":
         """All decay rates multiplied by factor (times divided)."""
-        if factor < 0:
-            raise ValueError("rate scale factor must be nonnegative")
+        if not 0 <= factor < math.inf:
+            raise ValueError(f"rate scale factor must be finite and >= 0, got {factor!r}")
         if factor == 0.0:
             return DecoherenceParams(math.inf, math.inf, math.inf, math.inf, 0.0)
         return DecoherenceParams(

@@ -17,18 +17,19 @@ on its own (h_eff, which never connects states of different excitation
 parity (-1)^(n+s+c), as two blocks of 2N states).  The split is exact: when
 h1 and h2 are block-diagonal, so are K and every power of it, and the
 exponential of K is the blocks' exponentials.  It is read from the exact
-zeros of the first step's two samples' matrices in the lab basis, a term
+zeros of the first step's two samples' matrices in the lab basis, a pair
 whose scalar is zero there included, never assumed from the model, so it
 shares nothing with the sigma_x / S_x sectors of the factorized propagator
 this integrator audits.
 
-Every sample is read by one reader, as scalars over constant matrices: a
-:class:`hcps.hilbert.TermOperator`, which every time-dependent builder of
-:mod:`hcps.hamiltonians` returns, by its own pairs, any other sample h (an
-Operator or an array) as H0 = 1 h.  Each matrix is gathered into block
-stacks and checked once for as long as the samples hand it over again, the
-scalars per sample, and the 2K of a chunk of steps is one product of their
-scalars with a table of the matrices and their commutators
+Every sample is read by one reader, as real scalars over constant Hermitian
+matrices, sum_a s_a G_a: a :class:`hcps.hilbert.TermOperator`, which every
+time-dependent builder of :mod:`hcps.hamiltonians` returns, by its own
+pairs, any other sample h (an Operator or an array) as ((1.0, h),).  The
+scalars are checked per sample; the matrices are gathered into block stacks
+and checked once per table of them and their commutators i[G_a, G_b], kept
+for as long as the samples hand over the same matrices, and the 2K of a
+chunk of steps is one real product of the scalars with that table
 (:func:`magnus4_steps`), so K is Hermitian to rounding.  A nonzero or
 non-finite entry outside the blocks of a matrix restarts the pass on the
 whole space, one (1, d, d) stack, where the later passes stay, so the
@@ -144,17 +145,12 @@ def _check_hermitian(h: np.ndarray, t: float):
             f"Hamiltonian sample at t={t} is not finite and Hermitian")
 
 
-def _check_finite(m: np.ndarray, t: float):
-    if not np.isfinite(m).all():
-        raise NonHermitianSampleError(f"Hamiltonian term matrix at t={t} is not finite")
-
-
-def _sample_pairs(h) -> tuple[tuple, tuple]:
-    """A sample's pairs (h0, terms): a TermOperator's own, any other sample h
-    (an Operator or an array) as H0 = 1 h."""
+def _sample_pairs(h) -> tuple:
+    """A sample's pairs: a TermOperator's own, any other sample h (an Operator
+    or an array) as ((1.0, h),)."""
     if isinstance(h, TermOperator):
-        return h.h0, h.terms
-    return ((1.0, h.entries if isinstance(h, Operator) else h),), ()
+        return h.pairs
+    return ((1.0, h.entries if isinstance(h, Operator) else h),)
 
 
 def _coupling_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
@@ -200,22 +196,22 @@ def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1
     [np.arange(d)[None]] for the whole space; each step yields one
     (count, size, size) stack of factors per index stack.
 
-    Every sample is read as its pairs (h0, terms), a TermOperator's own, any
-    other sample h (an Operator or an array) as H0 = 1 h, so it is
-    sum_a s_a G_a: each term's M with c and M' with conj(c), each H0 matrix
-    N with r.  Each matrix is gathered into block stacks and checked (finite;
-    Hermitian in H0) once for as long as the samples hand over the same,
-    unchanged object, the scalars per sample (finite; real in H0).  A table
-    of the stacks of a step's G_a and of every [G_a, G_b], a < b (h_eff:
-    4 + 6 rows), is kept while the steps hand over the same matrices in the
-    same order (fresh plain samples: (h1, h2, [h1, h2]) per step).  Then
+    Every sample is read as its pairs, sum_a s_a G_a: a TermOperator's own,
+    any other sample h (an Operator or an array) as ((1.0, h),).  The scalars
+    are checked per sample (finite, real).  A step's generators are the
+    distinct matrices of its two samples, by identity, each gathered into
+    block stacks and checked (finite, Hermitian); its table holds their
+    stacks, then those of every i[G_a, G_b] = i (X - X'), X = G_a G_b, a < b
+    (h_eff: 4 + 6 rows), and is kept while the steps hand over the same
+    matrices in the same order (fresh plain samples: (h1, h2, i[h1, h2])
+    per step).  Then
 
-        2K = sum_a sigma_a G_a + sum_{a<b} w_ab [G_a, G_b],
+        2K = sum_a sigma_a G_a + sum_{a<b} w_ab i[G_a, G_b],
         sigma_a = s_a(t1) + s_a(t2),
-        w_ab = -i (sqrt(3)/6) dt (s_a(t2) s_b(t1) - s_b(t2) s_a(t1)),
+        w_ab = -(sqrt(3)/6) dt (s_a(t2) s_b(t1) - s_b(t2) s_a(t1)),
 
-    one product of a chunk's scalar rows (at most _CHUNK_ENTRIES entries of
-    2K) with the table.  K is Hermitian to rounding.
+    every row Hermitian and every coefficient real, one real product of a
+    chunk's coefficients (at most _CHUNK_ENTRIES entries of 2K) with the table.
 
     _BlockCoupling is raised on a nonzero or non-finite entry outside the
     blocks, NonHermitianSampleError when a check fails or K overflows.  Past
@@ -223,7 +219,7 @@ def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1
     too: the factors are the whole-space step's blocks.
     """
     dt = (t1 - t0) / steps
-    weight = -2j * _MAGNUS4_COMMUTATOR * dt
+    weight = -2.0 * _MAGNUS4_COMMUTATOR * dt
     d = sum(idx.size for idx in blocks)
     flat = [idx[:, :, None] * d + idx[:, None, :] for idx in blocks]
     outside = np.ones(d * d, dtype=bool)
@@ -232,73 +228,61 @@ def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1
     outside = np.flatnonzero(outside)
     per_chunk = max(1, _CHUNK_ENTRIES // sum(f.size for f in flat))
 
-    def gather(m: np.ndarray, check: Callable[[np.ndarray, float], None],
-               t: float) -> list[np.ndarray]:
+    def gather(m: np.ndarray, t: float) -> list[np.ndarray]:
         m = np.asarray(m, dtype=np.complex128).ravel()
         if m.take(outside).any():        # NaN and inf are nonzero too
             raise _BlockCoupling
         stacks = [m.take(f) for f in flat]
         for b in stacks:
-            check(b, t)
+            _check_hermitian(b, t)
         return stacks
 
-    def sample(t: float) -> tuple[tuple, tuple]:
-        """The pairs (h0, terms) of the sample at t, its scalars checked."""
-        h0, terms = _sample_pairs(h_fun(t))
-        if not (all(cmath.isfinite(c) for c, _ in terms)
-                and all(cmath.isfinite(r) and not r.imag for r, _ in h0)):
+    def sample(t: float) -> tuple:
+        """The pairs of the sample at t, its scalars checked."""
+        pairs = _sample_pairs(h_fun(t))
+        if not all(cmath.isfinite(s) and not s.imag for s, _ in pairs):
             raise NonHermitianSampleError(
-                f"Hamiltonian sample at t={t} has a non-finite scalar or a complex h0 scalar")
-        return h0, terms
+                f"Hamiltonian sample at t={t} has a non-finite or complex scalar")
+        return pairs
 
-    def table(pair: list[tuple[tuple, tuple]], times: list[float], known: dict) -> tuple:
-        """The table of a step's two samples at times.  Returns the checked
-        stacks of their matrices, {(id, check): (matrix, stacks)}, taken from
-        known where it holds them; per sample its term count and the
-        (scalars, generators) matrix that adds each of its scalars
-        (c..., conj(c)..., r...) into its generator's column; and per index
-        stack the (rows, entries) array of the generators G_a, then of each
-        [G_a, G_b], a < b, as G_a G_b - (G_a' G_b')' with G' the adjoint
-        (M for M', N for N): one product for a pair of H0 matrices."""
-        stacks, gens, mats = {}, {}, []
-        for (h0, terms), t in zip(pair, times):
-            mats.append([(m, _check_finite, role) for role in (0, 1) for _, m in terms]
-                        + [(n, _check_hermitian, 2) for _, n in h0])
-            for m, check, role in mats[-1]:
-                key = id(m), check
-                stacks[key] = stacks.get(key) or known.get(key) or (m, gather(m, check, t))
-                gens.setdefault((id(m), role), (role, stacks[key][1]))
-        index = {key: a for a, key in enumerate(gens)}
-        scatter = [(len(terms), np.eye(len(gens))[[index[id(m), role] for m, _, role in own]])
-                   for (_, terms), own in zip(pair, mats)]
-        adjoint = [index[i, (1, 0, 2)[role]] for i, role in gens]
-        pairs = list(zip(*np.triu_indices(len(gens), 1)))
+    def table(pair: list[tuple], times: list[float]) -> tuple:
+        """The table of a step's two samples at times: per sample the
+        (scalars, generators) matrix that adds each of its scalars into its
+        generator's column, and per index stack the real view, (rows,
+        2 entries), of the generators' stacks and then their commutator rows."""
+        gens = {}
+        for pairs, t in zip(pair, times):
+            for _, g in pairs:
+                gens.setdefault(id(g), (len(gens), g, t))
+        n = len(gens)
+        scatter = [np.eye(n)[[gens[id(g)][0] for _, g in pairs]] for pairs in pair]
+        a, b = np.triu_indices(n, 1)
+        outs = [np.empty((n + len(a), *f.shape), dtype=np.complex128) for f in flat]
+        for j, g, t in gens.values():
+            for out, stack in zip(outs, gather(g, t)):
+                out[j] = stack
         rows = []
-        for i, f in enumerate(flat):
-            out = np.empty((len(gens) + len(pairs), *f.shape), dtype=np.complex128)
-            g = out[:len(gens)]
-            for a, (role, b) in enumerate(gens.values()):
-                g[a] = b[i].conj().swapaxes(-1, -2) if role == 1 else b[i]
-            for row, (a, b) in zip(out[len(gens):], pairs):
-                x = g[a] @ g[b]
-                y = x if (adjoint[a], adjoint[b]) == (a, b) else g[adjoint[a]] @ g[adjoint[b]]
-                np.subtract(x, y.conj().swapaxes(-1, -2), out=row)
-            rows.append(out.reshape(len(out), -1))
-        return stacks, scatter, rows
+        for out in outs:
+            for row, j, k in zip(out[n:], a, b):
+                x = out[j] @ out[k]
+                np.subtract(x, x.conj().swapaxes(-1, -2), out=row)
+                row *= 1j
+            rows.append(out.reshape(len(out), -1).view(np.float64))
+        return scatter, rows
 
-    def chunk_factors(scatter: list[tuple], rows: list[np.ndarray],
+    def chunk_factors(scatter: list[np.ndarray], rows: list[np.ndarray],
                       chunk: list[tuple]) -> Iterator[list[np.ndarray]]:
         """The factors of the chunk's steps, (start, scalars at t1, at t2)
         each, on one table."""
         starts, *scalars = zip(*chunk)
         # an overflow leaves a K that is not finite, which expm_hermitian rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            s1, s2 = (np.concatenate([x[:, :nt], x[:, :nt].conj(), x[:, nt:]], axis=1) @ p
-                      for x, (nt, p) in zip(map(np.array, scalars), scatter))
+            s1, s2 = (np.array(x) @ p for x, p in zip(scalars, scatter))
             a, b = np.triu_indices(s1.shape[1], 1)
             coef = np.concatenate([s1 + s2, weight * (s2[:, a] * s1[:, b] - s2[:, b] * s1[:, a])],
                                   axis=1)
-            two_k = [(coef @ r).reshape(len(starts), *f.shape) for r, f in zip(rows, flat)]
+            two_k = [(coef @ r).view(np.complex128).reshape(len(starts), *f.shape)
+                     for r, f in zip(rows, flat)]
         for start, *step in zip(starts, *two_k):
             try:
                 factors = [expm_hermitian(k, -0.5j * dt) for k in step]
@@ -306,22 +290,19 @@ def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1
                 raise NonHermitianSampleError(f"Magnus step at t={start} is not finite") from err
             yield factors
 
-    key, known, chunk = None, {}, []
+    key, chunk = None, []
     for k in range(steps):
         start = t0 + k * dt
         times = [start + c * dt for c in GAUSS_NODES]
         pair = [sample(t) for t in times]
-        # the ids of the pair's matrices; known holds them alive, so an equal
-        # key names the same objects
-        step_key = [(tuple(id(m) for _, m in terms), tuple(id(n) for _, n in h0))
-                    for h0, terms in pair]
+        step_key = [tuple(id(g) for _, g in pairs) for pairs in pair]
         if chunk and (step_key != key or len(chunk) == per_chunk):
             yield from chunk_factors(scatter, rows, chunk)
             chunk = []
         if step_key != key:
-            known, scatter, rows = table(pair, times, known)
-            key = step_key
-        chunk.append((start, *([c for c, _ in terms] + [r for r, _ in h0] for h0, terms in pair)))
+            scatter, rows = table(pair, times)
+            key, held = step_key, pair       # held keeps the key's matrices alive
+        chunk.append((start, *([s.real for s, _ in pairs] for pairs in pair)))
     yield from chunk_factors(scatter, rows, chunk)
 
 
@@ -353,18 +334,17 @@ def _evolve(h_fun: Callable[[float], Operator],
     """Step-doubled Magnus-4 propagator U(t1, t0) of h_fun on settings.window().
 
     Each pass steps the components of the first step's two samples'
-    matrices (_coupling_blocks over a TermOperator's term and H0 matrices, a
-    plain sample's entries; the pass checks them like every other sample) on
-    their own and scatters their products into U, so a term whose scalar is
-    zero there still counts.  A later matrix that couples two of them
+    matrices (_coupling_blocks over a TermOperator's pair matrices, a plain
+    sample's entries; the pass checks them like every other sample) on their
+    own and scatters their products into U, so a pair whose scalar is zero
+    there still counts.  A later matrix that couples two of them
     restarts the pass on the whole space, where every later pass stays.
     """
     t0, t1 = settings.window()
     first = [h_fun(t0 + c * (t1 - t0) / settings.steps) for c in GAUSS_NODES]
     layout = first[0].layout
     d = layout.total_dim
-    blocks = _coupling_blocks(*(m for h in first for pairs in _sample_pairs(h)
-                                for _, m in pairs))
+    blocks = _coupling_blocks(*(m for h in first for _, m in _sample_pairs(h)))
 
     def product(steps: int) -> list[np.ndarray]:
         prods = None
@@ -409,7 +389,7 @@ def evolve_state(h_fun: Callable[[float], Operator], psi0: StateVector,
     """Evolve a normalized state: evolve_propagator's U applied once to psi0,
     so converged and steps_used are the propagator's; non-convergence is
     reported, not raised."""
-    if abs(psi0.norm() - 1.0) > 1e-9:
+    if not abs(psi0.norm() - 1.0) <= 1e-9:      # NaN fails too
         raise ValueError(f"initial state norm {psi0.norm()} is not 1")
     u, converged, steps = _evolve(h_fun, settings)
     return StateResult(state=u @ psi0, converged=converged, steps_used=steps)

@@ -606,6 +606,16 @@ def test_nan_rate_scale_exits_config_before_any_row(tmp_path, capsys):
     assert not (tmp_path / "lindblad.csv").exists()
 
 
+def test_zero_coherence_time_exits_config_before_any_output(tmp_path, capsys):
+    # past the load, a zero time prints the scale-0 line and then fails at
+    # scale 1 with a division by zero (exit 2)
+    cfg = small_config(tmp_path, decoherence={"T2_spin_us": 0})
+    assert main(["lindblad", "--config", cfg, "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "decoherence: DecoherenceParams.T2_spin_us must be > 0" in err
+    assert not (tmp_path / "lindblad.csv").exists()
+
+
 @pytest.mark.parametrize("omega", [0.0, -1.0])
 @pytest.mark.parametrize("command", ["gate", "validate", "coeffs", "sweep", "lindblad"])
 def test_non_positive_omega_is_config_error_naming_it(tmp_path, capsys, command, omega):

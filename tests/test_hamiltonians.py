@@ -26,6 +26,7 @@ from hcps.hilbert import (
     build_number,
     build_spin_ops,
     commutator,
+    hermiticity_defect,
     identity,
 )
 from hcps.propagation import PropagationSettings, evolve_state
@@ -219,8 +220,9 @@ def test_effective_rabi_rejects_zero_detuning():
 @pytest.mark.parametrize("builder", [h_total_lab, h_interaction, h_drive, h_T, h_eff],
                          ids=["h_total_lab", "h_interaction", "h_drive", "h_T", "h_eff"])
 def test_builders_form_their_entries_bit_for_bit(builder):
-    # a builder's entries, formed on first read from its scalars and constant
-    # matrices, against H0 + (X + X') built densely here from the formulas
+    # a builder's entries, formed on first read from its pairs, real scalars
+    # over exactly Hermitian constant matrices, against H0 + (X + X') built
+    # densely here from the formulas
     lay = SpaceLayout(5)
     p = make_params(omega_r=2.1, eps=0.7, omega_d=1.3)
     t = 0.83
@@ -246,6 +248,7 @@ def test_builders_form_their_entries_bit_for_bit(builder):
         want = h0 + want
     got = builder(p, lay, t)
     assert isinstance(got, TermOperator) and "entries" not in vars(got)
+    assert all(not np.iscomplexobj(s) and hermiticity_defect(g) == 0 for s, g in got.pairs)
     assert np.array_equal(got.entries, want)
     assert not got.entries.flags.writeable
 

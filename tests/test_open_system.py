@@ -45,6 +45,27 @@ def test_rejects_unphysical_coherence():
         DecoherenceParams(T1_charge_us=1.0, T2_charge_us=2.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["T1_charge_us", "T2_charge_us", "T2_spin_us", "T1_spin_us"])
+def test_rejects_a_coherence_time_that_is_not_positive(name, value):
+    # NaN passes a `< 0` test and collapse_ops then drops its channels; a
+    # zero time divides by zero
+    with pytest.raises(ValueError, match=name):
+        DecoherenceParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+def test_rejects_a_resonator_rate_that_is_not_finite_and_nonnegative(value):
+    with pytest.raises(ValueError, match="kappa_res"):
+        DecoherenceParams(kappa_res=value)
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -1.0])
+def test_rate_scaling_rejects_a_factor_that_is_not_finite_and_nonnegative(factor):
+    with pytest.raises(ValueError, match="rate scale factor"):
+        DecoherenceParams().scaled(factor)
+
+
 def test_lifetime_limited_coherence_has_no_dephasing():
     assert pure_dephasing_rate(1.0, 2.0) == 0.0
 

@@ -11,6 +11,7 @@ from hcps.hilbert import (
     SLOT_CHARGE,
     SLOT_SPIN,
     SpaceLayout,
+    StateVector,
     TermOperator,
     basis_state,
     build_number,
@@ -108,6 +109,18 @@ def test_state_matches_propagator():
     s = evolve_state(lambda t: h_eff(p, lay, t), psi0, settings)
     assert np.abs((u.unitary @ psi0).amplitudes - s.state.amplitudes).max() < 1e-9
     assert abs(s.state.norm() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, 2.0], ids=["nan", "norm-2"])
+def test_evolve_state_rejects_a_state_that_is_not_normalized(amplitude):
+    # a NaN norm passes `abs(norm - 1) > 1e-9`, and the run would return NaN
+    # amplitudes marked converged
+    lay = SpaceLayout(3)
+    amps = np.zeros(lay.total_dim, dtype=complex)
+    amps[0] = amplitude
+    psi = StateVector(lay, amps)
+    with pytest.raises(ValueError, match="norm"):
+        evolve_state(lambda t: h_eff(make_params(), lay, t), psi, PropagationSettings(0.0, 1.0, 4))
 
 
 def test_propagator_composition():
@@ -318,20 +331,20 @@ def _run(integrator, h, lay, settings):
     ids=["nan", "inf", "1j*inf", "nan-h0", "complex-h0"])
 @pytest.mark.parametrize("integrator", _INTEGRATORS)
 def test_non_finite_scalar_raises(bad, where, integrator):
-    # h_eff's samples, plus an h0 of the number operator, carry their terms:
-    # from mid-window the first term's scalar is not finite, or the h0
-    # scalar is not finite or not real, and the sample's scalar check rejects
+    # h_eff's pairs plus one of the number operator: from mid-window the
+    # scalar of h_eff's first coupling pair ("term") or of the number pair
+    # ("h0") is not finite or not real, and the sample's scalar check rejects
     # it, without a warning, before any matrix is formed
     lay = SpaceLayout(2)
     p = make_params()
     n = build_number(lay).entries
 
     def h(t):
-        (c, m), second = h_eff(p, lay, t).terms
+        (s, g), *rest = h_eff(p, lay, t).pairs
         r = 0.3
         if t >= 0.5:
-            c, r = (bad, r) if where == "term" else (c, bad)
-        return TermOperator(lay, ((c, m), second), ((r, n),))
+            s, r = (bad, r) if where == "term" else (s, bad)
+        return TermOperator(lay, ((s, g), *rest, (r, n)))
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -346,9 +359,9 @@ def test_an_overflowing_sample_raises(integrator):
     # not finite, raises the same error as a plain sample that is not finite
     lay = SpaceLayout(2)
     p = make_params()
-    (_, m), second = h_eff(p, lay, 0.0).terms
-    big = 10 * m
-    h = lambda t: TermOperator(lay, ((1e308, big), second))
+    (_, g), *rest = h_eff(p, lay, 0.0).pairs
+    big = 10 * g
+    h = lambda t: TermOperator(lay, ((1e308, big), *rest))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonHermitianSampleError, match="not finite"):
             _run(integrator, h, lay, PropagationSettings(0.0, 1.0, 4))
@@ -362,9 +375,9 @@ def test_an_overflowing_step_raises_without_a_warning(integrator):
     # though that step shares one product with the steps before it
     lay = SpaceLayout(2)
     p = make_params()
-    (c, m), second = h_eff(p, lay, 0.0).terms
-    big = 10 * m
-    h = lambda t: TermOperator(lay, ((1e308 if t > 0.6 else c, big), second))
+    (s, g), *rest = h_eff(p, lay, 0.0).pairs
+    big = 10 * g
+    h = lambda t: TermOperator(lay, ((1e308 if t > 0.6 else s, big), *rest))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonHermitianSampleError, match=r"Magnus step at t=0\.5 is not finite"):
@@ -374,12 +387,13 @@ def test_an_overflowing_step_raises_without_a_warning(integrator):
 @pytest.mark.parametrize("case", ["nan-in-block", "nan-off-block", "h0-not-hermitian"])
 @pytest.mark.parametrize("integrator", _INTEGRATORS)
 def test_a_bad_constant_matrix_raises(case, integrator):
-    # a term matrix with a NaN in the first step's blocks from the start, or
+    # a pair matrix with a NaN in the first step's blocks from the start, or
     # one with a NaN outside them from mid-window, which restarts the pass on
-    # the whole space, where it is read; and an h0 that is not Hermitian
+    # the whole space, where it is read; and an added pair matrix that is
+    # finite but not Hermitian
     lay = SpaceLayout(2)
     p = make_params()
-    m = h_eff(p, lay, 0.0).terms[0][1].copy()
+    m = h_eff(p, lay, 0.0).pairs[0][1].copy()
     m[(0, 0) if case == "nan-in-block" else (0, 1)] = np.nan
     onset = 0.5 if case == "nan-off-block" else 0.0
     h0 = build_number(lay).entries.copy()
@@ -388,11 +402,11 @@ def test_a_bad_constant_matrix_raises(case, integrator):
     def h(t):
         sample = h_eff(p, lay, t)
         if case == "h0-not-hermitian":
-            return TermOperator(lay, sample.terms, ((1.0, h0),))
+            return TermOperator(lay, sample.pairs + ((1.0, h0),))
         if t < onset:
             return sample
-        (c, _), second = sample.terms
-        return TermOperator(lay, ((c, m), second))
+        (s, _), *rest = sample.pairs
+        return TermOperator(lay, ((s, m), *rest))
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -403,7 +417,7 @@ def test_a_bad_constant_matrix_raises(case, integrator):
 @pytest.mark.parametrize("integrator", _INTEGRATORS)
 def test_a_term_matrix_that_couples_two_blocks_restarts_on_the_whole_space(
         monkeypatch, integrator):
-    # h_eff's terms plus a spin drive term from a grid node a quarter into
+    # h_eff's pairs plus a spin drive pair from a grid node a quarter into
     # the window: the drive's matrix couples the two parity blocks of the
     # first step's samples, and the pass restarts on the whole space, where
     # it gives the whole-space result bit for bit
@@ -414,7 +428,7 @@ def test_a_term_matrix_that_couples_two_blocks_restarts_on_the_whole_space(
 
     def h(t):
         sample = h_eff(p, lay, t)
-        return sample if t < t_on else TermOperator(lay, sample.terms + ((0.25, Sx),))
+        return sample if t < t_on else TermOperator(lay, sample.pairs + ((0.25, Sx),))
 
     settings = PropagationSettings(0.0, TWO_PI, 64, 1e-8)
     res = _run(integrator, h, lay, settings)
@@ -513,12 +527,12 @@ def _whole_space_blocks(*samples):
 
 
 def test_block_path_checks_only_the_block_stacks(monkeypatch):
-    # h_eff at N = 4 is stepped as two parity blocks of 8.  Its samples are
-    # TermOperators without h0, Hermitian by construction, so a pass runs no
-    # Hermiticity check; the same samples as plain Operators are checked once
-    # each (two per step of the passes 8, 16, ..., steps_used), on the stack
-    # of both blocks and never on the whole 16 x 16 sample; one constant
-    # plain Operator, handed over by every call, is checked once per pass
+    # h_eff at N = 4 is stepped as two parity blocks of 8, on the stack of
+    # both blocks and never on the whole 16 x 16 sample.  Its samples are
+    # TermOperators whose 4 matrices, handed over by every call, are checked
+    # once each per pass (8, 16, ..., steps_used); the same samples as plain
+    # Operators are checked once each, two per step of every pass; one
+    # constant plain Operator, handed over by every call, once per pass
     lay = SpaceLayout(4)
     p = make_params()
     checked = []
@@ -527,7 +541,9 @@ def test_block_path_checks_only_the_block_stacks(monkeypatch):
                         lambda a: checked.append(a.shape) or honest(a))
     settings = PropagationSettings(0.0, 1.0, 8)
     terms = evolve_propagator(lambda t: h_eff(p, lay, t), settings)
-    assert terms.converged and checked == []
+    passes = terms.steps_used.bit_length() - 3
+    assert terms.converged and checked == [(2, 8, 8)] * (4 * passes)
+    checked.clear()
     plain = evolve_propagator(lambda t: Operator(lay, h_eff(p, lay, t).entries), settings)
     assert plain.converged and plain.steps_used == terms.steps_used
     assert set(checked) == {(2, 8, 8)}
@@ -567,9 +583,9 @@ def test_block_steps_equal_the_whole_space_steps(preset_cfg, monkeypatch):
 
 
 def test_term_samples_step_like_their_entries(preset_cfg):
-    # one preset period of h_eff: the samples read through their terms, one
+    # one preset period of h_eff: the samples read through their pairs, one
     # table of 4 generators and 6 commutators for the pass, against the same
-    # samples as plain Operators, a table of (h1, h2, [h1, h2]) per step.
+    # samples as plain Operators, a table of (h1, h2, i[h1, h2]) per step.
     # The two sum 2K in different orders, so they agree to rounding: 2.5e-16
     # measured over the 512 steps
     p = preset_cfg.system
@@ -584,8 +600,8 @@ def test_term_samples_step_like_their_entries(preset_cfg):
 
 @pytest.mark.parametrize("builder", [h_T, h_total_lab])
 def test_term_factors_with_h0_pairs_match_their_entries(builder):
-    # TermOperators with H0 pairs: h_T's table has 5 generators and 10
-    # commutators, h_total_lab's 7 and 21.  Each step factor against the
+    # TermOperators with constant pairs besides the couplings: h_T's table
+    # has 5 generators and 10 commutators, h_total_lab's 6 and 15.  Each step factor against the
     # same samples given as plain arrays; the largest gap measured is
     # 3.3e-16 (h_total_lab) and 3.5e-18 (h_T)
     lay = SpaceLayout(6)
@@ -598,12 +614,12 @@ def test_term_factors_with_h0_pairs_match_their_entries(builder):
     assert len(gaps) == 64 and max(gaps) <= 2e-15
 
 
-def test_a_term_operator_without_x_terms_is_its_h0():
-    # terms may be empty: the entries are H0 alone, and the propagator is the
+def test_a_one_pair_term_operator_is_its_plain_sample():
+    # one pair (0.7, N): the entries are 0.7 N, and the propagator is the
     # same sample's as a plain Operator, bit for bit
     lay = SpaceLayout(2)
     n = build_number(lay).entries
-    op = TermOperator(lay, (), ((0.7, n),))
+    op = TermOperator(lay, ((0.7, n),))
     assert op.entries.tobytes() == (0.7 * n).tobytes()
     settings = PropagationSettings(0.0, 1.0, 8)
     got = evolve_propagator(lambda t: op, settings).unitary.entries
@@ -639,7 +655,7 @@ def test_a_sample_that_couples_two_blocks_restarts_on_the_whole_space(monkeypatc
 
 
 def test_a_coupling_term_with_a_zero_scalar_restarts_no_pass(monkeypatch):
-    # h_eff's terms plus a spin drive term whose scalar is 0 before a grid
+    # h_eff's pairs plus a spin drive pair whose scalar is 0 before a grid
     # node a quarter into the window: the split is read from the first
     # samples' matrices, the drive's among them, so every pass starts on the
     # whole space and none restarts.  h_fun is called for the split's two
@@ -653,7 +669,7 @@ def test_a_coupling_term_with_a_zero_scalar_restarts_no_pass(monkeypatch):
     def h(t):
         calls.append(t)
         sample = h_eff(p, lay, t)
-        return TermOperator(lay, sample.terms + ((0.25 if t >= t_on else 0.0, Sx),))
+        return TermOperator(lay, sample.pairs + ((0.25 if t >= t_on else 0.0, Sx),))
 
     settings = PropagationSettings(0.0, TWO_PI, 64, 1e-8)
     res = evolve_propagator(h, settings)
