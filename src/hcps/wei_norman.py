@@ -262,24 +262,29 @@ def _sector_step_factors(n: int) -> Callable[[np.ndarray, float], np.ndarray]:
 
         exp(-i H dt) = R' V exp(-i |f| L dt) V' R
 
-    The returned function maps an array of drive amplitudes f to the stack
-    of those factors, one per amplitude.  The phase factor e^{i theta (j - k)}
-    takes only 2n - 1 distinct values per step, so it is exponentiated once
-    per value of j - k and gathered into the n x n pattern.
+    The returned function maps an array of K drive amplitudes f to the
+    (K, n, n) stack of those factors, one per amplitude.  a + a' is real
+    symmetric, so V is real, and the cores V exp(-i |f_k| L dt) V' of all K
+    factors come from one real product: V times the (n, K, n) array
+    c[l, k, j] = exp(-i |f_k| L_l dt) V[j, l], read as real numbers.  R' and
+    R are diagonal, so they are n phases e^{i theta_k j} per factor, applied
+    in place as a row and a column scaling of that product's (n, K, n)
+    result.  The stack returned is its (K, n, n) view, strided, not a copy.
     """
     a = ladder_matrix(n)
-    lam, v = np.linalg.eigh(a + a.conj().T)
-    vh = v.conj().T
-    offsets = np.arange(1 - n, n)                       # every value of j - k
+    lam, v = np.linalg.eigh((a + a.T).real)
     nums = np.arange(n)
-    pattern = nums[:, None] - nums[None, :] + (n - 1)   # index of j - k in offsets
 
     def factors(f: np.ndarray, dt: float) -> np.ndarray:
         f = np.asarray(f, dtype=np.complex128)
-        amp = np.abs(f)
-        theta = np.angle(f)
-        core = (v[None, :, :] * np.exp(-1j * dt * np.outer(amp, lam))[:, None, :]) @ vh
-        return core * np.take(np.exp(1j * theta[:, None] * offsets[None, :]), pattern, axis=1)
+        # C order: with K = 1 the broadcast would otherwise follow v.T's layout
+        c = np.multiply(np.exp(-1j * dt * np.outer(lam, np.abs(f)))[:, :, None],
+                        v.T[:, None, :], order="C")
+        out = (v @ c.reshape(n, -1).view(np.float64)).view(np.complex128).reshape(n, -1, n)
+        phase = np.exp(1j * np.outer(np.angle(f), nums))   # e^{i theta_k j}, (K, n)
+        out *= phase.T[:, :, None]
+        out *= phase.conj()[None, :, :]
+        return out.transpose(1, 0, 2)
 
     return factors
 
@@ -523,7 +528,9 @@ def _oracle_pass(params: SystemParams, times: np.ndarray, fock_cutoff: int,
     checkpoint grid, so however sparse the times, the phases behind A and D
     are unwrapped along that grid.  Each result keeps views of the pass's
     (2, C, N, N) array: its time's pair and the checkpoints up to it.
+    SpaceLayout's ValueError rejects a cutoff below 2 before any propagation.
     """
+    SpaceLayout(fock_cutoff)
     t_end = float(times[-1])
     oscillations = _oscillations(params, t_end)
     grid = np.union1d(times, np.linspace(0.0, t_end, max(48, 8 * oscillations) + 1)[1:])

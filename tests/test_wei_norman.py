@@ -313,6 +313,21 @@ def test_oracle_grid_rejects_times_it_cannot_use(preset_params, times, named):
         oracle_grid(preset_params, times, 4)
 
 
+@pytest.mark.parametrize("cutoff", [1, 0, -3, 2.5])
+@pytest.mark.parametrize("entry", ["coefficients_oracle", "oracle_grid", "oracle_at_periods"])
+def test_oracle_rejects_a_fock_cutoff_below_two_before_propagating(monkeypatch, preset_params,
+                                                                  entry, cutoff):
+    passes = []
+    monkeypatch.setattr(wei_norman, "_sector_snapshots", lambda *args: passes.append(args))
+    comm = commensurate_time(preset_params.omega, preset_params.Delta, 4)
+    calls = {"coefficients_oracle": lambda: coefficients_oracle(preset_params, comm.t, cutoff),
+             "oracle_grid": lambda: oracle_grid(preset_params, [comm.t / 2, comm.t], cutoff),
+             "oracle_at_periods": lambda: oracle_at_periods(preset_params, comm, 2, cutoff)}
+    with pytest.raises(ValueError, match="fock_cutoff must be an integer >= 2"):
+        calls[entry]()
+    assert passes == []
+
+
 def test_oracle_grid_on_a_sparse_grid_matches_the_oracle(preset_params):
     # the residual cannot see a 2 pi slip of A (exp(-2 pi i sx Sx) = 1), so
     # a grid of two far-apart times must still unwrap A and Re D as densely
@@ -412,6 +427,28 @@ def test_sector_step_factor_matches_eigendecomposition(n, re, im, dt):
     want = expm_hermitian(f * a.conj().T + np.conj(f) * a, -1j * dt)
     got = wei_norman._sector_step_factors(n)(np.array([f]), dt)[0]
     assert np.abs(got - want).max() < 1e-12
+
+
+# |f| ~ 2, f = 0 and a generic amplitude lead every stack of two or more
+_rng = np.random.default_rng(5)
+STACK_AMPLITUDES = np.concatenate([[1.999 * np.exp(2.1j), 0.0, -0.7 + 1.3j],
+                                   2.0 * _rng.random(38) * np.exp(2j * np.pi * _rng.random(38))])
+
+
+@pytest.mark.parametrize("n", [2, 8, 25])
+@pytest.mark.parametrize("k", [1, 2, 3, 41])
+def test_sector_step_factor_stacks_match_their_single_amplitude_factors(n, k):
+    dt = 0.37
+    amps = STACK_AMPLITUDES[:k]
+    factors = wei_norman._sector_step_factors(n)
+    stack = factors(amps, dt)
+    assert stack.shape == (k, n, n)
+    a = ladder_matrix(n)
+    for f, got in zip(amps, stack):
+        assert np.abs(got - factors(np.array([f]), dt)[0]).max() < 1e-14
+        want = expm_hermitian(f * a.conj().T + np.conj(f) * a, -1j * dt)
+        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(got.conj().T @ got - np.eye(n)).max() < 1e-13
 
 
 def test_sector_fourth_order_convergence():
