@@ -28,6 +28,12 @@ SLOT_SPIN = 0
 SLOT_CHARGE = 1
 SLOT_RESONATOR = 2
 
+
+class NonFiniteError(ArithmeticError):
+    """A computed result that is not finite, though its inputs were: an
+    overflow or a NaN met in the arithmetic."""
+
+
 # every exponential scales theta = ||scale * mat||_1 down to this before its Taylor sum
 TAYLOR_MAX_NORM = 0.5
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -381,11 +387,19 @@ def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
 
 def expm_matrix(mat: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * mat) of any square array; _expm_scaled rejects non-finite
-    input, as theta is finite only when every entry and the scale are."""
+    input, as theta is finite only when every entry and the scale are.  A
+    result that is not finite (its squaring overflowed) raises
+    NonFiniteError, without numpy's overflow warnings."""
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return _expm_scaled(mat, complex(scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _expm_scaled(mat, complex(scale))
+    if not np.isfinite(out).all():
+        raise NonFiniteError(f"matrix exponential of a {len(mat)} x {len(mat)} matrix "
+                             f"with 1-norm {abs(scale) * np.abs(mat).sum(axis=0).max():.3e} "
+                             "is not finite")
+    return out
 
 
 def matrix_exponential(op: Operator, scale: complex = 1.0) -> Operator:

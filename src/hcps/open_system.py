@@ -24,12 +24,20 @@ as a (B, S, S) stack of its diagonal blocks, d = B S:
 :func:`hcps.wei_norman.joint_step_unitaries` gives the gate's interaction
 leg its four sector blocks (the oracle's order-4 commutator-free Magnus
 step), and :func:`hcps.propagation.magnus4_steps` gives :func:`evolve_master`
-one dense block (the generic order-4 Magnus step).  The density stack is
-held as (B, B, S, m, S), entry [b, b', i, a, i'] = rho_a[(b, i), (b', i')],
-so u rho and rho u' are one batched matrix product each on reshapes that
-copy nothing, and so is the qubit map when B = 4 (it copies once when
-B = 1); a stack enters this layout once (:func:`_block_layout`) and leaves
-it once (:func:`_stacked_layout`).
+one dense block (the generic order-4 Magnus step).  Every rho is
+Hermitian, so the leg stores and steps only the P = B(B + 1)/2 upper block
+pairs (b, b') with b <= b' (10 of 16 at B = 4, the whole matrix at B = 1)
+and reads each lower pair as the adjoint of its upper one,
+x[(b', b)]_a = adj(x[(b, b')]_a).  The stored stack is (B^2, S, m, S):
+entry [p, i, a, i'] = rho_a[(b, i), (b', i')] for the p-th pair, the
+diagonal pairs first and the strictly-upper ones as one slice after them,
+followed by room for the lower pairs, which one conjugating copy fills
+before each qubit map.  The conjugation u_b x adj(u_b') of the stored
+pairs is then one batched matrix product on each side, on reshapes that
+copy nothing, and so is the qubit map, cut to its P output rows, when
+B = 4 (it copies once when B = 1); the Fock map acts inside each pair.  A
+Hermitian stack enters this layout once (:func:`_block_layout`) and
+leaves it once (:func:`_stacked_layout`).
 
 Dissipators are applied in the frame in which h_eff is written; frame
 corrections to the collapse operators under the strong drive are out of
@@ -228,44 +236,109 @@ def _liouvillian(dim: int, collapse: Sequence[tuple[np.ndarray, float]],
     return out
 
 
-def _exact_maps(generators: tuple, t: float) -> tuple:
-    """exp(t G) of each generator G, None (the identity) kept as it is."""
-    return tuple(None if g is None else expm_matrix(g, t) for g in generators)
+def _pair_blocks(blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column blocks (b, b') of the B^2 pairs in the stored order: the
+    B diagonal pairs, the strictly-upper pairs b < b' row by row, and then
+    the lower pair (b', b) of each strictly-upper one, in the same order.
+    The first P = B(B + 1)/2 are the stored pairs."""
+    upper_rows, upper_cols = np.triu_indices(blocks, 1)
+    diag = np.arange(blocks)
+    return (np.concatenate([diag, upper_rows, upper_cols]),
+            np.concatenate([diag, upper_cols, upper_rows]))
+
+
+def _stored_pairs(blocks: int) -> int:
+    return blocks * (blocks + 1) // 2
+
+
+def _exact_maps(generators: tuple, t: float, blocks: int) -> tuple:
+    """exp(t G) of the (qubit, Fock) generators, None (the identity) kept as
+    it is.  The 16 x 16 qubit map is cut to the stack of `blocks` blocks:
+    its rows for the stored pairs, and its columns for all B^2 pairs in the
+    stored order (:func:`_pair_blocks`), each pair with its qubit index pair
+    inside the block (rho, rho'), rho < 4 / B."""
+    qubit, fock = (None if g is None else expm_matrix(g, t) for g in generators)
+    if qubit is not None:
+        r = 4 // blocks
+        rows, cols = _pair_blocks(blocks)
+        inner = np.arange(r)
+        order = ((rows[:, None, None] * r + inner[:, None]) * 4
+                 + cols[:, None, None] * r + inner).reshape(-1)
+        qubit = qubit[np.ix_(order[:_stored_pairs(blocks) * r * r], order)]
+    return qubit, fock
 
 
 def _block_layout(rhos: np.ndarray, blocks: int) -> np.ndarray:
-    """A (m, d, d) stack in the leg's (B, B, S, m, S) layout, S = d / B:
-    entry [b, b', i, a, i'] is rhos[a, b S + i, b' S + i']."""
+    """The stored stack of a Hermitian (m, d, d) stack, S = d / B: a
+    (B^2, S, m, S) array whose first P = B(B + 1)/2 entries are the upper
+    pairs of :func:`_pair_blocks`, entry [p, i, a, i'] = rhos[a, b S + i,
+    b' S + i'] for the pair (b, b') of p.  The other B(B - 1)/2 entries hold
+    no data: they are room for the lower pairs, which :func:`_lower_pairs`
+    writes as adjoints, x[(b', b)]_a = adj(x[(b, b')]_a).  A stack that is
+    not Hermitian to DensityMatrix.HERMITIAN_TOL raises ValueError.
+    """
+    defect = hermiticity_defect(rhos)
+    if not defect <= DensityMatrix.HERMITIAN_TOL:
+        raise ValueError("the open leg steps Hermitian density matrices only; "
+                         f"this stack's Hermiticity defect is {defect:.3e}")
     m, d, _ = rhos.shape
     s = d // blocks
-    return np.ascontiguousarray(rhos.reshape(m, blocks, s, blocks, s).transpose(1, 3, 2, 0, 4))
+    rows, cols = _pair_blocks(blocks)
+    pairs = _stored_pairs(blocks)
+    x = np.empty((blocks * blocks, s, m, s), dtype=np.complex128)
+    upper = rhos.reshape(m, blocks, s, blocks, s)[:, rows[:pairs], :, cols[:pairs], :]
+    x[:pairs] = upper.transpose(0, 2, 1, 3)
+    return x
+
+
+def _lower_pairs(x: np.ndarray):
+    """Write the lower pairs of a stored stack into its room, each the
+    adjoint of its strictly-upper pair, by one conjugating copy."""
+    blocks = math.isqrt(len(x))
+    np.conjugate(x[blocks:_stored_pairs(blocks)].transpose(0, 3, 2, 1),
+                 out=x[_stored_pairs(blocks):])
 
 
 def _stacked_layout(x: np.ndarray) -> np.ndarray:
-    """The (m, d, d) stack of a (B, B, S, m, S) layout; inverse of :func:`_block_layout`."""
-    b, _, s, m, _ = x.shape
-    return x.transpose(3, 0, 2, 1, 4).reshape(m, b * s, b * s)
+    """The (m, d, d) stack of a stored stack; inverse of :func:`_block_layout`,
+    with the lower pairs rebuilt as adjoints (in the stack's room)."""
+    blocks = math.isqrt(len(x))
+    _, s, m, _ = x.shape
+    rows, cols = _pair_blocks(blocks)
+    _lower_pairs(x)
+    out = np.empty((m, blocks, s, blocks, s), dtype=np.complex128)
+    out[:, rows, :, cols, :] = x.transpose(0, 2, 1, 3)
+    return out.reshape(m, blocks * s, blocks * s)
 
 
 def _apply_maps(x: np.ndarray, n: int, qubit_map, fock_map) -> np.ndarray:
-    """A qubit-pair and a Fock-pair superoperator (None: identity) on a
-    (B, B, S, m, S) stack.
+    """The stored pairs of x after a qubit-pair and a Fock-pair superoperator
+    (None: identity), as a (P, S, m, S) stack: x[:P] itself when both are
+    the identity, a new array otherwise.
 
-    Seen as (B, B, S/N, N, m, S/N, N), the qubit index is (b, S/N axis) and
-    the Fock index the N axis, on each side.  The qubit map is one 16 x 16
-    product with the qubit pair gathered in front, a view when B = 4 and one
-    copy when B = 1; the two maps commute.
+    Seen as (B^2, S/N, N, m, S/N, N), the qubit index is (b, S/N axis) and
+    the Fock index the N axis, on each side.  The qubit map, cut by
+    :func:`_exact_maps`, is one (P S^2/N^2) x 16 product on all B^2 pairs
+    with the qubit pair gathered in front, after :func:`_lower_pairs` has
+    filled x's room: a view when B = 4, one copy when B = 1.  The Fock map
+    acts inside each stored pair; the two maps commute.
     """
-    b, _, s, m, _ = x.shape
+    blocks = math.isqrt(len(x))
+    pairs = _stored_pairs(blocks)
+    if qubit_map is None and fock_map is None:
+        return x[:pairs]
+    _, s, m, _ = x.shape
     r = s // n
-    v = x.reshape(b, b, r, n, m, r, n)
+    v = x[:pairs].reshape(pairs, r, n, m, r, n)
     if qubit_map is not None:
-        q = qubit_map @ v.transpose(0, 2, 1, 5, 3, 4, 6).reshape(16, -1)
-        v = q.reshape(b, r, b, r, n, m, n).transpose(0, 2, 1, 4, 5, 3, 6)
+        _lower_pairs(x)
+        q = qubit_map @ x.reshape(-1, r, n, m, r, n).transpose(0, 1, 4, 2, 3, 5).reshape(
+            len(x) * r * r, -1)
+        v = q.reshape(pairs, r, r, n, m, n).transpose(0, 1, 3, 4, 2, 5)
     if fock_map is not None:
-        v = np.tensordot(v, fock_map.reshape((n,) * 4), ([3, 6], [2, 3]))
-        v = v.transpose(0, 1, 2, 5, 3, 4, 6)
-    return v.reshape(x.shape)
+        v = np.tensordot(v, fock_map.reshape((n,) * 4), ([2, 5], [2, 3]))
+        v = v.transpose(0, 1, 4, 2, 3, 5)
+    return v.reshape(pairs, s, m, s)
 
 
 def _strang_leg(provider: Callable[[int], Iterable[np.ndarray]], duration: float,
@@ -275,32 +348,52 @@ def _strang_leg(provider: Callable[[int], Iterable[np.ndarray]], duration: float
     """The one stepped leg: step-doubled Strang passes over provider(steps).
 
     provider yields each step unitary as the (B, S, S) stack of its diagonal
-    blocks, and x is the (B, B, S, m, S) density stack of :func:`_block_layout`.
-    Each step is the exact dissipator half-step map, the step unitary u by
-    conjugation, and the half-step map again.  The trailing half of one step
-    and the leading half of the next are one constant map, so a pass applies
-    the half map, then the full-step map between consecutive unitaries, and
-    the half map after the last one.  u x and x u' are one batched product
-    each, per block pair, on reshapes that copy nothing.  The closed twins
-    psis, a (m, d) stack, ride on the same u as (B, m, S), one product per
-    block.  Returns the final stacks, whether the leg converged with a trace
-    defect within TRACE_DRIFT_LIMIT, that defect, and the grid used.
+    blocks, and x is the stored stack of :func:`_block_layout`: only the
+    P = B(B + 1)/2 upper block pairs of each density matrix are stepped,
+    and a lower pair is read as the adjoint of its upper one.  Each step is
+    the exact dissipator half-step map, the step unitary u by conjugation,
+    and the half-step map again.  The trailing half of one step and the
+    leading half of the next are one constant map, so a pass applies the
+    half map, then the full-step map between consecutive unitaries, and the
+    half map after the last one.  u_b x adj(u_b') over the stored pairs
+    is one batched product on each side; the right one writes into the
+    pass's own stack, whose room then takes the lower pairs for the next
+    qubit map (the first map writes x's room, which holds no data).  The
+    closed twins psis, a (m, d) stack, ride on the same u as (B, m, S), one
+    product per block.  The trace defect is read from the diagonal pairs,
+    and step doubling compares the stored pairs, whose max-norm is the
+    whole stack's.  Returns the final stacks, whether the leg converged
+    with a trace defect within TRACE_DRIFT_LIMIT, that defect, and the grid
+    used.
+
+    The inputs must be Hermitian.  An average gate fidelity, which needs the
+    channel on a basis of the qubit operators, should feed the d^2
+    Hermitian basis elements (|i><i|, |i><j| + |j><i| and
+    i(|i><j| - |j><i|)), not the matrix units |i><j|, which are not
+    Hermitian: on this stack the d^2 cost about what the d(d + 1)/2 units
+    i <= j would cost on the full one.
     """
-    b, _, s, m, _ = x.shape
-    twins = psis.reshape(len(psis), b, s).swapaxes(0, 1)
+    blocks, s, m, _ = math.isqrt(len(x)), *x.shape[1:]
+    pairs = _stored_pairs(blocks)
+    rows, cols = (c[:pairs] for c in _pair_blocks(blocks))
+    twins = psis.reshape(len(psis), blocks, s).swapaxes(0, 1)
 
     def run(steps: int):
-        half, full = (_exact_maps(dissipators, k * duration / steps) for k in (0.5, 1.0))
-        r, p, gap = x, twins, half
+        half, full = (_exact_maps(dissipators, k * duration / steps, blocks) for k in (0.5, 1.0))
+        r = np.empty_like(x)        # the pass's stack: x starts every pass
+        stored = r[:pairs].reshape(pairs, s * m, s)
+        y, p, gap = x, twins, half
         for ub in provider(steps):
-            r = ub[:, None] @ _apply_maps(r, n, *gap).reshape(b, b, s, m * s)
-            r = (r.reshape(b, b, s * m, s) @ ub.conj().swapaxes(-1, -2)).reshape(x.shape)
-            p = p @ ub.swapaxes(-1, -2)
-            gap = full
-        return _apply_maps(r, n, *half), p.swapaxes(0, 1).reshape(psis.shape)
+            left = ub[rows] @ _apply_maps(y, n, *gap).reshape(pairs, s, m * s)
+            np.matmul(left.reshape(pairs, s * m, s), ub[cols].conj().swapaxes(-1, -2),
+                      out=stored)
+            y, p, gap = r, p @ ub.swapaxes(-1, -2), full
+        r[:pairs] = _apply_maps(r, n, *half)
+        return r, p.swapaxes(0, 1).reshape(psis.shape)
 
-    (r, p), converged, steps = step_doubling(run, lambda out: out[0], settings)
-    trace_defect = float(np.abs(np.einsum("bbiai->a", r) - 1.0).max())
+    (r, p), converged, steps = step_doubling(run, lambda out: out[0][:pairs], settings,
+                                             stage="open-system Strang leg")
+    trace_defect = float(np.abs(np.einsum("biai->a", r[:blocks]) - 1.0).max())
     return r, p, converged and trace_defect <= TRACE_DRIFT_LIMIT, trace_defect, steps
 
 
@@ -400,7 +493,8 @@ def gate_fidelity_open(params: SystemParams, schedule: PulseSchedule,
         raise ValueError("a qubit pulse Hamiltonian acts on the resonator")
     for h, tau in pulses:
         _check_hermitian(h, 0.0)
-        x = _apply_maps(x, n, *_exact_maps((_liouvillian(4, qubit, h), dissipators[1]), tau))
+        maps = _exact_maps((_liouvillian(4, qubit, h), dissipators[1]), tau, 4)
+        x[:_stored_pairs(4)] = _apply_maps(x, n, *maps)
         psis = (expm_hermitian(h, -1j * tau) @ psis.reshape(-1, 4, n)).reshape(psis.shape)
 
     x, psis, converged, trace_defect, _ = _strang_leg(

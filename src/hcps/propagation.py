@@ -66,7 +66,8 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from .hilbert import (
-    Operator, StateVector, TermOperator, expm_hermitian, hermiticity_defect, unitarity_defect,
+    NonFiniteError, Operator, StateVector, TermOperator, expm_hermitian, hermiticity_defect,
+    unitarity_defect,
 )
 
 SAMPLE_HERMITIAN_TOL = 1e-10
@@ -307,21 +308,28 @@ def magnus4_steps(h_fun: Callable[[float], Operator | np.ndarray], t0: float, t1
 
 
 def step_doubling(run: Callable[[int], T], final: Callable[[T], np.ndarray],
-                  settings: PropagationSettings) -> tuple[T, bool, int]:
+                  settings: PropagationSettings, *, stage: str
+                  ) -> tuple[T, bool, int]:
     """Run run(steps) on doubling grids from settings.steps until two resolutions agree.
 
     Two successive results agree when their final arrays, final(result),
     differ by less than settings.tolerance in entrywise max-norm; at most
     settings.max_refinements doublings are tried.  Returns the finest result,
     whether it converged, and its step count.  A caller that needs a finer
-    initial grid passes settings.replace(steps=...).
+    initial grid passes settings.replace(steps=...).  A difference that is
+    not finite can never agree, so it raises NonFiniteError naming the
+    caller's stage and both grids, at the comparison that meets it.
     """
     steps = settings.steps
     result = run(steps)
     converged = False
     for _ in range(settings.max_refinements):
         finer = run(2 * steps)
-        diff = float(np.abs(final(finer) - final(result)).max())
+        with np.errstate(invalid="ignore"):
+            diff = float(np.abs(final(finer) - final(result)).max())
+        if not math.isfinite(diff):
+            raise NonFiniteError(f"{stage}: the {steps}- and {2 * steps}-step passes differ "
+                                 f"by {diff}, which is not finite")
         result, steps = finer, 2 * steps
         if diff < settings.tolerance:
             converged = True
@@ -364,7 +372,7 @@ def _evolve(h_fun: Callable[[float], Operator],
             u[idx[:, :, None], idx[:, None, :]] = p
         return u
 
-    u, converged, steps = step_doubling(run, lambda u: u, settings)
+    u, converged, steps = step_doubling(run, lambda u: u, settings, stage="Magnus-4 propagator")
     return Operator(layout, u), converged, steps
 
 

@@ -502,7 +502,7 @@ def _propagate_sectors(params: SystemParams, times: Sequence[float], fock_cutoff
         f = sector_amplitude(params, *key)
         out[...], converged, steps = step_doubling(
             lambda steps: checked(_sector_snapshots(f, times, fock_cutoff, steps)),
-            lambda snaps: snaps[-1], grid)
+            lambda snaps: snaps[-1], grid, stage=f"sector oracle {key}")
         converged_all &= converged
         steps_max = max(steps_max, steps)
     return pair, converged_all, steps_max

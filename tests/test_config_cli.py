@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -603,6 +605,20 @@ def test_nan_rate_scale_exits_config_before_any_row(tmp_path, capsys):
     cfg = small_config(tmp_path, lindblad={"scale_factors": [0.0, math.nan]})
     assert main(["lindblad", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "lindblad.scale_factors" in capsys.readouterr().err
+    assert not (tmp_path / "lindblad.csv").exists()
+
+
+def test_an_overflowing_rate_scale_exits_numerical_within_seconds(tmp_path, capsys):
+    # at a rate scale of 1e300 the exact dissipator maps overflow; numpy only
+    # warned, and a NaN map's difference never passes the leg's tolerance, so
+    # the leg kept doubling for minutes
+    cfg = small_config(tmp_path, lindblad={"scale_factors": [1e300]})
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lindblad", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "not finite" in capsys.readouterr().err
     assert not (tmp_path / "lindblad.csv").exists()
 
 

@@ -206,6 +206,18 @@ def test_expm_rejects_non_finite():
                 entry(np.eye(3, dtype=np.complex128), bad)
 
 
+def test_expm_matrix_raises_on_a_result_that_is_not_finite_without_warning():
+    # finite input whose squarings overflow, as a 1e300 rate scale makes of a
+    # Liouvillian: numpy warned and the NaN map went on into the leg
+    m = np.diag([1e300, -1.0]).astype(np.complex128)
+    m[0, 1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hilbert.NonFiniteError, match="not finite"):
+            hilbert.expm_matrix(m, 0.5)
+    assert issubclass(hilbert.NonFiniteError, ArithmeticError)
+
+
 def test_basis_state_and_vacuum_projector():
     lay = SpaceLayout(3)
     psi = basis_state(lay, 1, 0, 2)

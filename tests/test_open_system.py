@@ -9,8 +9,8 @@ import hcps.open_system
 from hcps.gates import schedule_for_eta
 from hcps.hamiltonians import h_charge_qubit, h_eff, h_nv
 from hcps.hilbert import (
-    SLOT_CHARGE, SLOT_SPIN, TAYLOR_MAX_NORM, SpaceLayout, StateVector, basis_state,
-    build_annihilation, build_spin_ops, expm_matrix, identity,
+    SLOT_CHARGE, SLOT_SPIN, TAYLOR_MAX_NORM, NonFiniteError, SpaceLayout, StateVector,
+    basis_state, build_annihilation, build_spin_ops, expm_matrix, identity,
 )
 from hcps.open_system import (
     DecoherenceParams,
@@ -26,7 +26,7 @@ from hcps.open_system import (
     pure_dephasing_rate,
     standard_input_states,
 )
-from hcps.propagation import PropagationSettings, evolve_state
+from hcps.propagation import PropagationSettings, evolve_propagator, evolve_state
 from hcps.wei_norman import QUBIT_HADAMARD, commensurate_time, oracle_at_periods
 
 from test_hamiltonians import make_params
@@ -220,7 +220,9 @@ def test_strang_pass_applies_one_dissipator_map_between_unitaries(
     # the trailing half step of one step and the leading half of the next are
     # one constant map, so a fixed-grid pass of n steps applies n + 1 maps;
     # evolve_master's leg steps one dense block, gate_fidelity_open's four
-    # sector blocks, whose two qubit pulses are one map each before the leg
+    # sector blocks, whose two qubit pulses are one map each before the leg;
+    # a stored stack of B blocks has B^2 entries (B(B + 1)/2 upper pairs and
+    # room for the lower ones)
     blocks = []
     honest = hcps.open_system._apply_maps
 
@@ -241,7 +243,7 @@ def test_strang_pass_applies_one_dissipator_map_between_unitaries(
     blocks.clear()
     gate_fidelity_open(preset_params, preset_schedule, DecoherenceParams(), lay,
                        settings=PropagationSettings(steps=16, max_refinements=0))
-    assert blocks == [4] * (2 + 16 + 1)
+    assert blocks == [16] * (2 + 16 + 1)
 
 
 def test_block_stack_leg_matches_the_same_unitaries_given_densely():
@@ -276,6 +278,53 @@ def test_block_stack_leg_matches_the_same_unitaries_given_densely():
         assert np.abs(got - want).max() <= 1e-14
     swapped = leg(units[:, [1, 0, 2, 3]], 4)
     assert all(np.abs(got - want).max() > 1e-3 for got, want in zip(swapped, dense))
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+def test_stored_stack_keeps_the_upper_pairs_and_rebuilds_the_lower_ones(blocks):
+    # B(B + 1)/2 pairs are stored, diagonal ones first; the lower pairs come
+    # back as adjoints, so the round trip is exact on a Hermitian stack
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(3, 12, 12)) + 1j * rng.normal(size=(3, 12, 12))
+    rhos = a + a.conj().swapaxes(-1, -2)
+    x = _block_layout(rhos, blocks)
+    s = 12 // blocks
+    assert x.shape == (blocks * blocks, s, 3, s)
+    pairs = blocks * (blocks + 1) // 2
+    want = [(b, b) for b in range(blocks)] + [
+        (b, c) for b in range(blocks) for c in range(b + 1, blocks)]
+    for p, (b, c) in enumerate(want):
+        block = rhos[:, b * s:(b + 1) * s, c * s:(c + 1) * s]
+        assert np.array_equal(x[p].transpose(1, 0, 2), block)
+    assert pairs == len(want)
+    assert np.array_equal(_stacked_layout(x), rhos)
+
+
+def test_stored_stack_rejects_a_matrix_that_is_not_hermitian():
+    # the lower pairs are read as adjoints, so a non-Hermitian input would be
+    # stepped as a different matrix
+    lay = SpaceLayout(3)
+    rhos = np.stack([DensityMatrix.from_state(s).entries for s in standard_input_states(lay)])
+    rhos[2, 0, 5] += 1e-9
+    with pytest.raises(ValueError, match="Hermitian"):
+        _block_layout(rhos, 4)
+    _block_layout(rhos[:2], 4)
+
+
+def test_open_leg_stops_at_a_difference_that_is_not_finite():
+    # a NaN step unitary never converges; the leg names itself at its first comparison
+    passes = []
+
+    def nan_steps(steps):
+        passes.append(steps)
+        return iter(np.full((steps, 4, 2, 2), np.nan))
+
+    lay = SpaceLayout(2)
+    rhos = np.stack([DensityMatrix.from_state(s).entries for s in standard_input_states(lay)])
+    with pytest.raises(NonFiniteError, match="open-system Strang leg: the 4- and 8-step"):
+        _strang_leg(nan_steps, 1.0, _block_layout(rhos, 4), np.zeros((0, 8)), 2, (None, None),
+                    PropagationSettings(steps=4, max_refinements=10))
+    assert passes == [4, 8]
 
 
 def dense_liouvillian(h: np.ndarray, collapse) -> np.ndarray:
@@ -410,3 +459,45 @@ def test_open_fidelity_leg_converges_on_a_coarse_order_4_grid(preset_params, pre
     assert res.converged
     assert len(grids) == 1 and grids[0] <= 256
 
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_sector_leg_matches_the_lab_basis_master_equation(preset_cfg, preset_params,
+                                                         preset_schedule, scale):
+    # a second route for the driven sequence, collapse operators included: the
+    # pulses as exp of the dense d^2 x d^2 Liouvillian, the interaction leg by
+    # evolve_master (Magnus-4 on the whole lab space, collapse operators
+    # unmapped), the closed twin from the lab propagator; no QUBIT_HADAMARD,
+    # no sector blocks.  Both legs converge on the same 512-step grid, where
+    # they agree to about 6e-13 at scale 1 (loss 2.4e-3) and at scale 100
+    # (loss 0.20); collapse operators mapped by the identity instead of
+    # QUBIT_HADAMARD miss by 3.0e-3 and 0.23
+    lay, sched = SpaceLayout(4), preset_schedule
+    d = lay.total_dim
+    dec = preset_cfg.decoherence.scaled(scale)
+    collapse = collapse_ops(dec, lay)
+    settings = PropagationSettings(0.0, sched.t_int, 256, 1e-7, max_refinements=6)
+    got = gate_fidelity_open(preset_params, sched, dec, lay, settings=settings)
+    assert got.converged
+
+    pulses = [(h_charge_qubit(preset_params, lay).entries, sched.tau1),
+              (h_nv(preset_params, lay).entries, sched.tau2)]
+    h_fun = lambda t: h_eff(preset_params, lay, t)
+    closed = evolve_propagator(h_fun, settings)
+    assert closed.converged
+    twin_map = closed.unitary.entries
+    pulse_map = np.eye(d * d)
+    for h, tau in pulses:
+        twin_map = twin_map @ scipy.linalg.expm(-1j * tau * h)
+        pulse_map = scipy.linalg.expm(tau * dense_liouvillian(h, collapse)) @ pulse_map
+    want = []
+    for psi in standard_input_states(lay):
+        rho = (pulse_map @ np.outer(psi.amplitudes, psi.amplitudes.conj()).reshape(-1)
+               ).reshape(d, d)
+        res = evolve_master(h_fun, DensityMatrix(lay, 0.5 * (rho + rho.conj().T)), collapse,
+                            settings)
+        assert res.converged
+        twin = twin_map @ psi.amplitudes
+        want.append(np.vdot(twin, res.rho.entries @ twin).real)
+    assert 1.0 - np.mean(want) > (0.1 if scale == 100.0 else 1e-3)
+    assert np.abs(np.array(got.fidelity_per_input) - want).max() < 1e-11

@@ -7,6 +7,7 @@ import pytest
 from hcps import propagation
 from hcps.hamiltonians import h_T, h_drive, h_eff, h_interaction, h_total_lab
 from hcps.hilbert import (
+    NonFiniteError,
     Operator,
     SLOT_CHARGE,
     SLOT_SPIN,
@@ -46,27 +47,46 @@ def test_step_doubling_driver():
         return np.array([1.0 / steps])
 
     settings = PropagationSettings(0.0, 1.0, steps=4, tolerance=0.01, max_refinements=12)
-    result, converged, steps = step_doubling(run, lambda r: r, settings)
+    result, converged, steps = step_doubling(run, lambda r: r, settings, stage="test")
     # diffs 1/8, 1/16, 1/32, 1/64 miss 0.01; 64 -> 128 (1/128) is the first pair within it
     assert calls == [4, 8, 16, 32, 64, 128]
     assert converged and steps == 128 and result[0] == 1.0 / 128
 
     calls.clear()
     _, converged, steps = step_doubling(run, lambda r: r,
-                                        settings.replace(max_refinements=0))
+                                        settings.replace(max_refinements=0), stage="test")
     assert calls == [4] and not converged and steps == 4
 
     calls.clear()
     _, converged, steps = step_doubling(run, lambda r: r,
-                                        settings.replace(tolerance=1e-9, max_refinements=3))
+                                        settings.replace(tolerance=1e-9, max_refinements=3),
+                                        stage="test")
     assert calls == [4, 8, 16, 32] and not converged and steps == 32
 
     # an explicit starting grid, and agreement judged on the final array only
     calls.clear()
     (noise, _), converged, steps = step_doubling(
-        lambda n: (np.array([float(n)]), run(n)), lambda r: r[1], settings.replace(steps=16))
+        lambda n: (np.array([float(n)]), run(n)), lambda r: r[1], settings.replace(steps=16),
+        stage="test")
     assert calls == [16, 32, 64, 128]
     assert converged and steps == 128 and noise[0] == 128.0
+
+
+@pytest.mark.parametrize("last", [np.nan, np.inf])
+def test_step_doubling_raises_at_a_difference_that_is_not_finite(last):
+    # a NaN difference never compares below the tolerance, so every refinement
+    # used to run; the error names the stage and the two grids it compared
+    calls = []
+
+    def run(steps):
+        calls.append(steps)
+        return np.array([1.0 if steps == 4 else last])
+
+    settings = PropagationSettings(0.0, 1.0, steps=4, tolerance=0.01, max_refinements=12)
+    with pytest.raises(NonFiniteError, match="the leg: the 4- and 8-step passes"):
+        step_doubling(run, lambda r: r, settings, stage="the leg")
+    assert calls == [4, 8]
+    assert issubclass(NonFiniteError, ArithmeticError)
 
 
 def test_zero_hamiltonian_gives_identity():
