@@ -12,7 +12,9 @@ directory is masked, and when they do not, the differing lines (at most
 STDOUT_DIFF_LINES of them), then compares every file the two runs wrote: a file
 is byte-identical, or its structure (CSV header, row and column counts,
 text cells; JSON key set, note codes, text values) and the largest
-absolute difference over its numbers are printed.
+absolute difference over its numbers are printed; for a CSV also the
+column that holds that difference, and the difference relative to that
+column's largest magnitude on either side.
 
 Exits 1 when an exit code or any structure differs, else 0.  Numeric
 differences are reported, not judged.
@@ -68,17 +70,25 @@ def compare_csv(a: str, b: str) -> tuple[bool, str]:
         return False, "header differs"
     if len(rows_a) != len(rows_b):
         return False, f"row counts differ: {len(rows_a) - 1} vs {len(rows_b) - 1}"
-    worst, text_diffs = 0.0, 0
+    worst, where, text_diffs = 0.0, None, 0
+    scale = {}          # column -> largest magnitude on either side
     for ra, rb in zip(rows_a[1:], rows_b[1:]):
         if len(ra) != len(rb):
             return False, "column counts differ"
-        for ca, cb in zip(ra, rb):
+        for j, (ca, cb) in enumerate(zip(ra, rb)):
             xa, xb = _number(ca), _number(cb)
             if xa is None or xb is None:
                 text_diffs += ca != cb
-            else:
-                worst = max(worst, abs(xa - xb))
-    summary = f"header and {len(rows_a) - 1} rows match, max |diff| {worst:.3g}"
+                continue
+            scale[j] = max(scale.get(j, 0.0), abs(xa), abs(xb))
+            if abs(xa - xb) > worst:
+                worst, where = abs(xa - xb), j
+    summary = f"header and {len(rows_a) - 1} rows match"
+    if where is not None:
+        name = rows_a[0][where] if where < len(rows_a[0]) else f"column {where + 1}"
+        summary += (f", largest in {name} ({worst / scale[where]:.3g} of the column's "
+                    "largest |value|)")
+    summary += f", max |diff| {worst:.3g}"
     if text_diffs:
         return False, f"{summary}; {text_diffs} text cells differ"
     return True, summary

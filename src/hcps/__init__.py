@@ -16,9 +16,7 @@ from .hilbert import (
     build_spin_ops,
     commutator,
     embed,
-    matrix_exponential,
     tensor,
-    vacuum_projector,
 )
 from .hamiltonians import (
     SystemParams,

@@ -38,7 +38,9 @@ from . import __version__
 from .config import ConfigError, RunConfig, _eta, load_config
 from .gates import GateReport, ScheduleConditionError, schedule_for_eta, synthesize_gate, u1, u2, u3
 from .hamiltonians import h_charge_qubit, h_drive, h_eff, h_interaction, h_nv, h_T, h_total_lab
-from .hilbert import SpaceLayout, basis_state, commutator, expm_matrix, unitarity_defect
+from .hilbert import (
+    NonFiniteError, SpaceLayout, basis_state, commutator, expm_matrix, unitarity_defect,
+)
 from .open_system import OpenGateResult, gate_fidelity_open
 from .propagation import NonHermitianSampleError, evolve_propagator
 from .wei_norman import (
@@ -324,8 +326,11 @@ def cmd_lindblad(cfg: RunConfig, out_dir) -> int:
     converged = True
     dm_tol = max(cfg.propagation.tolerance, 1e-7)   # density runs do not need 1e-8
     for factor in cfg.lindblad.scale_factors:
-        res = gate_fidelity_open(params, schedule, cfg.decoherence.scaled(factor), layout,
-                                 settings=cfg.propagation.replace(tolerance=dm_tol))
+        try:
+            res = gate_fidelity_open(params, schedule, cfg.decoherence.scaled(factor), layout,
+                                     settings=cfg.propagation.replace(tolerance=dm_tol))
+        except NonFiniteError as exc:     # an overflowing map names only its matrix
+            raise NonFiniteError(f"rate scale {factor:g}: {exc}") from exc
         rows.append((factor, res.fidelity_avg, res.trace_defect))
         converged &= res.converged
         print(_lindblad_line(factor, res))

@@ -77,6 +77,8 @@ def frequency_to_rad_per_ns(node, where: str) -> float:
     if unit not in UNIT_SCALES:
         raise ConfigError(
             f"{where}: unknown unit tag {unit!r}; supported: {sorted(UNIT_SCALES)}")
+    if isinstance(node["value"], bool):       # float(True) would run as 1
+        raise ConfigError(f"{where}: value {node['value']!r} is not a number")
     try:
         value = float(node["value"])
     except (TypeError, ValueError):

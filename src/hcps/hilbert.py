@@ -273,13 +273,6 @@ def basis_state(layout: SpaceLayout, spin: int, charge: int, fock: int) -> State
     return StateVector(layout, amp)
 
 
-def vacuum_projector(layout: SpaceLayout) -> Operator:
-    """Projector onto the resonator vacuum (identity on both qubits)."""
-    p = np.zeros((layout.fock_cutoff, layout.fock_cutoff), dtype=np.complex128)
-    p[0, 0] = 1.0
-    return embed(p, SLOT_RESONATOR, layout)
-
-
 def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
 
@@ -400,8 +393,3 @@ def expm_matrix(mat: np.ndarray, scale: complex = 1.0) -> np.ndarray:
                              f"with 1-norm {abs(scale) * np.abs(mat).sum(axis=0).max():.3e} "
                              "is not finite")
     return out
-
-
-def matrix_exponential(op: Operator, scale: complex = 1.0) -> Operator:
-    """exp(scale * op) as an Operator; see expm_matrix."""
-    return Operator(op.layout, expm_matrix(op.entries, scale))

@@ -39,6 +39,16 @@ B = 4 (it copies once when B = 1); the Fock map acts inside each pair.  A
 Hermitian stack enters this layout once (:func:`_block_layout`) and
 leaves it once (:func:`_stacked_layout`).
 
+Conjugation is lazy: while the map between two step unitaries is the
+identity (no channel), the leg multiplies them into one pending (B, S, S)
+product, and conjugates the stack by it only before a map that is not the
+identity and at the end of a pass; a zero-rate pass conjugates once.  A
+map whose imaginary part is exactly zero is kept as float64 and applied
+as one real product on the float64 view of the stack: that holds for
+every dissipator map of sigma_minus, sigma_z and a, in the lab basis and
+in QUBIT_HADAMARD's.  The pulse maps, which carry -i[h, rho], stay
+complex.
+
 Dissipators are applied in the frame in which h_eff is written; frame
 corrections to the collapse operators under the strong drive are out of
 scope and the time constants are config inputs, so both the charge-qubit
@@ -253,11 +263,14 @@ def _stored_pairs(blocks: int) -> int:
 
 def _exact_maps(generators: tuple, t: float, blocks: int) -> tuple:
     """exp(t G) of the (qubit, Fock) generators, None (the identity) kept as
-    it is.  The 16 x 16 qubit map is cut to the stack of `blocks` blocks:
-    its rows for the stored pairs, and its columns for all B^2 pairs in the
-    stored order (:func:`_pair_blocks`), each pair with its qubit index pair
-    inside the block (rho, rho'), rho < 4 / B."""
-    qubit, fock = (None if g is None else expm_matrix(g, t) for g in generators)
+    it is, each as float64 when its imaginary part is exactly zero (every
+    dissipator map of real collapse operators, in the lab basis and in
+    QUBIT_HADAMARD's) and complex otherwise (a pulse map, which carries
+    -i[h, rho]).  The 16 x 16 qubit map is cut to the stack of `blocks`
+    blocks: its rows for the stored pairs, and its columns for all B^2 pairs
+    in the stored order (:func:`_pair_blocks`), each pair with its qubit
+    index pair inside the block (rho, rho'), rho < 4 / B."""
+    qubit, fock = (None if g is None else _real_if_exact(expm_matrix(g, t)) for g in generators)
     if qubit is not None:
         r = 4 // blocks
         rows, cols = _pair_blocks(blocks)
@@ -266,6 +279,21 @@ def _exact_maps(generators: tuple, t: float, blocks: int) -> tuple:
                  + cols[:, None, None] * r + inner).reshape(-1)
         qubit = qubit[np.ix_(order[:_stored_pairs(blocks) * r * r], order)]
     return qubit, fock
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """a as float64 when its imaginary part is exactly zero, else a itself."""
+    return a if a.imag.any() else a.real.copy()
+
+
+def _map_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b of a map a and a complex (k, l) matrix b, into out's memory when
+    given.  A float64 a multiplies b's float64 view, (k, 2l), by one real
+    product (b is copied first unless it is C-contiguous)."""
+    if a.dtype == np.float64:
+        view = None if out is None else out.view(np.float64)
+        return np.matmul(a, np.ascontiguousarray(b).view(np.float64), out=view).view(np.complex128)
+    return np.matmul(a, b, out=out)
 
 
 def _block_layout(rhos: np.ndarray, blocks: int) -> np.ndarray:
@@ -311,17 +339,23 @@ def _stacked_layout(x: np.ndarray) -> np.ndarray:
     return out.reshape(m, blocks * s, blocks * s)
 
 
-def _apply_maps(x: np.ndarray, n: int, qubit_map, fock_map) -> np.ndarray:
+def _apply_maps(x: np.ndarray, n: int, qubit_map, fock_map,
+                out: np.ndarray | None = None) -> np.ndarray:
     """The stored pairs of x after a qubit-pair and a Fock-pair superoperator
     (None: identity), as a (P, S, m, S) stack: x[:P] itself when both are
-    the identity, a new array otherwise.
+    the identity, a new array or a view of out otherwise.
 
     Seen as (B^2, S/N, N, m, S/N, N), the qubit index is (b, S/N axis) and
     the Fock index the N axis, on each side.  The qubit map, cut by
     :func:`_exact_maps`, is one (P S^2/N^2) x 16 product on all B^2 pairs
     with the qubit pair gathered in front, after :func:`_lower_pairs` has
-    filled x's room: a view when B = 4, one copy when B = 1.  The Fock map
-    acts inside each stored pair; the two maps commute.
+    filled x's room: a view when B = 4, one copy when B = 1.  It writes into
+    the memory of out, a contiguous (P, S, m, S) workspace, when one is
+    given; with no Fock map and B = 4 the result is out itself.  The Fock
+    map is one N^2 x N^2 product with the Fock pair gathered in front,
+    inside each stored pair; the two maps commute.  A float64 map (every
+    dissipator map) is one real product on the float64 view of the stack,
+    a complex one (a pulse map) one complex product.
     """
     blocks = math.isqrt(len(x))
     pairs = _stored_pairs(blocks)
@@ -332,13 +366,27 @@ def _apply_maps(x: np.ndarray, n: int, qubit_map, fock_map) -> np.ndarray:
     v = x[:pairs].reshape(pairs, r, n, m, r, n)
     if qubit_map is not None:
         _lower_pairs(x)
-        q = qubit_map @ x.reshape(-1, r, n, m, r, n).transpose(0, 1, 4, 2, 3, 5).reshape(
-            len(x) * r * r, -1)
+        q = _map_product(qubit_map, x.reshape(-1, r, n, m, r, n).transpose(0, 1, 4, 2, 3, 5)
+                         .reshape(len(x) * r * r, -1),
+                         None if out is None else out.reshape(pairs * r * r, -1))
         v = q.reshape(pairs, r, r, n, m, n).transpose(0, 1, 3, 4, 2, 5)
     if fock_map is not None:
-        v = np.tensordot(v, fock_map.reshape((n,) * 4), ([2, 5], [2, 3]))
-        v = v.transpose(0, 1, 4, 2, 3, 5)
+        f = _map_product(fock_map, v.transpose(2, 5, 0, 1, 3, 4).reshape(n * n, -1))
+        v = f.reshape(n, n, pairs, r, m, r).transpose(2, 3, 0, 4, 5, 1)
     return v.reshape(pairs, s, m, s)
+
+
+def _conjugate(u: np.ndarray, v: np.ndarray, p: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray, left: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Step stored pairs and twins by a block unitary u, (B, S, S): each pair
+    of v, (P, S, m, S), as u_b v adj(u_b') into out, (P, S, m, S), by one
+    batched product on each side (the left one into the (P, S, m S)
+    workspace left), and the twins p, (B, m, S), as p_b u_b^T, returned."""
+    pairs, s, m, _ = v.shape
+    np.matmul(u[rows], v.reshape(pairs, s, m * s), out=left)
+    np.matmul(left.reshape(pairs, s * m, s), u[cols].conj().swapaxes(-1, -2),
+              out=out.reshape(pairs, s * m, s))
+    return p @ u.swapaxes(-1, -2)
 
 
 def _strang_leg(provider: Callable[[int], Iterable[np.ndarray]], duration: float,
@@ -355,14 +403,26 @@ def _strang_leg(provider: Callable[[int], Iterable[np.ndarray]], duration: float
     and the half-step map again.  The trailing half of one step and the
     leading half of the next are one constant map, so a pass applies the
     half map, then the full-step map between consecutive unitaries, and the
-    half map after the last one.  u_b x adj(u_b') over the stored pairs
-    is one batched product on each side; the right one writes into the
-    pass's own stack, whose room then takes the lower pairs for the next
-    qubit map (the first map writes x's room, which holds no data).  The
-    closed twins psis, a (m, d) stack, ride on the same u as (B, m, S), one
-    product per block.  The trace defect is read from the diagonal pairs,
-    and step doubling compares the stored pairs, whose max-norm is the
-    whole stack's.  Returns the final stacks, whether the leg converged
+    half map after the last one.
+
+    Conjugation is lazy: a pass holds the product of the step unitaries not
+    yet applied, multiplying the next one in while the map between them is
+    the identity (no channel), and conjugates the stored pairs and the
+    closed twins psis, a (m, d) stack riding on the same u as (B, m, S), by
+    it (:func:`_conjugate`) only before a map that is not the identity and
+    once at the end of the pass.  With no channel that is one conjugation
+    per pass; with channels it is one per step, before each map.  A
+    provider's stack is held while the next one is drawn, so a provider
+    must not reuse its memory.  Each pass allocates its stack (x starts
+    every pass), its left-product and (with a channel) its map-output
+    workspaces once; the
+    qubit map fills x's room, which holds no data, and then the pass
+    stack's room with the lower pairs.
+
+    The trace defect of each input is read from the diagonal pairs, against
+    that input's own trace on entry, so a traceless Hermitian input reads
+    0, not 1.  Step doubling compares the stored pairs, whose max-norm is
+    the whole stack's.  Returns the final stacks, whether the leg converged
     with a trace defect within TRACE_DRIFT_LIMIT, that defect, and the grid
     used.
 
@@ -377,23 +437,32 @@ def _strang_leg(provider: Callable[[int], Iterable[np.ndarray]], duration: float
     pairs = _stored_pairs(blocks)
     rows, cols = (c[:pairs] for c in _pair_blocks(blocks))
     twins = psis.reshape(len(psis), blocks, s).swapaxes(0, 1)
+    identity = all(g is None for g in dissipators)
 
     def run(steps: int):
         half, full = (_exact_maps(dissipators, k * duration / steps, blocks) for k in (0.5, 1.0))
-        r = np.empty_like(x)        # the pass's stack: x starts every pass
-        stored = r[:pairs].reshape(pairs, s * m, s)
-        y, p, gap = x, twins, half
+        r = np.empty_like(x)
+        left = np.empty((pairs, s, m * s), dtype=np.complex128)
+        # a zero-rate pass applies no map; its stack would only add to the memory
+        # peak while the provider builds its step unitaries
+        mapped = None if identity else np.empty((pairs, s, m, s), dtype=np.complex128)
+        v, p, u = _apply_maps(x, n, *half, mapped), twins, None
         for ub in provider(steps):
-            left = ub[rows] @ _apply_maps(y, n, *gap).reshape(pairs, s, m * s)
-            np.matmul(left.reshape(pairs, s * m, s), ub[cols].conj().swapaxes(-1, -2),
-                      out=stored)
-            y, p, gap = r, p @ ub.swapaxes(-1, -2), full
-        r[:pairs] = _apply_maps(r, n, *half)
+            if u is None:
+                u = ub
+            elif identity:
+                u = ub @ u
+            else:
+                p = _conjugate(u, v, p, rows, cols, left, r[:pairs])
+                v, u = _apply_maps(r, n, *full, mapped), ub
+        p = _conjugate(u, v, p, rows, cols, left, r[:pairs])
+        r[:pairs] = _apply_maps(r, n, *half, mapped)
         return r, p.swapaxes(0, 1).reshape(psis.shape)
 
+    traces = np.einsum("biai->a", x[:blocks])
     (r, p), converged, steps = step_doubling(run, lambda out: out[0][:pairs], settings,
                                              stage="open-system Strang leg")
-    trace_defect = float(np.abs(np.einsum("biai->a", r[:blocks]) - 1.0).max())
+    trace_defect = float(np.abs(np.einsum("biai->a", r[:blocks]) - traces).max())
     return r, p, converged and trace_defect <= TRACE_DRIFT_LIMIT, trace_defect, steps
 
 

@@ -107,8 +107,10 @@ class PropagationSettings:
             raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be > 0")
+        # propagator and density-matrix entries are at most 1 in modulus, so a
+        # tolerance of 1 or more checks nothing
+        if not (0 < self.tolerance < 1):
+            raise ValueError("tolerance must be > 0 and < 1")
         if self.max_refinements < 0:
             raise ValueError("max_refinements must be >= 0")
 

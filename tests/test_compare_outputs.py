@@ -48,6 +48,22 @@ def test_a_moved_cell_is_reported_not_judged(tmp_path, capsys):
     assert float(line.rsplit("max |diff| ", 1)[1]) == pytest.approx(1e-15, rel=0.2)
 
 
+def test_a_csv_line_names_the_column_of_its_largest_difference_and_scales_it(tmp_path, capsys):
+    # residual moves by 1e-13 on a column of size 2e-12, A_oracle by 1e-12 on
+    # size 0.25: the absolute winner is A_oracle, at 4e-12 of its column
+    moved = ["0.5,0.125,1.1e-12", f"1,{0.25 + 1e-12!r},2e-12"]
+    status = compare_outputs.compare_dirs(_tree(tmp_path / "a"), _tree(tmp_path / "b", rows=moved))
+    assert status == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if "coefficients.csv" in s)
+    assert "largest in A_oracle (" in line
+    rel = float(line.split("largest in A_oracle (", 1)[1].split(" ", 1)[0])
+    assert rel == pytest.approx(1e-12 / 0.25, rel=0.01)
+    assert float(line.rsplit("max |diff| ", 1)[1]) == pytest.approx(1e-12, rel=0.01)
+
+    ok, summary = compare_outputs.compare_csv("\n".join([HEADER, *ROWS]), "\n".join([HEADER, *ROWS]))
+    assert ok and summary == "header and 2 rows match, max |diff| 0"
+
+
 @pytest.mark.parametrize("change", [
     {"header": "t_ns,A_oracle,resid"},
     {"rows": ROWS[:1]},

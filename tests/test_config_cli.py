@@ -680,6 +680,48 @@ def test_non_positive_tolerance_fails_at_load(tmp_path, capsys):
     assert "bad.json: propagation" in err
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("command", ["gate", "validate"])
+def test_boolean_frequency_value_exits_config_naming_the_field(tmp_path, capsys, command,
+                                                               value):
+    # JSON true is a Python bool, and float(True) is 1: g ran as 1 GHz_cyclic
+    doc = paper_preset_dict()
+    doc["system"]["g"] = {"value": value, "unit": "GHz_cyclic"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"system.g: value {value} is not a number" in err
+
+
+@pytest.mark.parametrize("tolerance", [1, 1.0, 2.5, 1e300])
+def test_a_tolerance_that_cannot_fail_exits_config_naming_the_field(tmp_path, capsys,
+                                                                     tolerance):
+    # propagator and density-matrix entries are at most 1 in modulus, so a
+    # tolerance of 1 or more accepts the first comparison at any grid
+    doc = paper_preset_dict()
+    doc["propagation"]["tolerance"] = tolerance
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"bad\.json: propagation: tolerance must be > 0 and < 1"):
+        load_config(path)
+    assert main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "propagation: tolerance" in err
+
+
+def test_an_overflowing_rate_scale_names_its_factor(tmp_path, capsys):
+    # the overflowing map's message names only its matrix; lindblad adds the
+    # rate scale it was building, after the rows that ran
+    cfg = small_config(tmp_path, lindblad={"scale_factors": [0.0, 1e300]})
+    assert main(["lindblad", "--config", cfg, "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "scale 0: fidelity" in out
+    assert "numerical error: rate scale 1e+300: matrix exponential" in err
+    assert not (tmp_path / "lindblad.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gate"],                                                   # --config missing
     ["coeffs", "--config", "paper_preset", "--eta", "1"],       # --eta is for gate and sweep

@@ -16,6 +16,7 @@ from hcps.open_system import (
     DecoherenceParams,
     DensityMatrix,
     _block_layout,
+    _exact_maps,
     _liouvillian,
     _local_factors,
     _stacked_layout,
@@ -278,6 +279,120 @@ def test_block_stack_leg_matches_the_same_unitaries_given_densely():
         assert np.abs(got - want).max() <= 1e-14
     swapped = leg(units[:, [1, 0, 2, 3]], 4)
     assert all(np.abs(got - want).max() > 1e-3 for got, want in zip(swapped, dense))
+
+
+def _random_leg_inputs(n: int, m: int, seed: int):
+    """m Hermitian trace-1 mixed states and m twins on d = 4 n, and a
+    (4, n, n) stack of random sector-block Hamiltonians."""
+    rng = np.random.default_rng(seed)
+    d = 4 * n
+    a = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+    rhos = a @ a.conj().swapaxes(-1, -2)
+    rhos /= np.einsum("kii->k", rhos)[:, None, None]
+    psis = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+    h = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+    return rhos, psis, h + h.conj().swapaxes(-1, -2)
+
+
+def test_a_zero_channel_pass_conjugates_once_and_matches_per_step_conjugation(monkeypatch):
+    # with every map the identity a pass multiplies its step unitaries into
+    # one product and conjugates the stack and the twins by it at its end;
+    # with a channel it conjugates at every step, before each map
+    n, m, steps = 3, 5, 7
+    rhos, psis, _ = _random_leg_inputs(n, m, 41)
+    rng = np.random.default_rng(42)
+    z = rng.normal(size=(steps, 4, n, n)) + 1j * rng.normal(size=(steps, 4, n, n))
+    units = np.linalg.qr(z)[0]
+    calls = []
+    honest = hcps.open_system._conjugate
+
+    def counting(*args):
+        calls.append(1)
+        return honest(*args)
+
+    monkeypatch.setattr(hcps.open_system, "_conjugate", counting)
+    settings = PropagationSettings(steps=steps, max_refinements=0)
+    x, p, *_ = _strang_leg(lambda k: iter(units), 1.0, _block_layout(rhos, 4), psis, n,
+                           (None, None), settings)
+    assert len(calls) == 1
+    want_rho, want_psi = rhos, psis
+    for u in units:
+        dense = scipy.linalg.block_diag(*u)
+        want_rho = dense @ want_rho @ dense.conj().T
+        want_psi = want_psi @ dense.T
+    assert np.abs(want_rho - rhos).max() > 0.1 * np.abs(rhos).max()    # the states move
+    assert np.abs(_stacked_layout(x) - want_rho).max() <= 1e-13
+    assert np.abs(p - want_psi).max() <= 1e-13
+
+    calls.clear()
+    dec = DecoherenceParams(T1_charge_us=0.01, T2_charge_us=0.015)
+    qubit, _ = _local_factors(collapse_ops(dec, SpaceLayout(n)), n, QUBIT_HADAMARD)
+    _strang_leg(lambda k: iter(units), 1.0, _block_layout(rhos, 4), psis, n,
+                (_liouvillian(4, qubit), None), settings)
+    assert len(calls) == steps
+
+
+def test_dissipator_maps_are_real_and_a_complex_collapse_operator_keeps_a_complex_one():
+    # every map of sigma_minus, sigma_z and a is real, in the lab basis and
+    # in QUBIT_HADAMARD's, and a pulse map is not; L = sigma_x + i sigma_z
+    # has a complex map, which still matches the dense d^2 x d^2 route
+    lay = SpaceLayout(3)
+    collapse = collapse_ops(DecoherenceParams(T1_spin_us=1000.0, kappa_res=0.2), lay)
+    assert len(collapse) == 5
+    h = 0.5 * build_spin_ops(lay, SLOT_CHARGE).x + 0.3 * build_spin_ops(lay, SLOT_SPIN).x
+    for basis in (np.eye(4), QUBIT_HADAMARD):
+        qubit, fock = _local_factors(collapse, 3, basis)
+        maps = _exact_maps((_liouvillian(4, qubit), _liouvillian(3, fock)), 0.7, 4)
+        assert [g.dtype for g in maps] == [np.float64, np.float64]
+        (pulse,), _ = _local_factors([(h, 1.0)], 3, basis)
+        assert _exact_maps((_liouvillian(4, qubit, pulse[0]), None), 0.7, 4)[0].dtype \
+            == np.complex128
+
+    charge = build_spin_ops(lay, SLOT_CHARGE)
+    tilted = [(charge.x + 1j * charge.z, 0.05), *collapse]
+    qubit, _ = _local_factors(tilted, 3, np.eye(4))
+    assert _exact_maps((_liouvillian(4, qubit), None), 0.7, 1)[0].dtype == np.complex128
+    amp = np.arange(1, lay.total_dim + 1) + 0.5j
+    rho0 = DensityMatrix.from_state(StateVector(lay, amp / np.linalg.norm(amp)))
+    t = 2.0
+    res = evolve_master(lambda _: h, rho0, tilted, PropagationSettings(0.0, t, 64, 1e-9))
+    assert res.converged
+    d = lay.total_dim
+    want = (scipy.linalg.expm(t * dense_liouvillian(h.entries, tilted))
+            @ rho0.entries.reshape(-1)).reshape(d, d)
+    real_only = (scipy.linalg.expm(t * dense_liouvillian(h.entries, collapse))
+                 @ rho0.entries.reshape(-1)).reshape(d, d)
+    assert np.abs(want - real_only).max() > 1e-3          # the complex channel acts
+    assert np.abs(res.rho.entries - want).max() < 1e-9
+
+
+def test_a_traceless_input_reads_its_own_trace_defect():
+    # each input's trace is read against its own trace on entry: a traceless
+    # Hermitian input (|i><j| + |j><i|) beside trace-1 ones reads a defect at
+    # rounding, not 1, and leaves the leg converged
+    n, m = 3, 4
+    rhos, psis, h = _random_leg_inputs(n, m, 43)
+    unit = np.zeros((4 * n, 4 * n), dtype=np.complex128)
+    unit[1, 6] = unit[6, 1] = 1.0
+    rhos = np.concatenate([rhos, unit[None]])
+    psis = np.concatenate([psis, psis[:1]])
+    dec = DecoherenceParams(T1_charge_us=0.01, T2_charge_us=0.015, T2_spin_us=0.02,
+                            T1_spin_us=0.05, kappa_res=0.3)
+    qubit, fock = _local_factors(collapse_ops(dec, SpaceLayout(n)), n, QUBIT_HADAMARD)
+
+    def steps_of(k):
+        u = np.stack([scipy.linalg.expm(-1j * (2.0 / k) * hb) for hb in h])
+        return iter(np.broadcast_to(u, (k, *u.shape)))
+
+    x, _, converged, defect, _ = _strang_leg(
+        steps_of, 2.0, _block_layout(rhos, 4), psis, n,
+        (_liouvillian(4, qubit), _liouvillian(n, fock)),
+        PropagationSettings(steps=16, tolerance=1e-7, max_refinements=8))
+    assert converged
+    assert defect < 1e-12
+    out = _stacked_layout(x)
+    assert abs(np.trace(out[-1])) < 1e-12
+    assert np.abs(out[-1] - unit).max() > 0.01          # the traceless input moves
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 4])
