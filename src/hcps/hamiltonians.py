@@ -259,7 +259,8 @@ def h_eff(params: SystemParams, layout: SpaceLayout, t: float) -> TermOperator:
     Both qubit operators appear only through sigma_x and S_x, so h_eff
     commutes with each of them at every time and is block-diagonal in their
     joint eigenbasis; within one (s1, s2) eigensector it is a linearly
-    driven oscillator.  See :func:`hcps.wei_norman.sector_amplitude`.
+    driven oscillator; :func:`hcps.wei_norman.sector_amplitude` gives the
+    drive of any stack of sectors.
     """
     return TermOperator(layout, (
         _coupling(layout, "ad_sx", params.g * np.exp(1j * params.omega * t))

@@ -35,8 +35,10 @@ step-doubled, checkpointed sector propagation and the open-system joint
 leg (:func:`joint_step_unitaries`).  Only sectors (1, 1) and (1, -1), the
 PROPAGATED pair, are propagated; sector (-s, -c) is driven by -f, so its
 propagator is the parity image P U(s, c) P, P = (-1)^n_hat.  The pair is one
-complex array throughout: (2, C, N, N) over a pass's C checkpoints, (2, N, N)
-at one time; :func:`_sector_blocks` adds the images in SECTORS order, and
+stack from its drive amplitudes on: one kernel call per segment, one step
+doubling per pass and one chunk stream for the joint leg serve both sectors;
+it is (2, C, N, N) over a pass's C checkpoints and (2, N, N) at one time.
+:func:`_sector_blocks` adds the images in SECTORS order, and
 QUBIT_HADAMARD on the qubit index takes blocks to the lab basis.  The
 six-factor product is built on all four sectors, where sx and Sx are
 scalars (an independent check of the images).  :func:`coefficients_oracle`
@@ -231,17 +233,19 @@ def commensurate_time(omega: float, Delta: float, max_n: int = 64,
 # oracle route: sector propagation and coefficient extraction
 # ----------------------------------------------------------------------
 
-def sector_amplitude(params: SystemParams, spin_sign: int, charge_sign: int
-                     ) -> Callable[[float], complex]:
-    """Drive amplitude f(t) of the (spin_sign, charge_sign) eigensector.
+def sector_amplitude(params: SystemParams, keys: Sequence[tuple[int, int]]
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+    """Drive amplitudes of the eigensectors keyed (spin_sign, charge_sign):
+    a function of K times returning f(t) of each sector, a (len(keys), K) array.
 
-    In that sector h_eff reduces to f(t) a' + conj(f(t)) a with
-    f(t) = charge_sign * g e^{i omega t} + spin_sign * (G/2) e^{i Delta t}.
+    In sector (s, c) h_eff reduces to f(t) a' + conj(f(t)) a with
+    f(t) = c g e^{i omega t} + s (G/2) e^{i Delta t}.
     """
     g, G, w, d = params.g, params.G, params.omega, params.Delta
+    spin, charge = np.array(keys, dtype=float).T[:, :, None]
 
-    def f(t: float) -> complex:
-        return charge_sign * g * np.exp(1j * w * t) + spin_sign * 0.5 * G * np.exp(1j * d * t)
+    def f(t: np.ndarray) -> np.ndarray:
+        return charge * g * np.exp(1j * w * t) + spin * 0.5 * G * np.exp(1j * d * t)
 
     return f
 
@@ -291,8 +295,8 @@ def _sector_step_factors(n: int) -> Callable[[np.ndarray, float], np.ndarray]:
 
 def _cf4_steps(f_fun: Callable, factors: Callable, starts: np.ndarray,
                dt: float) -> np.ndarray:
-    """Order-4 commutator-free Magnus step unitaries of one sector,
-    H(t) = f a' + conj(f) a, one per step start time.
+    """Order-4 commutator-free Magnus step unitaries of k sectors, H(t) =
+    f a' + conj(f) a, as a (k, K, N, N) stack: one per sector and step start.
 
     With f sampled at the Gauss points t + c_1,2 dt of each step, giving
     f_1 and f_2, one step is the two-exponential product
@@ -301,23 +305,24 @@ def _cf4_steps(f_fun: Callable, factors: Callable, starts: np.ndarray,
 
     a_+- = 1/4 +- sqrt(3)/6, right factor applied first.  Every such
     combination of samples is again a sector Hamiltonian, so both factors
-    of every step come from one call of factors, a
+    of every step of every sector come from one call of factors, a
     :func:`_sector_step_factors` builder.  This is the one step rule of
     the module: the oracle's snapshots and the open-system joint leg both
     take it.
     """
     f1, f2 = (f_fun(starts + c * dt) for c in GAUSS_NODES)
-    amps = np.empty(2 * len(starts), dtype=np.complex128)
-    amps[0::2] = _CF4_PLUS * f1 + _CF4_MINUS * f2
-    amps[1::2] = _CF4_MINUS * f1 + _CF4_PLUS * f2
-    mats = factors(amps, dt)
-    return mats[1::2] @ mats[0::2]
+    amps = np.empty((len(f1), 2 * len(starts)), dtype=np.complex128)
+    amps[:, 0::2] = _CF4_PLUS * f1 + _CF4_MINUS * f2
+    amps[:, 1::2] = _CF4_MINUS * f1 + _CF4_PLUS * f2
+    mats = factors(amps.reshape(-1), dt)
+    mats = mats.reshape(*amps.shape, *mats.shape[1:])
+    return mats[:, 1::2] @ mats[:, 0::2]
 
 
 def _cf4_chunks(f_fun: Callable, factors: Callable, t0: float, dt: float, steps: int,
                 per_chunk: int) -> Iterator[np.ndarray]:
-    """The :func:`_cf4_steps` unitaries of `steps` uniform steps from t0, in
-    order, as stacks of at most per_chunk steps: the one chunk loop over them."""
+    """The (k, K, N, N) :func:`_cf4_steps` stacks of `steps` uniform steps from
+    t0, in order, at most per_chunk steps each: the one chunk loop over them."""
     for done in range(0, steps, per_chunk):
         count = min(steps - done, per_chunk)
         yield _cf4_steps(f_fun, factors, t0 + (done + np.arange(count)) * dt, dt)
@@ -325,38 +330,36 @@ def _cf4_chunks(f_fun: Callable, factors: Callable, t0: float, dt: float, steps:
 
 def _sector_snapshots(f_fun: Callable, times: Sequence[float], n: int,
                       steps_total: int) -> np.ndarray:
-    """Fixed-grid snapshots of one sector on :func:`_cf4_steps`, a (C, N, N)
-    array: entry k is the propagator from 0 to times[k].
+    """Fixed-grid snapshots of k sectors on :func:`_cf4_steps`, a (k, C, N, N)
+    array: entry [i, j] is sector i's propagator from 0 to times[j].
 
     The step unitaries are built in vectorized chunks and pairwise-reduced
-    in step order.  The generic integrator steps with the Magnus-4 rule
-    of :mod:`hcps.propagation` (one exponential with a commutator term), so
-    the two are independent schemes.  Checkpoint k ends at step
-    round(steps_total * t_k / span), so the segments sum to steps_total (a
-    segment is never shorter than one step).
+    in step order, all sectors at once.  The generic integrator steps with
+    the Magnus-4 rule of :mod:`hcps.propagation` (one exponential with a
+    commutator term), so the two are independent schemes.  Checkpoint j
+    ends at step round(steps_total * t_j / span), kept past checkpoint j - 1
+    and at most steps_total - (C - 1 - j), so every segment has a step and
+    the segments sum to steps_total, which must be at least C.
     """
-    span = times[-1]
+    span, count = times[-1], len(times)
     factors = _sector_step_factors(n)
-    per_chunk = max(1, _CHUNK_ENTRIES // (2 * n * n))   # two n x n factors per step
+    per_chunk = max(1, _CHUNK_ENTRIES // (2 * n * n))   # two n x n factors per step and sector
 
-    snapshots = np.empty((len(times), n, n), dtype=np.complex128)
+    snapshots = []
     u = np.eye(n, dtype=np.complex128)
-    prev = 0.0
-    taken = 0
-    for tk, snap in zip(times, snapshots):
-        seg_steps = max(1, round(steps_total * tk / span) - taken)
-        taken += seg_steps
-        dt = (tk - prev) / seg_steps
-        for mats in _cf4_chunks(f_fun, factors, prev, dt, seg_steps, per_chunk):
+    prev, taken = 0.0, 0
+    for j, tj in enumerate(times):
+        end = min(max(taken + 1, round(steps_total * tj / span)), steps_total - (count - 1 - j))
+        dt = (tj - prev) / (end - taken)
+        for mats in _cf4_chunks(f_fun, factors, prev, dt, end - taken, per_chunk):
             # ordered pairwise product of the chunk, then fold into u
-            while mats.shape[0] > 1:
-                m = mats.shape[0] // 2
-                head = np.matmul(mats[1:2 * m:2], mats[0:2 * m:2])
-                mats = np.concatenate([head, mats[2 * m:]]) if mats.shape[0] % 2 else head
-            u = mats[0] @ u
-        snap[...] = u
-        prev = tk
-    return snapshots
+            while mats.shape[1] > 1:
+                head = mats[:, 1::2] @ mats[:, :-1:2]
+                mats = np.concatenate([head, mats[:, -1:]], axis=1) if mats.shape[1] % 2 else head
+            u = mats[:, 0] @ u
+        snapshots.append(u)
+        prev, taken = tj, end
+    return np.stack(snapshots, axis=1)
 
 
 def _parity_image(u: np.ndarray) -> np.ndarray:
@@ -369,10 +372,10 @@ def _parity_image(u: np.ndarray) -> np.ndarray:
     return u * (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
 
 
-def _sector_blocks(pair) -> list[np.ndarray]:
-    """The four SECTORS blocks, in order, from the PROPAGATED pair (a (2, ...)
-    stack, or two equal-shape stacks): pair[0], pair[1] and their parity images."""
-    return [pair[0], pair[1], _parity_image(pair[1]), _parity_image(pair[0])]
+def _sector_blocks(pair: np.ndarray) -> list[np.ndarray]:
+    """The four SECTORS blocks, in order, from the (2, ...) PROPAGATED pair:
+    pair[0], pair[1] and their parity images."""
+    return [*pair, *_parity_image(pair[::-1])]
 
 
 def sector_states(psi: np.ndarray) -> np.ndarray:
@@ -397,20 +400,19 @@ def joint_step_unitaries(params: SystemParams, layout: SpaceLayout, duration: fl
     """Uniform-grid step unitaries of h_eff, yielded in order as (4, N, N)
     stacks of their SECTORS blocks, the diagonal blocks in the sector-block basis.
 
-    Each is the :func:`_cf4_steps` step (the oracle's rule) of the two
-    PROPAGATED sectors followed by their parity images.  Its one consumer,
+    Each is the :func:`_cf4_steps` step (the oracle's rule) of the PROPAGATED
+    pair, from one chunk stream, then their parity images.  Its one consumer,
     the open-system interaction leg, conjugates block by block in this basis
     and maps its inputs into it once, by :func:`sector_states`.
     """
     n = layout.fock_cutoff
-    factors = _sector_step_factors(n)
-    # a chunk's (4, N, N) step blocks are kept to about 4 MB
-    per_chunk = max(1, _CHUNK_ENTRIES // (32 * n * n))
-    pp, pm = (_cf4_chunks(sector_amplitude(params, ss, sc), factors, 0.0, duration / steps,
-                          steps, per_chunk) for ss, sc in PROPAGATED)
-    # not zip: its reused result tuple would hold each chunk while the next is built
+    # a chunk's 2 x 2 factors per step, and its (4, N, N) step blocks, are kept to about 2 MB
+    per_chunk = max(1, _CHUNK_ENTRIES // (64 * n * n))
+    chunks = _cf4_chunks(sector_amplitude(params, PROPAGATED), _sector_step_factors(n), 0.0,
+                         duration / steps, steps, per_chunk)
+    # next(), not a for loop: its target would hold each chunk while the next is built
     for _ in range(0, steps, per_chunk):
-        yield from np.stack(_sector_blocks((next(pp), next(pm))), axis=1)
+        yield from np.stack(_sector_blocks(next(chunks)), axis=1)
 
 
 def _default_fock_window(fock_cutoff: int) -> int:
@@ -484,28 +486,23 @@ def _oracle_result(coeffs: WNCoefficients, pair: np.ndarray, converged: bool, st
 def _propagate_sectors(params: SystemParams, times: Sequence[float], fock_cutoff: int,
                        settings: PropagationSettings
                        ) -> tuple[np.ndarray, bool, int]:
-    """The PROPAGATED pair at the checkpoints, each sector step-doubled on its own.
+    """The PROPAGATED pair at the checkpoints, step-doubled as one stack.
 
     Returns the (2, C, N, N) array whose entry [i, k] is sector PROPAGATED[i]
-    from 0 to times[k], whether both converged, and the finer final grid.
+    from 0 to times[k], whether the pair converged, and its final grid.
     Each kernel pass is checked by _vacuum_amplitudes as it ends, so a
     displacement too large to extract raises before the grid is refined.
     """
-    def checked(snaps: np.ndarray) -> np.ndarray:
-        _vacuum_amplitudes(snaps)
-        return snaps
+    f = sector_amplitude(params, PROPAGATED)
 
-    pair = np.empty((len(PROPAGATED), len(times), fock_cutoff, fock_cutoff), dtype=np.complex128)
-    converged_all, steps_max = True, 0
-    grid = settings.replace(steps=max(settings.steps, len(times)))
-    for out, key in zip(pair, PROPAGATED):
-        f = sector_amplitude(params, *key)
-        out[...], converged, steps = step_doubling(
-            lambda steps: checked(_sector_snapshots(f, times, fock_cutoff, steps)),
-            lambda snaps: snaps[-1], grid, stage=f"sector oracle {key}")
-        converged_all &= converged
-        steps_max = max(steps_max, steps)
-    return pair, converged_all, steps_max
+    def run(steps: int) -> np.ndarray:
+        pair = _sector_snapshots(f, times, fock_cutoff, steps)
+        _vacuum_amplitudes(pair)
+        return pair
+
+    return step_doubling(run, lambda pair: pair[:, -1],
+                         settings.replace(steps=max(settings.steps, len(times))),
+                         stage="sector oracle")
 
 
 def _pass_times(times) -> np.ndarray:

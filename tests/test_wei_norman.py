@@ -292,10 +292,10 @@ def test_sector_blocks_are_the_pair_then_its_parity_images_in_sector_order():
     pair = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
     parity = np.diag((-1.0) ** np.arange(n))
     want = [pair[0], pair[1], parity @ pair[1] @ parity, parity @ pair[0] @ parity]
-    for got in (wei_norman._sector_blocks(pair), wei_norman._sector_blocks((pair[0], pair[1]))):
-        assert len(got) == 4
-        for block, ref in zip(got, want):
-            assert np.array_equal(block, ref)
+    got = wei_norman._sector_blocks(pair)
+    assert len(got) == 4
+    for block, ref in zip(got, want):
+        assert np.array_equal(block, ref)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -367,7 +367,7 @@ def test_extraction_guards_against_large_displacement(monkeypatch):
     # displacement 2g/omega = 6 empties the vacuum amplitude well below the
     # guard threshold once the cutoff is large enough to hold the excursion;
     # the guard reads each kernel pass as it ends, so it fires after the
-    # first, before any refinement or the second sector
+    # first pass over both sectors, before any refinement
     passes = []
     honest = wei_norman._sector_snapshots
     monkeypatch.setattr(wei_norman, "_sector_snapshots",
@@ -377,6 +377,26 @@ def test_extraction_guards_against_large_displacement(monkeypatch):
     with pytest.raises(RuntimeError, match="vacuum survival amplitude"):
         coefficients_oracle(params, math.pi, 64, settings=coarse)
     assert passes == [2048]
+
+
+def test_one_kernel_pass_steps_both_sectors_per_refinement(monkeypatch, preset_params):
+    # the propagated pair is one stack: each doubling runs the kernel once
+    # over both sectors, never once per sector
+    passes = []
+    honest = wei_norman._sector_snapshots
+
+    def recording(*args):
+        pair = honest(*args)
+        passes.append((args[-1], pair.shape))
+        return pair
+
+    monkeypatch.setattr(wei_norman, "_sector_snapshots", recording)
+    unconverged = PropagationSettings(steps=256, tolerance=1e-30, max_refinements=2)
+    res = coefficients_oracle(preset_params, TWO_PI / preset_params.omega, 5,
+                              settings=unconverged)
+    c = len(res.window_times)
+    assert passes == [(256, (2, c, 5, 5)), (512, (2, c, 5, 5)), (1024, (2, c, 5, 5))]
+    assert not res.converged and res.steps_used == 1024
 
 
 def test_oracle_grid_B_vanishes_at_the_period_marks(preset_params):
@@ -390,10 +410,11 @@ def test_oracle_grid_B_vanishes_at_the_period_marks(preset_params):
     assert b_mag[1] > 1e-2
 
 
-@pytest.mark.parametrize("grid", ["base_window", "coeffs_grid"])
+@pytest.mark.parametrize("grid", ["base_window", "coeffs_grid", "clustered"])
 def test_kernel_takes_exactly_steps_used(monkeypatch, preset_params, grid):
     # the checkpoint segments must sum to the reported grid, not drift from
-    # it by per-segment rounding
+    # it by per-segment rounding, nor overrun it where checkpoints crowd
+    # closer than one step before the end
     fed = []
     kernel = wei_norman._sector_step_factors
 
@@ -411,9 +432,11 @@ def test_kernel_takes_exactly_steps_used(monkeypatch, preset_params, grid):
     period = TWO_PI / preset_params.omega
     if grid == "base_window":
         assert coefficients_oracle(preset_params, period, 6, settings=one_pass).steps_used == 512
-    else:
+    elif grid == "coeffs_grid":
         oracle_grid(preset_params, np.linspace(2 * period / 50, 2 * period, 50), 6,
                     settings=one_pass)
+    else:
+        oracle_grid(preset_params, [(1 - 1e-9) * period, period], 6, settings=one_pass)
     # two propagated sectors, one pass each, two factors per CF4 step
     assert sum(fed) == 2 * 2 * 512
 
@@ -454,10 +477,10 @@ def test_sector_step_factor_stacks_match_their_single_amplitude_factors(n, k):
 def test_sector_fourth_order_convergence():
     # halving the step divides the distance to the converged limit by about 16;
     # a midpoint kernel gives about 4
-    f = wei_norman.sector_amplitude(make_params(), 1, 1)
+    f = wei_norman.sector_amplitude(make_params(), [(1, 1)])
 
     def run(steps):
-        return wei_norman._sector_snapshots(f, [2.7], 6, steps)[-1]
+        return wei_norman._sector_snapshots(f, [2.7], 6, steps)[0, -1]
 
     ref = run(1024)                  # within 1.1e-11 of 8 192 steps, 1e-2 of e2
     e1 = np.abs(run(32) - ref).max()
@@ -472,13 +495,13 @@ def test_sector_snapshot_matches_fine_generic_magnus4_propagation():
     # converges onto the CF4 snapshot; the gap, 4.4e-10 on every generic grid
     # from 256 to 8 192 steps, is the 64-step CF4 snapshot's own error
     n, t = 6, 2.7
-    f = wei_norman.sector_amplitude(make_params(), 1, -1)
+    f = wei_norman.sector_amplitude(make_params(), [(1, -1)])
     a = ladder_matrix(n)
     want = np.eye(n, dtype=np.complex128)
-    for (step,), in magnus4_steps(lambda s: f(s) * a.conj().T + np.conj(f(s)) * a, 0.0, t,
+    for (step,), in magnus4_steps(lambda s: f(s)[0] * a.conj().T + np.conj(f(s)[0]) * a, 0.0, t,
                                   512, [np.arange(n)[None]]):
         want = step @ want
-    got = wei_norman._sector_snapshots(f, [t / 3, t], n, 64)[-1]
+    got = wei_norman._sector_snapshots(f, [t / 3, t], n, 64)[0, -1]
     assert np.abs(got - want).max() < 1e-8
 
 
@@ -493,14 +516,11 @@ def test_sector_snapshot_matches_fine_generic_magnus4_propagation():
        omega_r=st.floats(-1.0, 1.0), t=st.floats(0.5, 4.0))
 def test_parity_image_matches_direct_propagation(g, G, omega, omega_r, t):
     params = make_params(g=g, G=G, omega=omega, omega_r=omega_r)
-    times = [t / 3, t]
-    for key, image in ((1, 1), (-1, -1)), ((1, -1), (-1, 1)):
-        got = wei_norman._sector_snapshots(wei_norman.sector_amplitude(params, *key),
-                                           times, 7, 96)
-        want = wei_norman._sector_snapshots(wei_norman.sector_amplitude(params, *image),
-                                            times, 7, 96)
-        for u, v in zip(got, want):
-            assert np.abs(wei_norman._parity_image(u) - v).max() < 1e-13
+    blocks = wei_norman._sector_snapshots(
+        wei_norman.sector_amplitude(params, wei_norman.SECTORS), [t / 3, t], 7, 96)
+    assert blocks.shape == (4, 2, 7, 7)
+    for got, want in zip(wei_norman._sector_blocks(blocks[:2])[2:], blocks[2:]):
+        assert np.abs(got - want).max() < 1e-13
 
 
 def test_joint_steps_multiply_to_the_oracle_sector_snapshots(preset_params):
@@ -514,10 +534,9 @@ def test_joint_steps_multiply_to_the_oracle_sector_snapshots(preset_params):
     for u in units:
         assert u.shape == (4, n, n)
         product = u @ product
-    pair = np.array([wei_norman._sector_snapshots(wei_norman.sector_amplitude(preset_params, *key),
-                                                  [duration], n, steps)[-1]
-                     for key in wei_norman.PROPAGATED])
-    want = wei_norman._sector_blocks(pair)
+    pair = wei_norman._sector_snapshots(
+        wei_norman.sector_amplitude(preset_params, wei_norman.PROPAGATED), [duration], n, steps)
+    want = wei_norman._sector_blocks(pair[:, -1])
     for got, block in zip(product, want):
         assert np.abs(got - block).max() < 1e-13
 
@@ -525,12 +544,13 @@ def test_joint_steps_multiply_to_the_oracle_sector_snapshots(preset_params):
 @pytest.mark.parametrize("per_chunk", [1, 3, 7, 100])
 def test_cf4_chunks_concatenate_to_the_unchunked_steps(preset_params, per_chunk):
     n, t0, dt, steps = 4, 0.3, 0.05, 7
-    f = wei_norman.sector_amplitude(preset_params, 1, -1)
+    f = wei_norman.sector_amplitude(preset_params, wei_norman.PROPAGATED)
     factors = wei_norman._sector_step_factors(n)
     stacks = list(wei_norman._cf4_chunks(f, factors, t0, dt, steps, per_chunk))
-    assert [len(s) for s in stacks[:-1]] == [per_chunk] * (len(stacks) - 1)
+    assert [s.shape[1] for s in stacks[:-1]] == [per_chunk] * (len(stacks) - 1)
     want = wei_norman._cf4_steps(f, factors, t0 + np.arange(steps) * dt, dt)
-    assert np.abs(np.concatenate(stacks) - want).max() < 1e-14
+    assert want.shape == (2, steps, n, n)
+    assert np.abs(np.concatenate(stacks, axis=1) - want).max() < 1e-14
 
 
 def test_sector_states_is_the_hadamard_on_the_qubit_index_both_ways():
